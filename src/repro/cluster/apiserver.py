@@ -23,7 +23,8 @@ Watch usage pattern (inside a simulation process)::
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import runtime as obs
 from ..perf import fastpath
@@ -36,6 +37,7 @@ __all__ = [
     "Conflict",
     "FencingConflict",
     "AlreadyExists",
+    "NodeLease",
     "NotFound",
     "ServiceUnavailable",
     "UnknownKind",
@@ -108,6 +110,68 @@ def translate_event(ev: WatchEvent) -> Tuple[WatchEventType, Any]:
     return (ev.type, obj)
 
 
+class NodeLease:
+    """A kubelet's node lease, evaluated when read instead of renewed by a timer.
+
+    The kubelet would renew every *interval* seconds from *origin* until it
+    crashes at :attr:`stop`; a renewal is lost when it falls inside an
+    apiserver outage window. :meth:`renewed_at` answers "when did the last
+    renewal land" from that schedule alone, so renewals cost no event and
+    no etcd write.
+    """
+
+    __slots__ = ("origin", "interval", "stop", "_outages", "_window", "_last", "_next")
+
+    def __init__(self, origin: float, interval: float, outages: List[List[float]]) -> None:
+        self.origin = origin
+        self.interval = interval
+        #: crash time; a renewal due at the same instant is lost with it.
+        self.stop = math.inf
+        #: the apiserver's merged ``[start, end)`` outage windows (shared).
+        self._outages = outages
+        self._window = 0
+        #: cursor: the latest renewal before the previous read, and the next
+        #: grid point not yet folded into it.
+        self._last = origin
+        self._next = origin + interval
+
+    @property
+    def live(self) -> bool:
+        return self.stop == math.inf
+
+    def _lost(self, t: float) -> bool:
+        """Did the renewal due at *t* hit an outage?"""
+        windows = self._outages
+        while self._window < len(windows) and windows[self._window][1] <= t:
+            self._window += 1
+        return self._window < len(windows) and windows[self._window][0] <= t
+
+    def renewed_at(self, now: float) -> float:
+        """The latest renewal at or before *now* that reached the apiserver.
+
+        Grid points strictly before *now* are folded into the cursor: no
+        later crash or outage can reach back past the current instant. The
+        point at *now* itself is judged afresh on every read, because a
+        crash or outage at this same instant may still come after the read.
+        """
+        g, last = self._next, self._last
+        while g < now and g < self.stop:
+            if not self._lost(g):
+                last = g
+            g += self.interval
+        self._next, self._last = g, last
+        if g == now and g < self.stop and not self._lost(g):
+            return g
+        return last
+
+    def next_after(self, now: float) -> float:
+        """The first grid point after *now* (``inf`` once stopped); call
+        :meth:`renewed_at` at *now* first."""
+        if not self.live:
+            return math.inf
+        return self._next + self.interval if self._next <= now else self._next
+
+
 class APIServer:
     """The cluster's single API frontend, backed by :class:`Etcd`."""
 
@@ -129,12 +193,45 @@ class APIServer:
         self.down_until = 0.0
         self.extra_latency = 0.0
         self.outages_total = 0
+        #: every outage so far as merged ``[start, end)`` windows.
+        self.outages: List[List[float]] = []
+        #: node name -> the lease its kubelet last armed.
+        self.node_leases: Dict[str, NodeLease] = {}
+        #: called with no arguments when a node lease starts or stops and
+        #: when an outage begins: the events that move lease expiry.
+        self.lease_hooks: List[Callable[[], None]] = []
 
     # -- chaos -------------------------------------------------------------
     def set_outage(self, duration: float) -> None:
         """Begin (or extend) an outage window of *duration* seconds."""
-        self.down_until = max(self.down_until, self.env.now + duration)
+        now = self.env.now
+        self.down_until = max(self.down_until, now + duration)
         self.outages_total += 1
+        if self.outages and now < self.outages[-1][1]:
+            self.outages[-1][1] = self.down_until
+        else:
+            self.outages.append([now, self.down_until])
+        self._lease_event()
+
+    # -- node leases ---------------------------------------------------------
+    def arm_node_lease(self, node_name: str, interval: float) -> NodeLease:
+        """Start *node_name*'s lease now, renewing every *interval* seconds.
+
+        Renewals are not etcd writes: they commit no revision and wake no
+        watcher. Readers ask the lease (:meth:`NodeLease.renewed_at`)."""
+        lease = NodeLease(self.env.now, interval, self.outages)
+        self.node_leases[node_name] = lease
+        self._lease_event()
+        return lease
+
+    def stop_node_lease(self, lease: NodeLease) -> None:
+        """The lease's kubelet went silent now."""
+        lease.stop = self.env.now
+        self._lease_event()
+
+    def _lease_event(self) -> None:
+        for hook in list(self.lease_hooks):
+            hook()
 
     @property
     def available(self) -> bool:

@@ -105,7 +105,7 @@ class Etcd:
 
     def range(self, prefix: str) -> List[KeyValue]:
         """All key-values whose key starts with *prefix*, key-ordered."""
-        out = [kv for k, kv in sorted(self._data.items()) if k.startswith(prefix)]
+        out = self.snapshot(prefix)
         if self.tracker is not None:
             for kv in out:
                 self.tracker.record_read(kv.key, kv)
@@ -120,10 +120,16 @@ class Etcd:
         a tracked ``get``), so recording them would only attribute
         cache-refill noise to whichever process happened to trigger the
         rebuild."""
-        return [kv for k, kv in sorted(self._data.items()) if k.startswith(prefix)]
+        data = self._data
+        return [data[k] for k in self._sorted_keys(prefix)]
 
     def keys(self, prefix: str = "") -> Iterator[str]:
-        return (k for k in sorted(self._data) if k.startswith(prefix))
+        return iter(self._sorted_keys(prefix))
+
+    def _sorted_keys(self, prefix: str) -> List[str]:
+        # Filter first: sorting only the matches gives the same order as
+        # sorting the whole store, at the cost of the prefix's size.
+        return sorted([k for k in self._data if k.startswith(prefix)])
 
     def __len__(self) -> int:
         return len(self._data)

@@ -5,6 +5,14 @@ allocation for extended resources (Figure 2b), asks the container runtime
 to start the container, keeps the pod status current, and tears everything
 down when the pod is deleted.
 
+Liveness is a node lease (:class:`~repro.cluster.apiserver.NodeLease`)
+armed on the apiserver at start and stopped on crash. It renews every
+``heartbeat_interval`` seconds by definition, evaluated when the node
+lifecycle controller reads it, so a renewal costs no event and writes
+nothing to the Node; only a renewal that falls inside an apiserver outage
+is lost. The Node object changes only when something observable does:
+registration, device health, and the Ready condition lifecycle manages.
+
 Scheduler-extender baselines (Aliyun/GaiaGPU designs) communicate their
 bind-time device decision through the ``DEVICE_IDS_ANNOTATION`` on the pod;
 when present, kubelet allocates exactly those device units instead of
@@ -21,6 +29,7 @@ from .apiserver import (
     AlreadyExists,
     APIServer,
     Conflict,
+    NodeLease,
     NotFound,
     ServiceUnavailable,
     translate_event,
@@ -70,7 +79,7 @@ class Kubelet:
         self._handled: set[str] = set()
         self._pod_procs: Dict[str, Any] = {}
         self._proc = None
-        self._hb_proc = None
+        self.lease: Optional[NodeLease] = None
         self._stream = None
         self.crashed = False
 
@@ -84,7 +93,6 @@ class Kubelet:
             capacity=dict(capacity),
             allocatable=dict(capacity),
             ready=True,
-            last_heartbeat=self.env.now,
             unhealthy_gpus=self.devices.unhealthy_ids(),
         )
         node = Node(
@@ -102,28 +110,8 @@ class Kubelet:
         if self._on_device_health_change not in self.devices.health_listeners():
             self.devices.on_health_change(self._on_device_health_change)
         self._proc = self.env.process(self._run(), name=f"kubelet:{self.node_name}")
-        self._hb_proc = self.env.process(
-            self._heartbeat(), name=f"kubelet-hb:{self.node_name}"
-        )
+        self.lease = self.api.arm_node_lease(self.node_name, self.heartbeat_interval)
         return self._proc and self
-
-    def _heartbeat(self) -> Generator:
-        """Renew the node lease so the lifecycle controller keeps the node
-        Ready. Stops when the node crashes — missed renewals are exactly
-        how the control plane learns the node is gone."""
-        while True:
-            yield self.env.timeout(self.heartbeat_interval)
-
-            def mutate(n: Node) -> None:
-                n.status.last_heartbeat = self.env.now
-                n.status.ready = True
-
-            try:
-                self.api.patch("Node", self.node_name, mutate, namespace="")
-            except (NotFound, ServiceUnavailable, Conflict):
-                # Node object missing or apiserver down: keep trying; the
-                # lifecycle controller handles the consequences.
-                pass
 
     def _on_device_health_change(self, resource: str, device_id: str, healthy: bool) -> None:
         """Re-advertise node capacity after a ListAndWatch state change."""
@@ -278,8 +266,8 @@ class Kubelet:
     def crash(self) -> None:
         """The node loses power: every kubelet process stops instantly.
 
-        Nothing is reported to the apiserver — the node just goes silent,
-        which is what makes heartbeats necessary in the first place.
+        Nothing is reported to the apiserver — the node just goes silent:
+        its lease stops renewing, which is how the control plane learns.
         """
         if self.crashed:
             return
@@ -287,10 +275,11 @@ class Kubelet:
         if self._stream is not None:
             self._stream.close()
             self._stream = None
-        for proc in (self._proc, self._hb_proc):
-            if proc is not None and proc.is_alive:
-                proc.kill()
-        self._proc = self._hb_proc = None
+        if self._proc is not None and self._proc.is_alive:
+            self._proc.kill()
+        self._proc = None
+        if self.lease is not None:
+            self.api.stop_node_lease(self.lease)
         for proc in self._pod_procs.values():
             if proc is None or not proc.is_alive:
                 continue

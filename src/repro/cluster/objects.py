@@ -245,9 +245,6 @@ class NodeStatus:
     capacity: Dict[str, float] = field(default_factory=dict)
     allocatable: Dict[str, float] = field(default_factory=dict)
     ready: bool = True
-    #: virtual time of the kubelet's last lease renewal (None before the
-    #: first heartbeat lands).
-    last_heartbeat: Optional[float] = None
     #: UUIDs of devices the kubelet currently reports unhealthy.
     unhealthy_gpus: List[str] = field(default_factory=list)
 
@@ -256,7 +253,6 @@ class NodeStatus:
             capacity=dict(self.capacity),
             allocatable=dict(self.allocatable),
             ready=self.ready,
-            last_heartbeat=self.last_heartbeat,
             unhealthy_gpus=list(self.unhealthy_gpus),
         )
 

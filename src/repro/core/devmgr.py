@@ -21,6 +21,7 @@ SharePod that KubeShare-Sched (or the user) has assigned a GPUID, it:
 from __future__ import annotations
 
 import copy
+import math
 from typing import Dict, Generator, List, Optional
 
 from ..cluster.apiserver import (
@@ -35,6 +36,7 @@ from ..cluster.etcd import WatchEventType
 from ..cluster.objects import (
     GPU_RESOURCE,
     ContainerSpec,
+    Node,
     ObjectMeta,
     Pod,
     PodPhase,
@@ -115,6 +117,10 @@ class KubeShareDevMgr(Controller):
         self._drain_timers: Dict[str, object] = {}
         self._aux_procs: list = []
         self._aux_streams: list = []
+        #: nodes whose teardown waits for the apiserver to heal.
+        self._node_retries: set[str] = set()
+        #: gpuids whose teardown began (counted once if it is retried).
+        self._tearing_down: set[str] = set()
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> "KubeShareDevMgr":
@@ -223,18 +229,36 @@ class KubeShareDevMgr(Controller):
             etype, node = translate_event(raw)
             if node is None:
                 continue
-            try:
-                if etype is WatchEventType.DELETE or not node.status.ready:
-                    for vgpu in self.pool.list():
-                        if vgpu.node_name == node.name:
-                            self._teardown_vgpu(vgpu, f"node {node.name} lost")
-                else:
-                    for uuid in node.status.unhealthy_gpus:
-                        vgpu = self.pool.by_uuid(uuid)
-                        if vgpu is not None:
-                            self._teardown_vgpu(vgpu, f"GPU {uuid} failed")
-            except ServiceUnavailable:
-                continue  # outage: node events will repeat once it heals
+            self._node_changed(node.name, None if etype is WatchEventType.DELETE else node)
+
+    def _node_changed(self, name: str, node: Optional[Node]) -> None:
+        """Apply one Node state (``None``: deleted) to the vGPU pool."""
+        try:
+            if node is None or not node.status.ready:
+                for vgpu in self.pool.list():
+                    if vgpu.node_name == name:
+                        self._teardown_vgpu(vgpu, f"node {name} lost")
+            else:
+                for uuid in node.status.unhealthy_gpus:
+                    vgpu = self.pool.by_uuid(uuid)
+                    if vgpu is not None:
+                        self._teardown_vgpu(vgpu, f"GPU {uuid} failed")
+        except ServiceUnavailable:
+            # Nothing announces this node again when the apiserver heals,
+            # so finish the teardown then from its state at that time.
+            if name not in self._node_retries:
+                self._node_retries.add(name)
+                self._aux_procs.append(
+                    self.env.process(self._retry_node(name), name="devmgr:node-watch")
+                )
+
+    def _retry_node(self, name: str) -> Generator:
+        while not self.api.available:
+            if self.api.down_until == math.inf:
+                return
+            yield self.env.timeout(self.api.down_until - self.env.now)
+        self._node_retries.discard(name)
+        self._node_changed(name, self.api.get("Node", name, namespace=""))
 
     # -- event routing ----------------------------------------------------------
     def filter(self, etype: WatchEventType, obj: SharePod) -> bool:
@@ -623,15 +647,17 @@ class KubeShareDevMgr(Controller):
         resolve every attached SharePod per its restart policy."""
         if self.pool.get(vgpu.gpuid) is not vgpu:
             return  # already torn down (events can repeat)
-        self.vgpus_torn_down_total += 1
-        obs.event(
-            "VGPUTornDown",
-            f"vGPU {vgpu.gpuid} lost its device: {reason}",
-            involved_kind="GPU",
-            involved_name=vgpu.uuid or vgpu.gpuid,
-            type="Warning",
-            source=self.name,
-        )
+        if vgpu.gpuid not in self._tearing_down:
+            self._tearing_down.add(vgpu.gpuid)
+            self.vgpus_torn_down_total += 1
+            obs.event(
+                "VGPUTornDown",
+                f"vGPU {vgpu.gpuid} lost its device: {reason}",
+                involved_kind="GPU",
+                involved_name=vgpu.uuid or vgpu.gpuid,
+                type="Warning",
+                source=self.name,
+            )
         for key in sorted(vgpu.attached):
             namespace, name = key.split("/", 1)
             sp = self.api.get("SharePod", name, namespace)
@@ -648,6 +674,7 @@ class KubeShareDevMgr(Controller):
         if vgpu.placeholder_pod is not None:
             self.api.try_delete("Pod", vgpu.placeholder_pod)
         self.pool.remove(vgpu.gpuid)
+        self._tearing_down.discard(vgpu.gpuid)
         self.vgpus_released_total += 1
 
     def _recover_sharepod(self, sp: SharePod, key: str, reason: str) -> None:

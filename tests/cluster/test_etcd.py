@@ -182,3 +182,22 @@ class TestCloseAndUnwatch:
         etcd.put("/pods/a", 1)
         assert len(w1.events.items) == 0
         assert len(w2.events.items) == 1
+
+
+class TestPrefixReads:
+    def test_prefix_reads_keep_whole_store_key_order(self, etcd):
+        keys = [
+            "/registry/SharePod/default/b", "/registry/Pod/default/z",
+            "/registry/Node//node01", "/registry/Pod/default/a",
+            "/registry/Pod/kube-system/m", "/registry/Node//node00",
+            "/registry/Lease/kube-system/x", "/registry/Pod/default/a-2",
+            "/registry/SharePod/default/a", "/other",
+        ]
+        for i, key in enumerate(keys):
+            etcd.put(key, i)
+        for prefix in ("", "/registry/", "/registry/Pod/", "/registry/Pod/default/",
+                       "/registry/Node/", "/registry/SharePod/", "/nope"):
+            expected = [k for k in sorted(keys) if k.startswith(prefix)]
+            assert [kv.key for kv in etcd.range(prefix)] == expected
+            assert [kv.key for kv in etcd.snapshot(prefix)] == expected
+            assert list(etcd.keys(prefix)) == expected

@@ -152,3 +152,24 @@ class TestNodeDeathTeardown:
         assert got.spec.node_name == survivor.name
         assert got.status.phase is PodPhase.RUNNING
         assert all(v.node_name != victim.name for v in ks.pool.list())
+
+
+class TestTeardownAcrossOutage:
+    def test_gpu_failure_seen_during_outage_is_torn_down_once_after_heal(self, ks_cluster):
+        """The Node update lands, then the apiserver goes down before DevMgr
+        acts on it. No later Node write repeats the news, so DevMgr itself
+        must finish the teardown once the apiserver heals."""
+        cluster, ks = ks_cluster
+        ks.submit(ks.make_sharepod(
+            "j1", gpu_request=0.5, gpu_limit=1.0, gpu_mem=0.3,
+            workload=train(60.0),
+        ))
+        sp = run_until_running(cluster, ks, "j1")
+        kill_gpu(cluster, sp.status.gpu_uuid)
+        cluster.api.set_outage(3.0)
+        cluster.env.run(until=cluster.env.now + 2.0)
+        assert len(ks.pool.list()) == 1  # still down: nothing could be torn down
+        cluster.env.run(until=cluster.env.now + 5.0)
+        assert ks.pool.list() == []
+        assert ks.devmgr.vgpus_torn_down_total == 1
+        assert ks.get("j1").status.phase is PodPhase.FAILED

@@ -62,7 +62,6 @@ def make_node():
             capacity={"cpu": 8.0},
             allocatable={"cpu": 6.0},
             ready=True,
-            last_heartbeat=12.0,
             unhealthy_gpus=["GPU-7"],
         ),
     )

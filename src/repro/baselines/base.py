@@ -14,7 +14,6 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from ..cluster.cluster import Cluster, ClusterConfig
 from ..cluster.objects import PodPhase
-from ..perf import fastpath
 from ..sim import Environment
 from ..workloads.jobs import JobStats
 
@@ -104,13 +103,10 @@ class SharingSystem:
 
     # -- completion tracking -----------------------------------------------------
     def job_phase(self, handle: JobHandle) -> Optional[PodPhase]:
-        # The poll loop only reads status.phase, so the fast path probes
-        # the stored object read-only instead of deep-cloning a Pod per
-        # handle per poll tick; outage (503) semantics are identical.
-        if fastpath.slow_kernel:
-            obj = self.api.get(handle.kind, handle.name, handle.namespace)
-        else:
-            obj = self.api.peek(handle.kind, handle.name, handle.namespace)
+        # The poll loop only reads status.phase, so it probes the stored
+        # object read-only instead of cloning a Pod per handle per poll
+        # tick; outage (503) semantics are those of get().
+        obj = self.api.peek(handle.kind, handle.name, handle.namespace)
         return obj.status.phase if obj is not None else None
 
     def wait_all(

@@ -27,7 +27,6 @@ import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import runtime as obs
-from ..perf import fastpath
 from ..sim import Environment
 from .etcd import CasFailure, Etcd, WatchEvent, WatchEventType
 from .objects import DEFAULT_NAMESPACE, LabelSelector, Node, Pod
@@ -89,8 +88,7 @@ def translate_event(ev: WatchEvent) -> Tuple[WatchEventType, Any]:
     N watchers share one clone instead of paying for N. Consumers must
     treat delivered objects as **read-only** (every mutation path in this
     codebase goes through ``api.patch`` on a freshly ``get``-cloned
-    object, which is also what optimistic concurrency requires). The
-    ``REPRO_SLOW_KERNEL`` reference mode clones per delivery.
+    object, which is also what optimistic concurrency requires).
     """
     if ev.type is WatchEventType.DELETE:
         payload = ev.prev.value if ev.prev is not None else None
@@ -98,15 +96,11 @@ def translate_event(ev: WatchEvent) -> Tuple[WatchEventType, Any]:
         payload = ev.kv.value
     if payload is None:
         return (ev.type, None)
-    if not fastpath.slow_kernel:
-        obj = ev.translated
-        if obj is None:
-            obj = _clone(payload)
-            obj.metadata.resource_version = ev.kv.mod_revision
-            ev.translated = obj
-        return (ev.type, obj)
-    obj = _clone(payload)
-    obj.metadata.resource_version = ev.kv.mod_revision
+    obj = ev.translated
+    if obj is None:
+        obj = _clone(payload)
+        obj.metadata.resource_version = ev.kv.mod_revision
+        ev.translated = obj
     return (ev.type, obj)
 
 

@@ -13,7 +13,6 @@ from typing import Generator, List, Optional, Sequence
 from ..gpu.backend import TokenBackend
 from ..gpu.swap import SwapManager
 from ..gpu.device import GPUDevice, V100_MEMORY
-from ..perf import fastpath
 from ..sim import Environment
 from .apiserver import APIServer
 from .deviceplugin import DeviceManager, NvidiaDevicePlugin, ScalingFactorGPUPlugin
@@ -260,30 +259,26 @@ class Cluster:
 
         Returns the pod (or ``None`` if it was deleted).
         """
-        # Fast path: probe the phase read-only per tick and clone only
-        # the pod actually returned to the caller.
-        probe = self.api.get if fastpath.slow_kernel else self.api.peek
+        # Probe the phase read-only per tick and clone only the pod
+        # actually returned to the caller.
         while True:
-            pod = probe("Pod", name, namespace)
+            pod = self.api.peek("Pod", name, namespace)
             if pod is None:
                 return None
             if pod.status.phase in phases:
-                return pod if fastpath.slow_kernel else self.api.get(
-                    "Pod", name, namespace
-                )
+                return self.api.get("Pod", name, namespace)
             yield self.env.timeout(poll)
 
     def wait_all_terminal(
         self, names: Sequence[str], namespace: str = "default", poll: float = 0.25
     ) -> Generator:
         """Process helper: wait until every named pod finished (or is gone)."""
-        probe = self.api.get if fastpath.slow_kernel else self.api.peek
         terminal = (PodPhase.SUCCEEDED, PodPhase.FAILED)
         pending = set(names)
         while pending:
             done = set()
             for name in sorted(pending):
-                pod = probe("Pod", name, namespace)
+                pod = self.api.peek("Pod", name, namespace)
                 if pod is None or pod.status.phase in terminal:
                     done.add(name)
             pending -= done

@@ -21,6 +21,7 @@ letting the device manager pick.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Generator, Optional
 
 from ..obs import runtime as obs
@@ -82,6 +83,8 @@ class Kubelet:
         self.lease: Optional[NodeLease] = None
         self._stream = None
         self.crashed = False
+        #: a device-health patch lost to an apiserver outage awaits heal.
+        self._health_retry = False
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "Kubelet":
@@ -115,8 +118,11 @@ class Kubelet:
 
     def _on_device_health_change(self, resource: str, device_id: str, healthy: bool) -> None:
         """Re-advertise node capacity after a ListAndWatch state change."""
-        if self.crashed:
-            return
+        if not self.crashed:
+            self._advertise_devices()
+
+    def _advertise_devices(self) -> None:
+        """Patch the Node's capacity and sick-GPU list from device state."""
         capacity = {"cpu": self.cpu, "memory": self.memory}
         capacity.update(self.devices.capacity())
         unhealthy = self.devices.unhealthy_ids()
@@ -128,8 +134,26 @@ class Kubelet:
 
         try:
             self.api.patch("Node", self.node_name, mutate, namespace="")
-        except (NotFound, ServiceUnavailable):  # pragma: no cover - teardown
-            pass
+        except NotFound:
+            pass  # the Node was deleted; nothing left to advertise on
+        except ServiceUnavailable:
+            # Nothing repeats a device-health change once the apiserver
+            # heals, so one pending retry patches then, from the device
+            # state at that time.
+            if not self._health_retry:
+                self._health_retry = True
+                self.env.process(
+                    self._retry_advertise(), name=f"kubelet:{self.node_name}"
+                )
+
+    def _retry_advertise(self) -> Generator:
+        while not self.api.available:
+            if self.api.down_until == math.inf or self.crashed:
+                break
+            yield self.env.timeout(self.api.down_until - self.env.now)
+        self._health_retry = False
+        if self.api.available and not self.crashed:
+            self._advertise_devices()
 
     def _run(self) -> Generator:
         self._stream = stream = self.api.watch("Pod", replay=True)

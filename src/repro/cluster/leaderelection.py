@@ -33,14 +33,12 @@ plus the classic fencing-token argument:
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..obs import runtime as obs
-from ..perf import fastpath
 from ..sim import Environment
 from .apiserver import (
     AlreadyExists,
@@ -95,8 +93,6 @@ class Lease:
         return self.metadata.name
 
     def clone(self) -> "Lease":
-        if fastpath.slow_kernel:
-            return copy.deepcopy(self)
         return Lease(
             metadata=self.metadata.clone(),
             spec=LeaseSpec(

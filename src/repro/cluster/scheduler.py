@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..obs import runtime as obs
-from ..perf import fastpath
 from ..sim import Environment
 from .apiserver import (
     APIServer,
@@ -154,12 +153,11 @@ class KubeScheduler:
             key = yield self.queue.get()
             self.queue.checkout(key)
             namespace, name = key.split("/", 1)
-            # Fast path: the scheduling attempt only reads the pod (phase,
-            # bound flag, spec) and binds by name, so the read-only peek
-            # skips the defensive clone the public get() performs.
-            probe = self.api.get if fastpath.slow_kernel else self.api.peek
+            # The scheduling attempt only reads the pod (phase, bound
+            # flag, spec) and binds by name, so the read-only peek skips
+            # the defensive clone the public get() performs.
             try:
-                pod = probe("Pod", name, namespace)
+                pod = self.api.peek("Pod", name, namespace)
             except ServiceUnavailable:
                 self.queue.done(key)
                 yield self.env.timeout(0.05)

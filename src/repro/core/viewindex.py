@@ -1,14 +1,17 @@
 """Cached, invalidation-driven device views for Algorithm 1.
 
-The reference scheduling pass relists every SharePod, rebuilds the vGPU
-pool view, and re-sorts the device list **per reconcile** — O(pods) work
-per decision that dominates the control-plane profile at cluster scale.
-:class:`DeviceViewIndex` memoizes those derived structures and invalidates
-them with synchronous etcd commit listeners (see
+Every scheduling pass needs the device list, the vGPU pool view, the
+SharePod population and the cluster's GPU capacity. Deriving them from a
+relist of every SharePod, Pod and Node **per reconcile** is O(pods) work
+per decision, which would dominate the control-plane profile at cluster
+scale. :class:`DeviceViewIndex` memoizes those derived structures and
+invalidates them with synchronous etcd commit listeners (see
 :meth:`repro.cluster.etcd.Etcd.add_listener`), so a pass over an unchanged
 cluster costs O(devices) copying instead of O(pods log pods) rebuilding.
 
-Equivalence argument (why cached views can never diverge from a relist):
+Equivalence argument (why cached views can never diverge from a relist;
+``tests/core/test_viewindex.py`` checks every read against a brute-force
+relist at each Algorithm 1 pass of three scenarios):
 
 * Listeners run *inside* the etcd commit — before any watcher, any reader,
   or the writer itself can observe the new revision. There is no window in
@@ -69,9 +72,6 @@ class DeviceViewIndex:
         self._capacity: Optional[int] = None
         self._pool_version = -1
         self._closed = False
-        # Instrumentation for the perf harness / tests.
-        self.rebuilds = 0
-        self.hits = 0
         self._etcd.add_listener(_SHAREPOD_PREFIX, self._on_sharepod)
         self._etcd.add_listener(_POD_PREFIX, self._on_pod)
         self._etcd.add_listener(_NODE_PREFIX, self._on_node)
@@ -123,9 +123,7 @@ class DeviceViewIndex:
             self._pool_version = self.pool.version
             self._base = None
         if self._base is not None and self._assigned is not None:
-            self.hits += 1
             return
-        self.rebuilds += 1
         sharepods = [kv.value for kv in self._etcd.snapshot(_SHAREPOD_PREFIX)]
         self._sharepod_count = len(sharepods)
         self._base = build_device_views(pool, sharepods)

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Generator, List, Optional, Tuple
 
 from ..obs import runtime as obs
-from ..perf import fastpath
 from ..sim import Environment, Event
 from .device import DeviceLostError
 
@@ -111,22 +110,11 @@ class ClientRecord:
 
         O(1) amortized: a running sum of interval durations plus a single
         adjustment for the (at most one, since intervals are disjoint and
-        ordered) interval straddling the window's left edge. The slow
-        reference path re-sums the whole deque on every read.
+        ordered) interval straddling the window's left edge.
         """
         if window <= 0:
             return 0.0
         horizon = now - window
-        if fastpath.slow_kernel:
-            self._prune(horizon)
-            held = sum(
-                min(end, now) - max(start, horizon)
-                for start, end in self.intervals
-                if end > horizon
-            )
-            if self.hold_start is not None:
-                held += now - max(self.hold_start, horizon)
-            return min(1.0, held / window)
         if now != self._pruned_at:
             self._prune(horizon)
             self._pruned_at = now

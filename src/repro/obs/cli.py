@@ -18,9 +18,10 @@ Subcommands:
                 speedscope/flamegraph.pl-compatible ``.folded`` file.
 
 Input is either ``--artifact FILE`` (saved by an armed benchmark, see
-``REPRO_OBS=1``) or ``--scenario failover|chaos`` to re-run a capstone
-benchmark in-process with identical seeds and constants (``profile``
-always re-runs — host timings cannot come from a saved artifact).
+``REPRO_OBS=1``) or ``--scenario failover|chaos`` to re-run that canonical
+scenario of :mod:`repro.perf.scenarios` in-process, seeded and
+deterministic, under an armed hub (``profile`` always re-runs — host
+timings cannot come from a saved artifact).
 """
 
 from __future__ import annotations
@@ -36,20 +37,23 @@ from .tracing import chrome_trace_json
 
 __all__ = ["main"]
 
+#: the canonical scenarios that carry obs artifacts worth inspecting.
+_SCENARIOS = ("failover", "chaos")
+
+
+def _run(name: str, profile: bool = False) -> Dict[str, object]:
+    """Re-run canonical scenario *name* with obs on; return its artifact."""
+    from ..perf.scenarios import SCENARIOS
+
+    return SCENARIOS[name](obs_label=name, profile=profile)["obs"]
+
 
 def _load(args) -> Dict[str, object]:
     if args.artifact:
         return artifact_mod.load(args.artifact)
-    from .scenarios import SCENARIOS
-
     name = args.scenario or "failover"
-    runner = SCENARIOS.get(name)
-    if runner is None:
-        raise SystemExit(
-            f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
-        )
     print(f"running scenario {name!r} (seeded, deterministic)...", file=sys.stderr)
-    return runner()
+    return _run(name)
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -59,8 +63,8 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--scenario",
-        choices=("failover", "chaos"),
-        help="re-run a capstone benchmark in-process (default: failover)",
+        choices=_SCENARIOS,
+        help="re-run a canonical scenario in-process (default: failover)",
     )
 
 
@@ -99,7 +103,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     p_profile.add_argument(
         "--scenario",
-        choices=("failover", "chaos"),
+        choices=_SCENARIOS,
         default="failover",
         help="scenario to run under the profiler (default: failover)",
     )
@@ -142,15 +146,12 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def _profile(args) -> int:
-    from .scenarios import SCENARIOS
-
-    runner = SCENARIOS[args.scenario]
     print(
         f"profiling scenario {args.scenario!r} (schedule stays seeded and "
         "deterministic; host timings do not)...",
         file=sys.stderr,
     )
-    art = runner(profile=True)
+    art = _run(args.scenario, profile=True)
     profile: Dict[str, object] = art["profile"]  # type: ignore[assignment]
     total = float(profile["total_seconds"])  # type: ignore[arg-type]
     print(

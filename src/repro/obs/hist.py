@@ -7,9 +7,9 @@ buckets, exact per-window percentiles) lives in
 :class:`repro.metrics.Histogram`.
 
 Every observation is a **virtual-time** duration: histograms are part of
-the deterministic run artifact and must stay byte-identical between the
-fast and reference kernels (``tests/perf/test_determinism_replay.py``
-diffs full snapshots). Host wall-clock time is the profiler's job
+the deterministic run artifact and must replay byte-identically at the
+same seed (``tests/perf/test_scenario_goldens.py`` pins full snapshots
+by digest). Host wall-clock time is the profiler's job
 (:mod:`repro.obs.profile`) and never enters a histogram.
 
 Families (all observed automatically once a hub is enabled):

@@ -1,25 +1,16 @@
-"""Performance harness and fast-path plumbing.
+"""Canonical scenarios and the parallel seed sweep.
 
-* :mod:`repro.perf.fastpath` — the ``REPRO_SLOW_KERNEL`` reference-mode
-  switch every gated optimization consults.
-* :mod:`repro.perf.scenarios` — canonical end-to-end scenarios (fig8
-  throughput, chaos recovery, HA failover) shared by the perf harness and
-  the determinism replay tests.
-* :mod:`repro.perf.harness` — runs the scenarios, reports events/sec and
-  wall-clock per layer, writes ``BENCH_perf.json``.
+* :mod:`repro.perf.scenarios` — the canonical end-to-end scenarios (fig8
+  throughput, chaos recovery, HA failover, Borg-shaped trace replay),
+  shared by the benchmark (``bench/``), the golden digests in
+  ``tests/perf`` and the obs CLI.
+* :mod:`repro.perf.sweep` — one scenario at many seeds across worker
+  processes, merged into one deterministic report.
 
 Quickstart::
 
-    PYTHONPATH=src python -m repro.perf            # run suite, write BENCH_perf.json
-    PYTHONPATH=src python -m repro.perf --check benchmarks/perf/baseline.json
+    PYTHONPATH=src python -m repro.perf sweep --scenario trace_replay --seeds 1-8
 
-Only the lightweight flag module is imported eagerly — the scenario and
-harness modules pull in the whole cluster stack, so the CLI and callers
-import them on demand.
+Nothing is imported eagerly: the scenarios pull in the whole cluster
+stack, so callers import them on demand.
 """
-
-from __future__ import annotations
-
-from .fastpath import ENV_FLAG, force, refresh
-
-__all__ = ["ENV_FLAG", "force", "refresh"]

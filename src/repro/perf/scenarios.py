@@ -1,6 +1,9 @@
-"""Canonical end-to-end scenarios for the perf harness.
+"""Canonical end-to-end scenarios: the one place each is defined.
 
-Three workloads exercise the three optimized layers end to end:
+The benchmark (``bench/``), the golden digests (``tests/perf``), the
+parallel sweep (:mod:`repro.perf.sweep`) and the obs CLI
+(``python -m repro.obs``) all run these functions. Four workloads
+exercise the stack end to end:
 
 * :func:`fig8` — the paper's throughput experiment (Figure 8a at a heavy
   frequency factor) through both Native Kubernetes and KubeShare: the
@@ -24,10 +27,13 @@ fixed seed, and returns a plain dict::
      "sim_time": <virtual seconds simulated>,
      "obs":     <ObsHub snapshot dict, or None>}
 
-``summary`` (and ``obs`` when requested via *obs_label*) is the replay
-contract: an identical-seed run must produce a byte-identical value with
-the fast paths on or in ``REPRO_SLOW_KERNEL=1`` reference mode — the
-determinism tests in ``tests/perf`` assert exactly that.
+``summary``, ``events`` and (when requested via *obs_label*) ``obs`` are
+the behaviour contract: an identical-seed run produces byte-identical
+values, and ``tests/perf/test_scenario_goldens.py`` pins their SHA-256
+digests and exact event counts. With an *obs_label*, ``chaos`` and
+``failover`` also take ``profile=True``, which arms the wall-clock
+profiler and attaches its host-time report to ``obs["profile"]`` (never
+part of a golden).
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Any, Dict, Optional
 __all__ = ["fig8", "chaos", "failover", "trace_replay", "SCENARIOS"]
 
 
-def _install_obs(env, cluster, ks, label: Optional[str]):
+def _install_obs(env, cluster, ks, label: Optional[str], profile: bool = False):
     if label is None:
         return None
     from ..obs.runtime import ObsHub, enable
@@ -45,19 +51,25 @@ def _install_obs(env, cluster, ks, label: Optional[str]):
     hub = ObsHub(env, label=label).attach_cluster(cluster)
     hub.attach_kubeshare(ks)
     hub.start_sampler()
-    # Histograms + SLO burn rates are part of the snapshot the replay
-    # gate diffs byte-for-byte, so the evaluator runs here too — a
-    # stronger witness that both stay purely virtual-time.
+    # Histograms + SLO burn rates are part of the snapshot the golden
+    # digests pin, so the evaluator runs here too — a stronger witness
+    # that both stay purely virtual-time.
     hub.start_slo()
+    if profile:
+        hub.start_profiler()
     return enable(hub)
 
 
 def _finish_obs(hub) -> Optional[Dict[str, Any]]:
+    """Snapshot and disarm; the host-time profile, when armed, rides on
+    the returned dict but never enters the snapshot itself."""
     if hub is None:
         return None
     from ..obs.runtime import disable
 
     snap = hub.snapshot()
+    if hub.profiler is not None:
+        snap["profile"] = hub.profiler.to_dict()
     disable()
     return snap
 
@@ -103,7 +115,9 @@ def fig8(
     return {"summary": summary, "events": events, "sim_time": sim_time, "obs": None}
 
 
-def chaos(seed: int = 11, obs_label: Optional[str] = None) -> Dict[str, Any]:
+def chaos(
+    seed: int = 11, obs_label: Optional[str] = None, profile: bool = False
+) -> Dict[str, Any]:
     """Node-crash recovery (the chaos capstone, recovery stack enabled).
 
     *seed* feeds the chaos engine's fault-injection RNG, so a sweep over
@@ -122,7 +136,7 @@ def chaos(seed: int = 11, obs_label: Optional[str] = None) -> Dict[str, Any]:
         env, ClusterConfig(nodes=4, gpus_per_node=2, node_lifecycle=True)
     ).start()
     ks = KubeShare(cluster, isolation="token").start()
-    hub = _install_obs(env, cluster, ks, obs_label)
+    hub = _install_obs(env, cluster, ks, obs_label, profile)
 
     stats = []
     names = []
@@ -179,7 +193,9 @@ def chaos(seed: int = 11, obs_label: Optional[str] = None) -> Dict[str, Any]:
     }
 
 
-def failover(seed: int = 13, obs_label: Optional[str] = None) -> Dict[str, Any]:
+def failover(
+    seed: int = 13, obs_label: Optional[str] = None, profile: bool = False
+) -> Dict[str, Any]:
     """HA leader failover mid-burst (the leader-election capstone).
 
     *seed* feeds the chaos engine's fault-injection RNG (see
@@ -196,7 +212,7 @@ def failover(seed: int = 13, obs_label: Optional[str] = None) -> Dict[str, Any]:
     env = Environment()
     cluster = Cluster(env, ClusterConfig(nodes=4, gpus_per_node=2)).start()
     ks = HAKubeShare(cluster, replicas=2, isolation="token").start()
-    hub = _install_obs(env, cluster, ks, obs_label)
+    hub = _install_obs(env, cluster, ks, obs_label, profile)
 
     steady = [f"steady{i}" for i in range(4)]
     burst = [f"burst{i}" for i in range(8)]
@@ -320,7 +336,7 @@ def trace_replay(
     }
 
 
-#: name → scenario callable, in harness execution order.
+#: name → scenario callable.
 SCENARIOS = {
     "fig8": fig8,
     "chaos": chaos,

@@ -25,12 +25,10 @@ annotations and resumes the drain where its predecessor left off.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..cluster.objects import ObjectMeta
-from ..perf import fastpath
 
 __all__ = [
     "Namespace",
@@ -113,8 +111,6 @@ class Namespace:
         return self.metadata.name
 
     def clone(self) -> "Namespace":
-        if fastpath.slow_kernel:
-            return copy.deepcopy(self)
         return Namespace(
             metadata=self.metadata.clone(),
             spec=NamespaceSpec(
@@ -166,8 +162,6 @@ class PriorityClass:
         return self.metadata.name
 
     def clone(self) -> "PriorityClass":
-        if fastpath.slow_kernel:
-            return copy.deepcopy(self)
         return PriorityClass(
             metadata=self.metadata.clone(),
             spec=PriorityClassSpec(

@@ -1,18 +1,15 @@
-"""Event-queue backends for :class:`repro.sim.Environment`.
+"""Event queue for :class:`repro.sim.Environment`.
 
-Two interchangeable backends store schedule entries — ``(time, priority,
-seq, event)`` tuples — and serve them in exact ``(time, priority, seq)``
-order:
+Both classes store schedule entries — ``(time, priority, seq, event)``
+tuples — and serve them in exact ``(time, priority, seq)`` order:
 
-* :class:`HeapQueue` — a thin wrapper over a single binary heap.  This is
-  the pre-optimization reference shape and the backend selected in
-  ``REPRO_SLOW_KERNEL=1`` mode.
-* :class:`CalendarQueue` — an array-backed calendar queue / bucketed
-  timer wheel.  Entries are partitioned into fixed-width time buckets, a
-  bitmask of non-empty buckets gives O(1) lowest-bucket lookup,
-  far-future entries park in an overflow heap, and the window rebases —
-  adapting bucket width to the observed event density and bucket count
-  to the parked population — whenever the in-window buckets drain.
+* :class:`CalendarQueue` — the kernel's queue: an array-backed calendar
+  queue / bucketed timer wheel.  Entries are partitioned into
+  fixed-width time buckets, a bitmask of non-empty buckets gives O(1)
+  lowest-bucket lookup, far-future entries park in an overflow heap, and
+  the window rebases — adapting bucket width to the observed event
+  density and bucket count to the parked population — whenever the
+  in-window buckets drain.
 
   Buckets are plain unsorted lists: a push is a C-speed ``append`` plus
   two bitmask ORs, and a bucket is sorted (descending, so the minimum
@@ -21,18 +18,20 @@ order:
   next pop re-sorts, which Timsort handles in near-linear time on the
   mostly-sorted tail.  Because buckets partition the time axis into
   disjoint increasing ranges and ties inside a bucket sort by the full
-  ``(time, priority, seq)`` tuple, the pop order is *identical* to the
-  reference heap's — the Hypothesis property test in
-  ``tests/sim/test_calqueue_property.py`` checks this over adversarial
-  schedule/cancel sequences, same-tick priority ties, and far-future
-  overflow entries.
+  ``(time, priority, seq)`` tuple, the pop order is *identical* to a
+  binary heap's.
+* :class:`HeapQueue` — a thin wrapper over a single binary heap, kept as
+  the oracle: the Hypothesis property test in
+  ``tests/sim/test_calqueue_property.py`` checks the calendar queue
+  against it over adversarial schedule/cancel sequences, same-tick
+  priority ties, and far-future overflow entries.
 
-Both backends expose the same operations the kernel needs — ``push``,
-``first``, ``pop``, ``__len__`` — plus ``__iter__`` over the stored
-entries (order unspecified) for introspection and tests.
+Both expose the same operations — ``push``, ``first``, ``pop``,
+``__len__`` — plus ``__iter__`` over the stored entries (order
+unspecified) for introspection and tests.
 
 Lazy cancellation is *not* this module's concern: tombstoned events flow
-through either backend untouched and are drained at the head by the
+through the queue untouched and are drained at the head by the
 environment's shared ``_pop_live`` helper.
 """
 
@@ -63,7 +62,7 @@ _PER_BUCKET = 4.0
 
 
 class HeapQueue:
-    """The reference backend: one binary heap over all entries."""
+    """One binary heap over all entries: the calendar queue's oracle."""
 
     __slots__ = ("_heap",)
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Iterable, Optional, Union
 
-from ..perf import fastpath
-from .calqueue import CalendarQueue, HeapQueue
+from .calqueue import CalendarQueue
 from .events import (
     AllOf,
     AnyOf,
@@ -78,12 +77,12 @@ def _pop_live(pop) -> tuple:
     """Pop entries off a queue until one is live; return that entry.
 
     The single place lazy cancellation is resolved: both
-    :meth:`~Environment.step` and :meth:`~Environment.peek` (and thereby
-    the heap and calendar backends) share this drain, so the two call
-    sites cannot drift. Tombstoned entries are discarded without
-    dispatching callbacks, without advancing the clock, and without
-    counting toward ``events_processed``; their callback list is dropped
-    so a cancelled event can never be double-processed.
+    :meth:`~Environment.step` and :meth:`~Environment.peek` share this
+    drain, so the two call sites cannot drift. Tombstoned entries are
+    discarded without dispatching callbacks, without advancing the
+    clock, and without counting toward ``events_processed``; their
+    callback list is dropped so a cancelled event can never be
+    double-processed.
 
     *pop* is the backend's bound ``pop`` — passed in (rather than looked
     up here) so the per-event hot path costs exactly one extra frame.
@@ -122,14 +121,10 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now: float = float(initial_time)
-        # Backend choice is fixed at construction (matching how every
-        # scenario runs: the REPRO_SLOW_KERNEL flag is read before any
-        # Environment exists). Reference mode keeps the single binary
-        # heap; fast mode uses the bucketed calendar queue. Entry order
-        # is identical either way — see repro.sim.calqueue. The push/pop
-        # bound methods are cached: schedule() and step() run once per
-        # event, and the two attribute hops are measurable there.
-        self._queue = HeapQueue() if fastpath.slow_kernel else CalendarQueue()
+        # The push/pop bound methods are cached: schedule() and step()
+        # run once per event, and the two attribute hops are measurable
+        # there.
+        self._queue = CalendarQueue()
         self._qpush = self._queue.push
         self._qpop = self._queue.pop
         self._eid = count()

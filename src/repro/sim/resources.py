@@ -18,7 +18,6 @@ import heapq
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ..perf import fastpath
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -234,15 +233,12 @@ class _StorePut(_BaseRequest):
     def __init__(self, store: "Store", item: Any) -> None:
         super().__init__(store)
         self.item = item
-        # Fast path: with both wait queues empty, _trigger() would run
-        # exactly one _do_put over [self] and scan nothing else, so the
-        # dispatch is done inline. Succeed order is identical; a full
-        # store (or a PriorityStore override returning False) falls
-        # through to the generic queue-and-scan path.
-        if fastpath.slow_kernel or store._put_queue or store._get_queue:
-            store._put_queue.append(self)
-            store._trigger()
-        elif not store._do_put(self):
+        # With both wait queues empty, _trigger() would run exactly one
+        # _do_put over [self] and scan nothing else, so the dispatch is
+        # done inline. A full store (or a PriorityStore override
+        # returning False) falls through to the generic queue-and-scan
+        # path.
+        if store._put_queue or store._get_queue or not store._do_put(self):
             store._put_queue.append(self)
             store._trigger()
 
@@ -255,13 +251,10 @@ class _StoreGet(_BaseRequest):
     ) -> None:
         super().__init__(store)
         self.filter = filter
-        # Mirror of the put fast path: no blocked puts means a satisfied
-        # get frees no capacity anyone is waiting for, so the inline
-        # _do_get is the whole _trigger() pass.
-        if fastpath.slow_kernel or store._put_queue or store._get_queue:
-            store._get_queue.append(self)
-            store._trigger()
-        elif not store._do_get(self):
+        # Mirror of the put: no blocked puts means a satisfied get frees
+        # no capacity anyone is waiting for, so the inline _do_get is the
+        # whole _trigger() pass.
+        if store._put_queue or store._get_queue or not store._do_get(self):
             store._get_queue.append(self)
             store._trigger()
 
@@ -289,18 +282,12 @@ class Store:
         """Deposit *item* fire-and-forget (a ``put`` whose event nobody
         awaits — watch fan-out, work-queue adds).
 
-        In fast mode an immediately-satisfiable deposit creates no event
-        at all: the put request would trigger with zero subscribers, so
-        its schedule/dispatch round trip is pure kernel traffic. The
-        fallback paths (reference kernel, full store, blocked puts)
-        return the ordinary request event, preserving the reference
-        schedule exactly.
+        An immediately-satisfiable deposit creates no event at all: the
+        put request would trigger with zero subscribers, so its
+        schedule/dispatch round trip is pure kernel traffic. A full store
+        or blocked puts fall back to the ordinary request event.
         """
-        if (
-            fastpath.slow_kernel
-            or self._put_queue
-            or len(self.items) >= self._capacity
-        ):
+        if self._put_queue or len(self.items) >= self._capacity:
             return _StorePut(self, item)
         self._insert(item)
         if self._get_queue:
@@ -345,13 +332,11 @@ class Store:
 
     def _trigger(self) -> None:
         while True:
-            put_progress = False
             idx = 0
             while idx < len(self._put_queue):
                 put = self._put_queue[idx]
                 if self._do_put(put):
                     self._put_queue.pop(idx)
-                    put_progress = True
                 else:
                     idx += 1
             got = False
@@ -363,14 +348,10 @@ class Store:
                     got = True
                 else:
                     idx += 1
-            if fastpath.slow_kernel:
-                if not (put_progress or got):
-                    break
-            elif not (got and self._put_queue):
+            if not (got and self._put_queue):
                 # Only a successful get frees capacity a blocked put could
                 # use; gets in this pass already saw every item the put
-                # pass added. Any extra pass is a full no-op scan, so the
-                # succeed() order — and the event schedule — is identical.
+                # pass added, so any extra pass would be a no-op scan.
                 break
 
 

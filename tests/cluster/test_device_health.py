@@ -21,6 +21,7 @@ from repro.cluster.objects import (
     PodPhase,
     PodSpec,
 )
+from repro.core import KubeShare
 
 
 class TestDeviceManagerHealth:
@@ -178,3 +179,44 @@ class TestHealthRoundTrip:
         )
         env.run(until=wait)
         assert cluster.api.get("Pod", "after-repair").status.phase is PodPhase.RUNNING
+
+
+class TestHealthAcrossOutage:
+    @staticmethod
+    def train(ctx):
+        api = ctx.cuda()
+        cu = api.cu_ctx_create()
+        try:
+            api.cu_mem_alloc(cu, 2 * 2**30)
+            yield from api.cu_launch_kernel(cu, 60.0)
+        finally:
+            api.cu_ctx_destroy(cu)
+
+    def test_health_change_during_outage_lands_after_heal(self, env):
+        """The kubelet's Node patch fails inside an apiserver outage and
+        nothing repeats the change, so the kubelet patches again on heal:
+        the Node then lists the sick GPU, and DevMgr tears the vGPU on it
+        down exactly once."""
+        cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=2)).start()
+        ks = KubeShare(cluster, isolation="token").start()
+        ks.submit(ks.make_sharepod(
+            "j1", gpu_request=0.5, gpu_limit=1.0, gpu_mem=0.3, workload=self.train,
+        ))
+        env.run(until=env.process(ks.wait_for_phase("j1", [PodPhase.RUNNING])))
+        uuid = ks.get("j1").status.gpu_uuid
+        assert len(ks.pool.list()) == 1
+
+        cluster.api.set_outage(3.0)
+        heal = cluster.api.down_until
+        cluster.nodes[0].device_manager.set_device_health(
+            GPU_RESOURCE, uuid, healthy=False
+        )
+        env.run(until=heal - 0.1)
+        assert ks.devmgr.vgpus_torn_down_total == 0  # nothing landed yet
+
+        env.run(until=heal + 10.0)
+        node = cluster.api.get("Node", "node00", namespace="")
+        assert node.status.unhealthy_gpus == [uuid]
+        assert node.status.capacity[GPU_RESOURCE] == 1.0
+        assert ks.pool.list() == []
+        assert ks.devmgr.vgpus_torn_down_total == 1

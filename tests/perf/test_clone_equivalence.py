@@ -1,18 +1,24 @@
-"""The hand-written fast clones must match the deepcopy reference path.
+"""The hand-written ``clone()``s must match ``copy.deepcopy``.
 
-``apiserver._clone`` prefers an object's ``clone()`` method; on the fast
-path Pod/Node/SharePod/Lease implement it with explicit field copies
-instead of ``copy.deepcopy``. These tests pin the contract: identical
-field values, deep independence of every mutable field, and the one
-deliberate exception — the workload factory is shared by reference in
-both modes (deepcopy nulls it out around the copy for the same reason).
+``apiserver._clone`` prefers an object's ``clone()`` method, and every
+stored kind implements it with explicit field copies instead of
+``copy.deepcopy``. These tests pin the contract against a deepcopy
+oracle written here: identical field values, no mutable object shared
+with the original, and the one deliberate exception — the workload
+factory is code, not state, so clone and oracle both share it by
+reference.
 """
+
+import copy
 
 import pytest
 
+from repro.cluster.controllers.deployment import Deployment
+from repro.cluster.controllers.replicaset import ReplicaSet
 from repro.cluster.leaderelection import Lease, LeaseSpec
 from repro.cluster.objects import (
     ContainerSpec,
+    LabelSelector,
     Node,
     NodeStatus,
     ObjectMeta,
@@ -22,11 +28,40 @@ from repro.cluster.objects import (
     PodStatus,
 )
 from repro.core.sharepod import SharePod, SharePodSpec, SharePodStatus
-from repro.perf import fastpath
+from repro.obs.kevents import EVENT_WARNING, KubeEvent
+from repro.policy.objects import (
+    Namespace,
+    NamespaceSpec,
+    PriorityClass,
+    PriorityClassSpec,
+)
 
 
 def _workload(ctx):  # shared-by-reference sentinel
     yield None
+
+
+def oracle_clone(obj):
+    """``copy.deepcopy`` that shares the workload factory, as clones do."""
+    return copy.deepcopy(obj, {id(_workload): _workload})
+
+
+def _template():
+    return PodSpec(
+        containers=[
+            ContainerSpec(
+                name="main",
+                image="img",
+                command=["serve", "--port=80"],
+                requests={"cpu": 1.0},
+                limits={"cpu": 2.0},
+                env={"MODE": "fast"},
+            )
+        ],
+        node_name="node0",
+        node_selector={"zone": "a"},
+        workload=_workload,
+    )
 
 
 def make_pod():
@@ -38,14 +73,7 @@ def make_pod():
             annotations={"note": "x"},
             owner_references=["rs/web"],
         ),
-        spec=PodSpec(
-            containers=[
-                ContainerSpec(name="main", image="img", requests={"cpu": 1.0})
-            ],
-            node_name="node0",
-            node_selector={"zone": "a"},
-            workload=_workload,
-        ),
+        spec=_template(),
         status=PodStatus(
             phase=PodPhase.RUNNING,
             message="ok",
@@ -103,48 +131,120 @@ def make_lease():
     )
 
 
-FACTORIES = [make_pod, make_node, make_sharepod, make_lease]
+def make_replicaset():
+    return ReplicaSet(
+        metadata=ObjectMeta(name="web", labels={"app": "web"}),
+        replicas=3,
+        selector=LabelSelector({"app": "web"}),
+        template=_template(),
+        template_labels={"app": "web"},
+    )
+
+
+def make_deployment():
+    return Deployment(
+        metadata=ObjectMeta(name="web", annotations={"rollout": "2"}),
+        replicas=2,
+        selector=LabelSelector({"app": "web"}),
+        template=_template(),
+        template_labels={"app": "web"},
+        revision=2,
+    )
+
+
+def make_namespace():
+    return Namespace(
+        metadata=ObjectMeta(name="team-a", labels={"tenant": "a"}),
+        spec=NamespaceSpec(gpu_quota=1.5, on_exceeded="reject", sharepod_ttl=60.0),
+    )
+
+
+def make_priorityclass():
+    return PriorityClass(
+        metadata=ObjectMeta(name="prod"),
+        spec=PriorityClassSpec(value=100, preempting=False),
+    )
+
+
+def make_kubeevent():
+    return KubeEvent(
+        metadata=ObjectMeta(name="sp0.1", namespace="prod"),
+        reason="FailedScheduling",
+        message="unschedulable",
+        type=EVENT_WARNING,
+        involved_kind="SharePod",
+        involved_namespace="prod",
+        involved_name="sp0",
+        source="kubeshare-sched",
+        count=3,
+        first_time=1.0,
+        last_time=4.5,
+    )
+
+
+FACTORIES = [
+    make_pod,
+    make_node,
+    make_sharepod,
+    make_lease,
+    make_replicaset,
+    make_deployment,
+    make_namespace,
+    make_priorityclass,
+    make_kubeevent,
+]
+
+
+def _aliases(orig, dup, path="obj"):
+    """Paths at which *dup* shares a mutable object with *orig*."""
+    if isinstance(orig, (str, int, float, type(None))) or orig is _workload:
+        return []
+    if isinstance(orig, tuple):
+        pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(orig, dup))]
+    elif orig is dup:
+        return [path]
+    elif isinstance(orig, dict):
+        pairs = [(f"{path}[{k!r}]", v, dup[k]) for k, v in orig.items()]
+    elif isinstance(orig, list):
+        pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(orig, dup))]
+    elif isinstance(orig, set):
+        return []  # elements are hashable, hence immutable here
+    else:
+        pairs = [(f"{path}.{k}", v, getattr(dup, k)) for k, v in vars(orig).items()]
+    return [p for sub, x, y in pairs for p in _aliases(x, y, sub)]
 
 
 @pytest.mark.parametrize("make", FACTORIES, ids=lambda f: f.__name__[5:])
 def test_fast_clone_equals_deepcopy_clone(make):
     obj = make()
-    with fastpath.force(False):
-        fast = obj.clone()
-    with fastpath.force(True):
-        slow = obj.clone()
+    dup = obj.clone()
     # Dataclass repr covers every field recursively, so byte-equal reprs
     # mean field-equal objects (uid included: cloning must never draw a
     # fresh one).
-    assert repr(fast) == repr(slow) == repr(obj)
-    assert fast is not obj and slow is not obj
+    assert repr(dup) == repr(oracle_clone(obj)) == repr(obj)
+    assert type(dup) is type(obj) and dup is not obj
 
 
 @pytest.mark.parametrize("make", FACTORIES, ids=lambda f: f.__name__[5:])
 def test_fast_clone_is_deeply_independent(make):
     obj = make()
-    with fastpath.force(False):
-        dup = obj.clone()
-    assert dup.metadata is not obj.metadata
+    assert _aliases(obj, oracle_clone(obj)) == []  # the walker itself
+    assert _aliases(obj, obj.clone()) == []
+    dup = obj.clone()
     dup.metadata.labels["mutated"] = "yes"
     dup.metadata.owner_references.append("x")
     assert "mutated" not in obj.metadata.labels
     assert "x" not in obj.metadata.owner_references
-    if hasattr(dup, "status"):
-        assert dup.status is not obj.status
-    if hasattr(dup, "spec"):
-        assert dup.spec is not obj.spec
 
 
 def test_workload_factory_is_shared_by_reference_in_both_modes():
+    """Clone and oracle both keep the factory, and the original keeps it."""
     pod, sp = make_pod(), make_sharepod()
-    with fastpath.force(False):
-        assert pod.clone().spec.workload is _workload
-        assert sp.clone().spec.pod_spec.workload is _workload
-    with fastpath.force(True):
-        assert pod.clone().spec.workload is _workload
-        assert sp.clone().spec.pod_spec.workload is _workload
-        # deepcopy nulls the factory only around the copy — the original
-        # must get it back even on the reference path.
-        assert pod.spec.workload is _workload
-        assert sp.spec.pod_spec.workload is _workload
+    rs, dep = make_replicaset(), make_deployment()
+    for clone in (lambda o: o.clone(), oracle_clone):
+        assert clone(pod).spec.workload is _workload
+        assert clone(sp).spec.pod_spec.workload is _workload
+        assert clone(rs).template.workload is _workload
+        assert clone(dep).template.workload is _workload
+    assert pod.spec.workload is _workload
+    assert sp.spec.pod_spec.workload is _workload

@@ -3,7 +3,6 @@ sentinel, and condition detach."""
 
 import pytest
 
-from repro.perf import fastpath
 from repro.sim import Environment
 from repro.sim.environment import _STOP, EmptySchedule
 
@@ -77,48 +76,34 @@ def test_stop_sentinel_is_safe_to_share_across_environments():
 
 
 def test_anyof_detaches_from_unfired_subevents_on_fast_path():
-    with fastpath.force(False):
-        env = Environment()
-        slow_timer = env.timeout(100.0)
-        cond = env.any_of([env.timeout(1.0), slow_timer])
-        env.run(until=2.0)
-        assert cond.callbacks is None  # condition fired and was processed
-        # The fast path unsubscribes _check from the still-pending timer
-        # so the dead condition is not pinned until t=100.
-        assert cond._check not in slow_timer.callbacks
-
-
-def test_anyof_leaves_subevents_attached_in_reference_mode():
-    with fastpath.force(True):
-        env = Environment()
-        slow_timer = env.timeout(100.0)
-        cond = env.any_of([env.timeout(1.0), slow_timer])
-        env.run(until=2.0)
-        assert cond.callbacks is None
-        # Historical behavior: the check stays attached (and is a no-op
-        # when the timer eventually fires).
-        assert cond._check in slow_timer.callbacks
-        env.run()
-        assert env.now == 100.0
+    env = Environment()
+    late_timer = env.timeout(100.0)
+    cond = env.any_of([env.timeout(1.0), late_timer])
+    env.run(until=2.0)
+    assert cond.callbacks is None  # condition fired and was processed
+    # _check is unsubscribed from the still-pending timer so the dead
+    # condition is not pinned until t=100.
+    assert cond._check not in late_timer.callbacks
+    env.run()
+    assert env.now == 100.0
 
 
 def test_allof_detach_does_not_lose_failures():
     """Detaching must not defuse anything: an AllOf still fails fast."""
-    with fastpath.force(False):
-        env = Environment()
-        late = env.timeout(50.0)
-        failing = env.event()
-        cond = env.all_of([failing, late])
-        caught = []
+    env = Environment()
+    late = env.timeout(50.0)
+    failing = env.event()
+    cond = env.all_of([failing, late])
+    caught = []
 
-        def waiter():
-            try:
-                yield cond
-            except RuntimeError as exc:
-                caught.append(str(exc))
+    def waiter():
+        try:
+            yield cond
+        except RuntimeError as exc:
+            caught.append(str(exc))
 
-        env.process(waiter())
-        failing.fail(RuntimeError("boom"))
-        env.run(until=1.0)
-        assert caught == ["boom"]
-        assert cond._check not in late.callbacks
+    env.process(waiter())
+    failing.fail(RuntimeError("boom"))
+    env.run(until=1.0)
+    assert caught == ["boom"]
+    assert cond._check not in late.callbacks

@@ -1,8 +1,20 @@
-"""Golden digests: the canonical scenarios' summaries, byte for byte.
+"""Golden digests: the canonical scenarios' behaviour, byte for byte.
 
-Each entry is the SHA-256 of a scenario's summary serialized as canonical
-JSON (sorted keys, no whitespace). A change that moves a digest changes
-what the simulation computes, and must say why.
+Each scenario is pinned three ways, all hardware-independent:
+
+* the SHA-256 of its summary serialized as canonical JSON (sorted keys,
+  no whitespace);
+* its exact kernel event count (``env.events_processed``) — a lost
+  coalescing or an extra wake shows up here even when the summary holds;
+* for ``chaos`` and ``failover`` run with obs on (label ``"golden"``),
+  the SHA-256 of the canonical-JSON ObsHub snapshot — spans, events,
+  decision log, counters, every sampled series — and of the Chrome trace
+  rendered from its spans. The trace digest does not depend on the label.
+
+A change that moves any of these changes what the simulation computes,
+and must say why in the history below. To refresh on purpose, print the
+current values with ``PYTHONPATH=src python -m tests.perf.test_scenario_goldens``
+and paste them in.
 
 History of deliberate changes:
 
@@ -14,27 +26,114 @@ History of deliberate changes:
   ``chaos``, ``failover`` and ``trace_replay`` kept their digests.
 """
 
+import functools
 import hashlib
 import json
 
 import pytest
 
+from repro.obs.tracing import chrome_trace_json
 from repro.perf import scenarios
 
+#: name -> (run, summary digest, kernel events).
 GOLDENS = {
-    "chaos": (lambda: scenarios.chaos(11), "3e18d3ce7e94bc3c2582524f18bb0bf0ff1ea19402b01314d5268ad0bdf39c57"),
-    "failover": (lambda: scenarios.failover(13), "3e9519439c478d5e731beb080cb664bc734848972cfe878449e36e3eafeeec98"),
-    "trace_replay": (scenarios.trace_replay, "10829719e62322dd5b6786a7dafb7746580d91315e01e86bbc39eb72617e224d"),
-    "fig8": (lambda: scenarios.fig8(seed=7), "94fb2f1b0d3d5b074cbdaa0a38be172c0e37ed82a41cc65c824f2e5c608a4f5a"),
+    "chaos": (
+        lambda: scenarios.chaos(11),
+        "3e18d3ce7e94bc3c2582524f18bb0bf0ff1ea19402b01314d5268ad0bdf39c57",
+        25_686,
+    ),
+    "failover": (
+        lambda: scenarios.failover(13),
+        "3e9519439c478d5e731beb080cb664bc734848972cfe878449e36e3eafeeec98",
+        20_940,
+    ),
+    "trace_replay": (
+        scenarios.trace_replay,
+        "10829719e62322dd5b6786a7dafb7746580d91315e01e86bbc39eb72617e224d",
+        15_641,
+    ),
+    "fig8": (
+        lambda: scenarios.fig8(seed=7),
+        "94fb2f1b0d3d5b074cbdaa0a38be172c0e37ed82a41cc65c824f2e5c608a4f5a",
+        35_402,
+    ),
+}
+
+OBS_LABEL = "golden"
+
+#: name -> (run with obs on, obs snapshot digest, Chrome trace digest,
+#: kernel events). The summary digest is the obs-off one in GOLDENS.
+OBS_GOLDENS = {
+    "chaos": (
+        lambda: scenarios.chaos(11, obs_label=OBS_LABEL),
+        "ed367eb93602e8d591e772699002f30d6fb7940bee7527d45fc55c908e424e65",
+        "d4d6cd52ba3ede41dea00838759a8d49c38377b57c08d32572e2c5f528384575",
+        25_858,
+    ),
+    "failover": (
+        lambda: scenarios.failover(13, obs_label=OBS_LABEL),
+        "41f2dc61aed078b3ddf2f07f83bfbfc36dc2a85e6cf665f79cb338af319073ab",
+        "c49dd409fca3057466c207adae42b36101845af4ba2cdb76e0703bdcc248405d",
+        21_082,
+    ),
 }
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def summary_digest(summary) -> str:
-    canon = json.dumps(summary, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return _sha256(json.dumps(summary, sort_keys=True, separators=(",", ":"), default=str))
+
+
+def trace_digest(obs) -> str:
+    return _sha256(chrome_trace_json(obs["spans"]))
+
+
+# Each scenario runs once per test process; its tests share the result.
+@functools.lru_cache(maxsize=None)
+def _run(name: str):
+    return GOLDENS[name][0]()
+
+
+@functools.lru_cache(maxsize=None)
+def _run_obs(name: str):
+    return OBS_GOLDENS[name][0]()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_scenario_summary_matches_golden(name):
-    run, golden = GOLDENS[name]
-    assert summary_digest(run()["summary"]) == golden
+    assert summary_digest(_run(name)["summary"]) == GOLDENS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_scenario_event_count_matches_golden(name):
+    assert _run(name)["events"] == GOLDENS[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(OBS_GOLDENS))
+def test_obs_snapshot_matches_golden(name):
+    out = _run_obs(name)
+    _, obs_golden, _, events = OBS_GOLDENS[name]
+    # Observing must not change what is observed.
+    assert summary_digest(out["summary"]) == GOLDENS[name][1]
+    assert summary_digest(out["obs"]) == obs_golden
+    assert out["events"] == events
+
+
+@pytest.mark.parametrize("name", sorted(OBS_GOLDENS))
+def test_chrome_trace_matches_golden(name):
+    assert trace_digest(_run_obs(name)["obs"]) == OBS_GOLDENS[name][2]
+
+
+if __name__ == "__main__":
+    for name in sorted(GOLDENS):
+        out = _run(name)
+        print(f"{name}: summary {summary_digest(out['summary'])}, events {out['events']}")
+    for name in sorted(OBS_GOLDENS):
+        out = _run_obs(name)
+        print(
+            f"{name} (obs on): obs {summary_digest(out['obs'])}, "
+            f"trace {trace_digest(out['obs'])}, events {out['events']}"
+        )

@@ -2,11 +2,10 @@
 reference heap.
 
 :class:`repro.sim.calqueue.CalendarQueue` promises the exact ``(time,
-priority, seq)`` pop order of :class:`HeapQueue` for *any* interleaving
-of pushes and pops — that equivalence is what lets the perf harness
-demand byte-identical summaries across kernel modes. Hypothesis drives
-both backends through adversarial sequences covering the cases where the
-bucketed design could plausibly diverge:
+priority, seq)`` pop order of :class:`HeapQueue`, the oracle, for *any*
+interleaving of pushes and pops. Hypothesis drives both queues through
+adversarial sequences covering the cases where the bucketed design could
+plausibly diverge:
 
 * same-tick ties (entries at the same time, ordered by priority then
   sequence number inside one bucket's lazy sort),

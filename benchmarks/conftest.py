@@ -8,9 +8,12 @@ the paper's qualitative shape. Scales are reduced relative to the paper's
 the full paper-vs-measured comparison.
 """
 
+import os
+
 import pytest
 
 from repro.analysis.resets import reset_all
+from repro.obs.artifact import export_all
 
 
 def emit(text: str) -> None:
@@ -21,6 +24,14 @@ def emit(text: str) -> None:
 @pytest.fixture
 def report():
     return emit
+
+
+@pytest.fixture
+def export_obs():
+    """Write a run's obs snapshot as ``<label>.{json,trace.json,...}``
+    under ``REPRO_OBS_DIR`` (default ``obs-artifacts``)."""
+    directory = os.environ.get("REPRO_OBS_DIR", "obs-artifacts")
+    return lambda art: export_all(art, directory, art["label"])
 
 
 @pytest.fixture(autouse=True)

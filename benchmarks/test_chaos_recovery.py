@@ -1,173 +1,127 @@
 """Chaos recovery: throughput must return after losing a node mid-run.
 
-The capstone for the failure-recovery machinery. A 4-node / 8-GPU cluster
+The capstone for the failure-recovery machinery, run on the canonical
+scenario :func:`repro.perf.scenarios.chaos`. A 4-node / 8-GPU cluster
 serves six steady inference SharePods; at t=45 s the chaos engine crashes
 the node hosting the most containers (deterministic, seeded). With the
-recovery stack enabled (heartbeats → node-lifecycle controller → eviction
-→ DevMgr teardown → Algorithm 1 rescheduling) cluster throughput returns
-to ≥90% of steady state within a bounded virtual-time window. The control
-run repeats the *same* fault schedule with the recovery machinery
-disabled (``node_lifecycle=False``) and demonstrably does not recover.
-"""
+recovery stack enabled (node leases → node-lifecycle controller →
+eviction → DevMgr teardown → Algorithm 1 rescheduling) cluster throughput
+returns to ≥90% of steady state within a bounded virtual-time window. The
+control run repeats the *same* fault schedule with the recovery machinery
+disabled (``recovery=False``) and demonstrably does not recover.
 
-import os
+Both runs arm the race detector, observability and the profiler; every
+assertion reads the scenario's summary and obs snapshot.
+"""
 
 import pytest
 
-from repro.analysis import install_from_env
-from repro.chaos import ChaosEngine, FaultKind
-from repro.cluster import Cluster, ClusterConfig
+from repro.chaos import FaultKind
 from repro.cluster.objects import PodPhase
-from repro.core import KubeShare
-from repro.obs import ENV_DIR as OBS_DIR
-from repro.obs import disable as obs_disable
-from repro.obs import install_from_env as obs_install
-from repro.sim import Environment
-from repro.workloads.jobs import InferenceJob
+from repro.perf import scenarios
 
 pytestmark = pytest.mark.benchmark(group="chaos")
 
 SEED = 11
-N_JOBS = 6
-DEMAND = 0.35
 FAULT_AT = 45.0
 #: displaced SharePods must be RUNNING again within this many virtual
 #: seconds of the crash (lease 4 s + eviction + reschedule + pod start).
 RESCHEDULE_BOUND = 20.0
-PRE_WINDOW = (25.0, 40.0)
-POST_WINDOW = (70.0, 85.0)
+#: end of the scenario's post-fault throughput window.
+POST_END = 85.0
 
 
 def run_scenario(recovery: bool) -> dict:
-    env = Environment()
-    cluster = Cluster(
-        env,
-        ClusterConfig(nodes=4, gpus_per_node=2, node_lifecycle=recovery),
-    ).start()
-    # Opt-in dynamic race detection (REPRO_RACE_DETECT=1, set by the CI
-    # smoke jobs): flags lost updates, double-bound vGPUs, and token
-    # over-grants the moment they happen inside the chaos schedule.
-    detector = install_from_env(cluster)
-    ks = KubeShare(cluster, isolation="token").start()
-    # Opt-in observability (REPRO_OBS=1): spans, Events, decision log, and
-    # metric families for this run, exported to REPRO_OBS_DIR afterwards.
     label = "chaos-recovery" if recovery else "chaos-control"
-    hub = obs_install(cluster, kubeshare=ks, label=label)
+    return scenarios.chaos(
+        SEED, obs_label=label, profile=True, recovery=recovery, race=True
+    )
 
-    stats = []
-    names = []
-    for i in range(N_JOBS):
-        job = InferenceJob.from_demand(f"job{i}", demand=DEMAND, duration=400.0)
-        workload = job.workload()
-        stats.append(workload.stats)
-        names.append(f"sp{i}")
-        ks.submit(ks.make_sharepod(
-            f"sp{i}", gpu_request=DEMAND, gpu_limit=0.6, gpu_mem=0.3,
-            workload=workload, restart_policy="reschedule",
-        ))
 
-    engine = ChaosEngine(cluster, kubeshare=ks, seed=SEED)
-    engine.node_crash(at=FAULT_AT)
-    engine.start()
+def involved(out, reason: str) -> set:
+    return {e["involved_name"] for e in out["obs"]["events"] if e["reason"] == reason}
 
-    def total_work() -> float:
-        return sum(s.work_done for s in stats)
 
-    def rate(window) -> float:
-        t0, t1 = window
-        if env.now < t0:
-            env.run(until=t0)
-        w0 = total_work()
-        env.run(until=t1)
-        return (total_work() - w0) / (t1 - t0)
-
-    pre_rate = rate(PRE_WINDOW)
-
-    # Who lived where just before the fault?
-    env.run(until=FAULT_AT - 0.5)
-    homes = {n: ks.get(n).spec.node_name for n in names}
-
-    env.run(until=FAULT_AT + RESCHEDULE_BOUND)
-    [(t_fault, fault, victim, outcome)] = engine.log
-    assert fault.kind is FaultKind.NODE_CRASH
-    displaced = [n for n in names if homes[n] == victim]
-    placed = {n: (ks.get(n).status.phase, ks.get(n).spec.node_name) for n in names}
-
-    post_rate = rate(POST_WINDOW)
-    if detector is not None:
-        detector.check()  # fails loudly on any recorded violation
-    slo_alerts = None
-    if hub is not None:
-        hub.export_dir(os.environ.get(OBS_DIR, "obs-artifacts"))
-        slo_alerts = [a.to_dict() for a in hub.slo.alerts] if hub.slo else []
-        obs_disable()
-    return {
-        "slo_alerts": slo_alerts,
-        "pre_rate": pre_rate,
-        "post_rate": post_rate,
-        "victim": victim,
-        "outcome": outcome,
-        "displaced": displaced,
-        "placed": placed,
-        "rescheduled": ks.devmgr.sharepods_rescheduled_total,
-        "torn_down": ks.devmgr.vgpus_torn_down_total,
-        "not_ready": (
-            cluster.node_lifecycle.not_ready_total if recovery else 0
-        ),
-    }
+def displaced(out) -> dict:
+    """SharePods whose container ran on the crashed node before the
+    crash -> the (time, node) of each of their container starts after it."""
+    summary = out["summary"]
+    [(_, _, victim, _)] = summary["chaos_log"]
+    starts = sorted(
+        (e["first_time"], e["involved_name"], e["source"].split(":", 1)[1])
+        for e in out["obs"]["events"]
+        if e["reason"] == "Started" and e["involved_name"] in summary["placed"]
+    )
+    homes = {name: node for t, name, node in starts if t < FAULT_AT}
+    moved = {name: [] for name, node in homes.items() if node == victim}
+    for t, name, node in starts:
+        if t > FAULT_AT and name in moved:
+            moved[name].append((t, node))
+    return moved
 
 
 def _table(rec, ctl) -> str:
+    rec_sum, ctl_sum = rec["summary"], ctl["summary"]
     lines = [
         "Chaos recovery — node crash at t=45 s (seed 11, busiest node)",
         f"{'':22s} {'recovery':>10s} {'no recovery':>12s}",
-        f"{'steady rate (w/s)':22s} {rec['pre_rate']:>10.3f} {ctl['pre_rate']:>12.3f}",
-        f"{'post-fault rate':22s} {rec['post_rate']:>10.3f} {ctl['post_rate']:>12.3f}",
-        f"{'recovered fraction':22s} {rec['post_rate'] / rec['pre_rate']:>10.2f}"
-        f" {ctl['post_rate'] / ctl['pre_rate']:>12.2f}",
-        f"{'displaced SharePods':22s} {len(rec['displaced']):>10d} {len(ctl['displaced']):>12d}",
-        f"{'rescheduled':22s} {rec['rescheduled']:>10d} {ctl['rescheduled']:>12d}",
+        f"{'steady rate (w/s)':22s} {rec_sum['pre_rate']:>10.3f} {ctl_sum['pre_rate']:>12.3f}",
+        f"{'post-fault rate':22s} {rec_sum['post_rate']:>10.3f} {ctl_sum['post_rate']:>12.3f}",
+        f"{'recovered fraction':22s} {rec_sum['post_rate'] / rec_sum['pre_rate']:>10.2f}"
+        f" {ctl_sum['post_rate'] / ctl_sum['pre_rate']:>12.2f}",
+        f"{'displaced SharePods':22s} {len(displaced(rec)):>10d} {len(displaced(ctl)):>12d}",
+        f"{'rescheduled':22s} {rec_sum['rescheduled']:>10d} {ctl_sum['rescheduled']:>12d}",
     ]
     return "\n".join(lines)
 
 
-def test_throughput_recovers_after_node_crash(report, benchmark):
+def test_throughput_recovers_after_node_crash(report, benchmark, export_obs):
     rec = benchmark.pedantic(run_scenario, args=(True,), rounds=1, iterations=1)
     ctl = run_scenario(recovery=False)
+    export_obs(rec["obs"])
+    export_obs(ctl["obs"])
     report(_table(rec, ctl))
+    summary = rec["summary"]
 
     # The fault fired and actually hit a busy node.
-    assert rec["outcome"] == "crashed"
-    assert rec["displaced"], "the crash must displace at least one SharePod"
+    [(_, kind, victim, outcome)] = summary["chaos_log"]
+    assert kind == FaultKind.NODE_CRASH.value and outcome == "crashed"
+    moved = displaced(rec)
+    assert moved, "the crash must displace at least one SharePod"
+    assert victim in involved(rec, "NodeNotReady")
 
-    # Every displaced SharePod is RUNNING on a surviving node within the
-    # bounded virtual-time window after the crash.
-    for name in rec["displaced"]:
-        phase, node = rec["placed"][name]
-        assert phase is PodPhase.RUNNING, f"{name} not recovered: {phase}"
-        assert node != rec["victim"], f"{name} still on the dead node"
-    assert rec["rescheduled"] >= len(rec["displaced"])
-    assert rec["torn_down"] >= 1
-    assert rec["not_ready"] >= 1
+    # Every displaced SharePod is rescheduled and its container started
+    # on a surviving node within the bounded window after the crash, and
+    # it is still RUNNING there at the end.
+    rescheduled = involved(rec, "Rescheduled")
+    for name, starts in moved.items():
+        assert name in rescheduled, f"{name} never rescheduled"
+        assert starts, f"{name} not recovered"
+        t_start, node = starts[0]
+        assert node != victim, f"{name} restarted on the dead node"
+        assert t_start - FAULT_AT <= RESCHEDULE_BOUND, f"{name} started at {t_start}"
+        phase, node = summary["placed"][name]
+        assert phase == PodPhase.RUNNING.value, f"{name} not running: {phase}"
+        assert node != victim, f"{name} still on the dead node"
+    assert summary["rescheduled"] >= len(moved)
+    assert summary["torn_down"] >= 1
 
     # Throughput back to ≥90% of steady state.
-    assert rec["post_rate"] >= 0.9 * rec["pre_rate"]
+    assert summary["post_rate"] >= 0.9 * summary["pre_rate"]
 
-    # With observability armed (REPRO_OBS=1, as in the CI smoke job), the
-    # node loss burns through the schedule-latency error budget: exactly
-    # one page-severity fast-burn alert fires and resolves once the
-    # displaced SharePods are rescheduled.
-    if rec["slo_alerts"] is not None:
-        pages = [a for a in rec["slo_alerts"] if a["severity"] == "page"]
-        assert len(pages) == 1, f"expected exactly one page alert, got {pages}"
-        [page] = pages
-        assert page["slo"] == "sharepod-schedule-latency"
-        assert page["fired_at"] >= FAULT_AT
-        assert page["state"] == "resolved", "page alert must resolve after recovery"
-        assert page["resolved_at"] <= POST_WINDOW[1]
+    # The node loss burns through the schedule-latency error budget:
+    # exactly one page-severity fast-burn alert fires and resolves once
+    # the displaced SharePods are rescheduled.
+    pages = [a for a in rec["obs"]["slo"]["alerts"] if a["severity"] == "page"]
+    assert len(pages) == 1, f"expected exactly one page alert, got {pages}"
+    [page] = pages
+    assert page["slo"] == "sharepod-schedule-latency"
+    assert page["fired_at"] >= FAULT_AT
+    assert page["state"] == "resolved", "page alert must resolve after recovery"
+    assert page["resolved_at"] <= POST_END
 
     # Same fault, no recovery machinery: the displaced work never comes
     # back, and cluster throughput stays depressed.
-    assert ctl["displaced"]
-    assert ctl["rescheduled"] == 0
-    assert ctl["post_rate"] < 0.75 * ctl["pre_rate"]
+    assert displaced(ctl)
+    assert ctl["summary"]["rescheduled"] == 0
+    assert ctl["summary"]["post_rate"] < 0.75 * ctl["summary"]["pre_rate"]

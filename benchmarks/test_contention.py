@@ -23,11 +23,10 @@ Identical seeds replay the identical eviction set and decision log.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.analysis import install_from_env
+from repro.analysis.race import install as race_install
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.objects import PodPhase
 from repro.chaos import ChaosEngine
@@ -37,10 +36,7 @@ from repro.core import (
     placeholder_gpuid,
     reset_gpuid_counter,
 )
-from repro.obs import ENV_DIR as OBS_DIR
-from repro.obs import disable as obs_disable
-from repro.obs import install_from_env as obs_install
-from repro.obs.runtime import ObsHub, enable as obs_enable
+from repro.obs import ObsHub, disable as obs_disable, enable as obs_enable
 from repro.policy import PolicyConfig, ReaperConfig
 from repro.policy.objects import ANN_EVICT, ANN_QUEUED
 from repro.sim import Environment
@@ -74,7 +70,7 @@ def run_scenario(preemption: bool = True, crash: bool = False) -> dict:
     cluster = Cluster(
         env, ClusterConfig(nodes=NODES, gpus_per_node=GPUS_PER_NODE)
     ).start()
-    detector = install_from_env(cluster)
+    detector = race_install(cluster)
     cfg = PolicyConfig(
         drain_window=1.5,
         requeue_base=0.5,
@@ -90,12 +86,8 @@ def run_scenario(preemption: bool = True, crash: bool = False) -> dict:
     )
     ks = HAKubeShare(cluster, replicas=2, isolation="token", contention=cfg).start()
     label = f"contention-{'crash' if crash else ('ha' if preemption else 'ctl')}"
-    hub = obs_install(cluster, kubeshare=ks, label=label)
-    exported = hub is not None
-    if hub is None:
-        # The eviction-set replay check reads the decision log, so record
-        # it even when REPRO_OBS is unset (then nothing is exported).
-        hub = obs_enable(ObsHub(env, label=label))
+    hub = ObsHub(env, label=label).attach_cluster(cluster).attach_kubeshare(ks)
+    obs_enable(hub.start_sampler().start_slo())
 
     pl = ks.policy_layer
     pl.create_priority_class("high", 100)
@@ -151,8 +143,7 @@ def run_scenario(preemption: bool = True, crash: bool = False) -> dict:
     engine.start()
 
     env.run(until=HORIZON)
-    if detector is not None:
-        detector.check()  # fails loudly on any recorded violation
+    detector.check()  # fails loudly on any recorded violation
 
     # -- storm SLO: submit time (chaos log) → first RUNNING ------------------
     submits = {
@@ -218,11 +209,11 @@ def run_scenario(preemption: bool = True, crash: bool = False) -> dict:
     reaper = (
         pl.reaper_group.active_controller if pl.reaper_group is not None else pl.reaper
     )
-    if exported:
-        hub.export_dir(os.environ.get(OBS_DIR, "obs-artifacts"))
+    obs = hub.snapshot()
     obs_disable()
 
     return {
+        "obs": obs,
         "attainment": attainment,
         "latencies": latencies,
         "storm_phases": storm_phases,
@@ -284,11 +275,13 @@ def _table(ha: dict, ctl: dict) -> str:
     return "\n".join(lines)
 
 
-def test_preemption_meets_slo_against_control(report, benchmark):
+def test_preemption_meets_slo_against_control(report, benchmark, export_obs):
     ha = benchmark.pedantic(
         run_scenario, kwargs={"preemption": True}, rounds=1, iterations=1
     )
     ctl = run_scenario(preemption=False)
+    export_obs(ha["obs"])
+    export_obs(ctl["obs"])
     report(_table(ha, ctl))
 
     # SLO: >=90% of the storm running within the bound; the control run
@@ -325,8 +318,9 @@ def test_preemption_meets_slo_against_control(report, benchmark):
         assert total <= 1.0 + EPS, f"vGPU {gpu_id} overcommitted: {total}"
 
 
-def test_devmgr_crash_mid_preemption_leaves_no_orphans(report):
+def test_devmgr_crash_mid_preemption_leaves_no_orphans(report, export_obs):
     out = run_scenario(preemption=True, crash=True)
+    export_obs(out["obs"])
 
     # The crash hit the active DevMgr leader and a standby took over.
     crashes = [

@@ -1,228 +1,124 @@
 """HA failover: kill the active DevMgr mid-burst, the standby takes over.
 
-The capstone for the leader-elected control plane. A 4-node / 8-GPU
-cluster runs KubeShare with two replicas of each controller; four steady
+The capstone for the leader-elected control plane, run on the canonical
+scenario :func:`repro.perf.scenarios.failover`. A 4-node / 8-GPU cluster
+runs KubeShare with two replicas of each controller; four steady
 inference SharePods are joined by an eight-SharePod submission burst
 starting at t=40 s, and at t=45 s the chaos engine kills the active
 DevMgr replica. The hot standby must acquire the lease and finish the
-burst: every SharePod scheduled and running, no vGPU double-bound, and
-the new leader's first reconcile within the lease-expiry failover bound.
-The control run repeats the same schedule with a single replica — the
-control plane halts and the tail of the burst is never bound.
+burst: every SharePod scheduled and running, and the new leader's first
+reconcile within the lease-expiry failover bound. The control run
+repeats the same schedule with a single replica — the control plane
+halts and the tail of the burst is never bound.
 
-Failover runs are deterministic: the same seed produces identical
-promotion times and an identical final placement map.
+Both runs arm the race detector, which checks at every write that no
+vGPU is double-bound or over-committed, plus observability and the
+profiler; every assertion reads the scenario's summary and obs snapshot.
+The goldens in ``tests/perf`` pin that the same seed replays the same
+promotions and placement.
 """
-
-import os
 
 import pytest
 
-from repro.analysis import install_from_env
-from repro.chaos import ChaosEngine, FaultKind
-from repro.cluster import Cluster, ClusterConfig
+from repro.chaos import FaultKind
 from repro.cluster.objects import PodPhase
-from repro.core import HAKubeShare, PLACEHOLDER_PREFIX, reset_gpuid_counter
-from repro.obs import ENV_DIR as OBS_DIR
-from repro.obs import disable as obs_disable
-from repro.obs import install_from_env as obs_install
-from repro.sim import Environment
+from repro.perf import scenarios
 
 pytestmark = pytest.mark.benchmark(group="chaos")
 
 SEED = 13
-N_STEADY = 4
-N_BURST = 8
-BURST_START = 40.0
-BURST_GAP = 1.25
 FAULT_AT = 45.0
-HORIZON = 70.0
-EPS = 1e-6
+#: worst-case promotion delay: lease duration 3.0 + renew interval 0.5 +
+#: retry interval 0.5, ``HAControllerGroup.failover_bound`` at its defaults.
+FAILOVER_BOUND = 4.0
 
-_ACTIVE = (PodPhase.PENDING, PodPhase.RUNNING)
+_RUNNING = PodPhase.RUNNING.value
+_PENDING = PodPhase.PENDING.value
 
 
 def run_scenario(replicas: int) -> dict:
-    from repro.workloads.jobs import InferenceJob
+    return scenarios.failover(
+        SEED, obs_label=f"failover-r{replicas}", profile=True, replicas=replicas, race=True
+    )
 
-    # A fresh control plane restarts GPUID generation: placements replay
-    # bit-for-bit (Algorithm 1 breaks ties by GPUID order) regardless of
-    # what ran earlier in this process.
-    reset_gpuid_counter()
-    env = Environment()
-    cluster = Cluster(env, ClusterConfig(nodes=4, gpus_per_node=2)).start()
-    # Opt-in dynamic race detection (REPRO_RACE_DETECT=1, set by the CI
-    # smoke jobs): flags lost updates, double-bound vGPUs, and token
-    # over-grants the moment they happen inside the failover schedule.
-    detector = install_from_env(cluster)
-    ks = HAKubeShare(cluster, replicas=replicas, isolation="token").start()
-    # Opt-in observability (REPRO_OBS=1): spans, Events, decision log, and
-    # metric families for this run, exported to REPRO_OBS_DIR afterwards.
-    hub = obs_install(cluster, kubeshare=ks, label=f"failover-r{replicas}")
 
-    steady = [f"steady{i}" for i in range(N_STEADY)]
-    burst = [f"burst{i}" for i in range(N_BURST)]
-    for name in steady:
-        job = InferenceJob.from_demand(name, demand=0.35, duration=400.0)
-        ks.submit(ks.make_sharepod(
-            name, gpu_request=0.35, gpu_limit=0.6, gpu_mem=0.3,
-            workload=job.workload(),
-        ))
+def first_reconcile_after_crash(out):
+    spans = out["obs"]["spans"]
+    starts = [s["start"] for s in spans if s["track"] == "kubeshare-devmgr"
+              and s["name"] == "reconcile" and s["start"] > FAULT_AT]
+    return min(starts, default=None)
 
-    def submitter():
-        for name in burst:
-            job = InferenceJob.from_demand(name, demand=0.2, duration=200.0)
-            ks.submit(ks.make_sharepod(
-                name, gpu_request=0.2, gpu_limit=0.4, gpu_mem=0.3,
-                workload=job.workload(),
-            ))
-            yield env.timeout(BURST_GAP)
 
-    def start_burst():
-        yield env.timeout(BURST_START)
-        env.process(submitter(), name="burst-submitter")
-
-    env.process(start_burst(), name="burst-starter")
-
-    engine = ChaosEngine(cluster, kubeshare=ks, seed=SEED)
-    engine.register_controllers(ks.sched_group, ks.devmgr_group)
-    engine.controller_crash(at=FAULT_AT, target="kubeshare-devmgr")
-    engine.start()
-
-    env.run(until=HORIZON)
-    if detector is not None:
-        detector.check()  # fails loudly on any recorded violation
-    slo_alerts = None
-    if hub is not None:
-        hub.export_dir(os.environ.get(OBS_DIR, "obs-artifacts"))
-        slo_alerts = [a.to_dict() for a in hub.slo.alerts] if hub.slo else []
-        obs_disable()
-
-    names = steady + burst
-    sharepods = {n: ks.get(n) for n in names}
-    pods = cluster.api.list("Pod")
-    holder_uuids = {}
-    for pod in pods:
-        if (
-            pod.name.startswith(PLACEHOLDER_PREFIX)
-            and pod.status.phase is PodPhase.RUNNING
-        ):
-            uuid = pod.status.container_env.get("NVIDIA_VISIBLE_DEVICES")
-            holder_uuids.setdefault(uuid, []).append(pod.name)
-    load = {}
-    for sp in sharepods.values():
-        if sp.spec.gpu_id is not None and sp.status.phase in _ACTIVE:
-            load[sp.spec.gpu_id] = load.get(sp.spec.gpu_id, 0.0) + sp.spec.gpu_request
-
-    group = ks.devmgr_group
-    new_leader = group.controllers[-1] if len(group.controllers) > 1 else None
-    return {
-        "slo_alerts": slo_alerts,
-        "chaos_log": [(t, f.kind, v, o) for t, f, v, o in engine.log],
-        "promotions": list(group.promotions),
-        "sched_promotions": list(ks.sched_group.promotions),
-        "failover_bound": group.failover_bound,
-        "first_reconcile_at": (
-            new_leader.first_reconcile_at if new_leader is not None else None
-        ),
-        "placement": {
-            n: (sp.status.phase, sp.spec.gpu_id, sp.status.pod_name)
-            for n, sp in sharepods.items()
-        },
-        "holder_uuids": holder_uuids,
-        "load": load,
-        "pod_names": {p.name for p in pods},
-        "steady": steady,
-        "burst": burst,
-    }
+def _count(out, phase: str) -> int:
+    return sum(1 for p, _, _ in out["summary"]["placement"].values() if p == phase)
 
 
 def _table(ha, ctl) -> str:
-    t_promo = ha["promotions"][1][0] if len(ha["promotions"]) > 1 else float("nan")
-    stuck = sum(
-        1 for phase, _, _ in ctl["placement"].values() if phase is PodPhase.PENDING
-    )
+    promotions = ha["summary"]["promotions"]
+    t_promo = promotions[1][0] if len(promotions) > 1 else float("nan")
     lines = [
         "HA failover — DevMgr leader killed at t=45 s mid-burst (seed 13)",
         f"{'':28s} {'2 replicas':>12s} {'1 replica':>12s}",
-        f"{'promotions':28s} {len(ha['promotions']):>12d} {len(ctl['promotions']):>12d}",
+        f"{'promotions':28s} {len(promotions):>12d} {len(ctl['summary']['promotions']):>12d}",
         f"{'standby promoted at (s)':28s} {t_promo:>12.2f} {'—':>12s}",
-        f"{'failover bound (s)':28s} {ha['failover_bound']:>12.2f} {ctl['failover_bound']:>12.2f}",
+        f"{'failover bound (s)':28s} {FAILOVER_BOUND:>12.2f} {FAILOVER_BOUND:>12.2f}",
         f"{'running SharePods at t=70':28s}"
-        f" {sum(1 for p, _, _ in ha['placement'].values() if p is PodPhase.RUNNING):>12d}"
-        f" {sum(1 for p, _, _ in ctl['placement'].values() if p is PodPhase.RUNNING):>12d}",
-        f"{'stuck PENDING at t=70':28s} {0:>12d} {stuck:>12d}",
+        f" {_count(ha, _RUNNING):>12d} {_count(ctl, _RUNNING):>12d}",
+        f"{'stuck PENDING at t=70':28s} {0:>12d} {_count(ctl, _PENDING):>12d}",
     ]
     return "\n".join(lines)
 
 
-def test_standby_takes_over_and_finishes_the_burst(report, benchmark):
+def test_standby_takes_over_and_finishes_the_burst(report, benchmark, export_obs):
     ha = benchmark.pedantic(run_scenario, args=(2,), rounds=1, iterations=1)
     ctl = run_scenario(replicas=1)
+    export_obs(ha["obs"])
+    export_obs(ctl["obs"])
     report(_table(ha, ctl))
+    summary = ha["summary"]
 
     # The fault fired and killed the then-active DevMgr leader.
-    [(t_fault, kind, victim, outcome)] = ha["chaos_log"]
-    assert kind is FaultKind.CONTROLLER_CRASH and outcome == "crashed"
-    assert ha["promotions"][0][1] == victim
+    [(_, kind, victim, outcome)] = summary["chaos_log"]
+    assert kind == FaultKind.CONTROLLER_CRASH.value and outcome == "crashed"
+    assert summary["promotions"][0][1] == victim
 
     # The standby was promoted within the lease-expiry failover bound...
-    assert len(ha["promotions"]) == 2
-    t_promo, successor, epoch = ha["promotions"][1]
+    assert len(summary["promotions"]) == 2
+    t_promo, successor, epoch = summary["promotions"][1]
     assert successor != victim
     assert epoch == 2
-    assert t_promo - FAULT_AT <= ha["failover_bound"]
+    assert t_promo - FAULT_AT <= FAILOVER_BOUND
     # ...and reconciled promptly after rebuilding state from the apiserver.
-    assert ha["first_reconcile_at"] is not None
-    assert ha["first_reconcile_at"] - FAULT_AT <= ha["failover_bound"] + 0.5
+    first_reconcile_at = first_reconcile_after_crash(ha)
+    assert first_reconcile_at is not None
+    assert first_reconcile_at - FAULT_AT <= FAILOVER_BOUND + 0.5
 
     # Zero lost SharePods: everything submitted — including the part of
     # the burst that landed during the failover window — is scheduled,
     # bound, and running.
-    for name, (phase, gpu_id, pod_name) in ha["placement"].items():
-        assert phase is PodPhase.RUNNING, f"{name}: {phase}"
+    for name, (phase, gpu_id, pod_name) in summary["placement"].items():
+        assert phase == _RUNNING, f"{name}: {phase}"
         assert gpu_id is not None, f"{name} never scheduled"
-        assert pod_name in ha["pod_names"], f"{name} has no pod"
+        assert pod_name in summary["pod_names"], f"{name} has no pod"
 
-    # With observability armed, a clean failover stays inside the error
-    # budget: the standby takes over fast enough that no page-severity
-    # burn alert ever fires (contrast with the chaos capstone, where node
-    # loss must page).
-    if ha["slo_alerts"] is not None:
-        pages = [a for a in ha["slo_alerts"] if a["severity"] == "page"]
-        assert not pages, f"failover should not page: {pages}"
-
-    # Zero double-binding: each physical GPU backs at most one vGPU
-    # placeholder, and no vGPU's admitted gpu_request exceeds capacity.
-    for uuid, holders in ha["holder_uuids"].items():
-        assert len(holders) == 1, f"GPU {uuid} double-bound: {holders}"
-    for gpu_id, total in ha["load"].items():
-        assert total <= 1.0 + EPS, f"vGPU {gpu_id} overcommitted: {total}"
+    # A clean failover stays inside the error budget: the standby takes
+    # over fast enough that no page-severity burn alert ever fires
+    # (contrast with the chaos capstone, where node loss must page).
+    pages = [a for a in ha["obs"]["slo"]["alerts"] if a["severity"] == "page"]
+    assert not pages, f"failover should not page: {pages}"
 
     # Control: with a single replica the control plane halts — no second
     # promotion, and the tail of the burst is never bound to a pod.
-    assert len(ctl["promotions"]) == 1
+    assert len(ctl["summary"]["promotions"]) == 1
+    placement = ctl["summary"]["placement"]
     stuck = [
         name
-        for name, (phase, _, pod_name) in ctl["placement"].items()
-        if phase is PodPhase.PENDING and pod_name is None
+        for name, (phase, _, pod_name) in placement.items()
+        if phase == _PENDING and pod_name is None
     ]
     assert stuck, "single-replica control run unexpectedly recovered"
-    assert all(name in ctl["burst"] for name in stuck)
+    assert all(name.startswith("burst") for name in stuck)
     # The data plane is untouched: steady SharePods keep running.
-    for name in ctl["steady"]:
-        assert ctl["placement"][name][0] is PodPhase.RUNNING
-
-
-def test_failover_is_deterministic():
-    first = run_scenario(replicas=2)
-    second = run_scenario(replicas=2)
-    # Identical promotion times, identities, and epochs...
-    assert first["promotions"] == second["promotions"]
-    assert first["sched_promotions"] == second["sched_promotions"]
-    assert first["chaos_log"] == second["chaos_log"]
-    # ...and an identical final state, down to the GPUIDs and the
-    # per-vGPU admitted load.
-    assert first["placement"] == second["placement"]
-    assert first["load"] == second["load"]
-    assert first["pod_names"] == second["pod_names"]
+    for name, (phase, _, _) in placement.items():
+        if name.startswith("steady"):
+            assert phase == _RUNNING, f"{name}: {phase}"

@@ -16,17 +16,13 @@ live copies at its current generation, gamma's partition reschedules
 nothing, and the identical seed replays the identical run.
 """
 
-import os
-
 import pytest
 
-from repro.analysis import install_from_env as race_install
+from repro.analysis.race import install as race_install
 from repro.analysis.resets import reset_all
 from repro.chaos import ChaosEngine, FaultKind
 from repro.federation import ClusterHealth, Federation, FederationConfig
-from repro.obs import ENV_DIR as OBS_DIR
-from repro.obs import disable as obs_disable
-from repro.obs.runtime import install_federation_from_env as obs_install
+from repro.obs import ObsHub, disable as obs_disable, enable as obs_enable
 from repro.sim import Environment
 from repro.workloads.jobs import TrainingJob
 
@@ -69,16 +65,10 @@ def run_scenario() -> dict:
     reset_all()
     env = Environment()
     fed = Federation(env, make_config()).start()
-    # Opt-in dynamic race detection (REPRO_RACE_DETECT=1): one detector
-    # per member control plane, since each cluster has its own etcd.
-    detectors = [
-        d
-        for name in sorted(fed.members)
-        if (d := race_install(fed.members[name].cluster)) is not None
-    ]
-    # Opt-in observability (REPRO_OBS=1): per-cluster metric series,
-    # federation decision log, health-transition Events.
-    hub = obs_install(fed, label="federation-dr")
+    # One race detector per member: each cluster has its own etcd.
+    detectors = [race_install(fed.members[name].cluster) for name in sorted(fed.members)]
+    hub = ObsHub(env, label="federation-dr").attach_federation(fed)
+    obs_enable(hub.start_sampler().start_slo())
 
     submitted = []
 
@@ -158,9 +148,8 @@ def run_scenario() -> dict:
     env.run(until=HORIZON)
     for detector in detectors:
         detector.check()  # fails loudly on any recorded violation
-    if hub is not None:
-        hub.export_dir(os.environ.get(OBS_DIR, "obs-artifacts"))
-        obs_disable()
+    obs = hub.snapshot()
+    obs_disable()
 
     def window_rate(lo, hi):
         at = {t: n for t, n in completions}
@@ -170,6 +159,7 @@ def run_scenario() -> dict:
         return (end - start) / (hi - lo)
 
     return {
+        "obs": obs,
         "submitted": len(submitted),
         "completed": fed.completed_records(),
         "completions": completions,
@@ -208,8 +198,9 @@ def _table(r) -> str:
     return "\n".join(lines)
 
 
-def test_throughput_recovers_after_cluster_loss(report, benchmark):
+def test_throughput_recovers_after_cluster_loss(report, benchmark, export_obs):
     r = benchmark.pedantic(run_scenario, rounds=1, iterations=1)
+    export_obs(r["obs"])
     report(_table(r))
 
     # Both faults actually fired against their intended members.

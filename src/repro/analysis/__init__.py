@@ -21,12 +21,11 @@ vGPUs, token quotas respected):
   cache (:mod:`repro.analysis.cache`).
 * :mod:`repro.analysis.race` — a dynamic lost-update / double-bind /
   token-over-grant detector that instruments :class:`~repro.cluster.etcd.Etcd`
-  and the per-node token backends at runtime (opt-in via the
-  ``REPRO_RACE_DETECT`` environment variable in the chaos and failover
-  benchmarks).
+  and the per-node token backends at runtime (armed in every capstone
+  benchmark and in the obs goldens).
 """
 
-from .race import RaceDetector, RaceViolation, Violation, install_from_env
+from .race import RaceDetector, RaceViolation, Violation
 from .resets import register_reset, registered, reset_all
 from .rules import ALL_RULES, Finding
 
@@ -36,7 +35,6 @@ __all__ = [
     "RaceDetector",
     "RaceViolation",
     "Violation",
-    "install_from_env",
     "register_reset",
     "registered",
     "reset_all",

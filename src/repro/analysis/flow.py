@@ -75,12 +75,12 @@ def library_scope(path: str) -> bool:
 
 def taint_sink_scope(path: str) -> bool:
     """Where a wall-clock/RNG-tainted value counts as *escaping into
-    simulated code*. Experiment drivers, the perf harness, and CLI entry
-    points measure host time by design and are exempt."""
+    simulated code*. Experiment drivers and CLI entry points measure host
+    time by design and are exempt."""
     if not library_scope(path):
         return False
     parts = _norm_parts(path)
-    if "experiments" in parts or "perf" in parts:
+    if "experiments" in parts:
         return False
     return parts[-1] not in ("cli.py", "__main__.py")
 

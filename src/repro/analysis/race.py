@@ -19,11 +19,12 @@ invariants:
   vGPU never exceeds device capacity (1.0), and a node's token daemon
   never has two simultaneously valid tokens for one device.
 
-Opt-in: the chaos and failover benchmarks call :func:`install_from_env`
-and run instrumented when ``REPRO_RACE_DETECT=1`` (CI smoke jobs set
-it). With ``fail_fast=True`` (the default) a violation raises
-:class:`RaceViolation` at the offending write — loudly, inside the
-simulation step that caused it.
+All four capstone benchmarks run instrumented: the chaos and failover
+ones through ``race=True`` on :mod:`repro.perf.scenarios`, which the
+obs goldens also pass, and the contention and federation ones through
+:func:`install`. With ``fail_fast=True`` (the default) a violation
+raises :class:`RaceViolation` at the offending write — loudly, inside
+the simulation step that caused it.
 
 Actors are identified by live simulation :class:`~repro.sim.Process`
 objects (``env.active_process``), so two reconcile workers with the same
@@ -33,14 +34,10 @@ setup) is the ``"<main>"`` actor.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
-__all__ = ["RaceDetector", "RaceViolation", "Violation", "install", "install_from_env"]
-
-#: Environment variable that opts benchmarks into detection.
-ENV_FLAG = "REPRO_RACE_DETECT"
+__all__ = ["RaceDetector", "RaceViolation", "Violation", "install"]
 
 _CAPACITY = 1.0
 _EPS = 1e-6
@@ -242,10 +239,3 @@ def install(cluster: Any, fail_fast: bool = True) -> RaceDetector:
         if backend is not None:
             backend.tracker = detector
     return detector
-
-
-def install_from_env(cluster: Any, fail_fast: bool = True) -> Optional[RaceDetector]:
-    """:func:`install` iff ``REPRO_RACE_DETECT`` is set (CI smoke jobs)."""
-    if not os.environ.get(ENV_FLAG):
-        return None
-    return install(cluster, fail_fast=fail_fast)

@@ -244,10 +244,6 @@ class Cluster:
     def submit(self, pod: Pod) -> Pod:
         return self.api.create(pod)
 
-    def pod_phase(self, name: str, namespace: str = "default") -> Optional[PodPhase]:
-        pod = self.api.get("Pod", name, namespace)
-        return pod.status.phase if pod is not None else None
-
     def wait_for_phase(
         self,
         name: str,

@@ -155,10 +155,6 @@ class DeviceManager:
         self._rr_cursor[name] = 0
         self._unhealthy[name] = set()
 
-    @property
-    def resource_names(self) -> List[str]:
-        return list(self._plugins)
-
     def capacity(self) -> Dict[str, float]:
         """Advertised extended-resource capacity (for node status).
 

@@ -212,8 +212,8 @@ class KubeScheduler:
         node_ready = self._node_ready
         node_labels = self._node_labels
         req_items = list(requests.items())
-        # _score() inlined below with the per-pod terms hoisted out of the
-        # node loop; the float operations and their order are unchanged.
+        # least_allocated prefers the node with the most leftover GPU, then
+        # CPU; most_allocated (bin-packing) inverts the preference.
         req_gpu = sum(v for k, v in req_items if "/" in k)
         req_cpu = requests.get("cpu", 0.0)
         least = self.score_policy == "least_allocated"
@@ -239,13 +239,3 @@ class KubeScheduler:
         # Highest score wins; ties broken by node name for determinism.
         feasible.sort(key=lambda t: (-t[0], t[1]))
         return feasible[0][1]
-
-    def _score(self, requests: Dict[str, float], free: Dict[str, float]) -> float:
-        """least_allocated: prefer the node with the most leftover GPU,
-        then CPU; most_allocated (bin-packing) inverts the preference."""
-        gpu_left = sum(v for k, v in free.items() if "/" in k) - sum(
-            v for k, v in requests.items() if "/" in k
-        )
-        cpu_left = free.get("cpu", 0.0) - requests.get("cpu", 0.0)
-        score = gpu_left * 1e3 + cpu_left
-        return score if self.score_policy == "least_allocated" else -score

@@ -65,10 +65,6 @@ class CudaContext:
         self.allocations: Dict[int, DevicePointer] = {}
         self.destroyed = False
 
-    @property
-    def memory_held(self) -> int:
-        return sum(p.nbytes for p in self.allocations.values() if not p.freed)
-
 
 class CudaAPI:
     """Per-container entry point to the (simulated) CUDA driver."""

@@ -74,9 +74,6 @@ class SwapManager:
         return self._state(device).owners.setdefault(owner, _OwnerState())
 
     # -- accounting views ---------------------------------------------------
-    def resident_bytes(self, device: GPUDevice, owner: str) -> int:
-        return self._owner(device, owner).resident
-
     def swapped_bytes(self, device: GPUDevice, owner: str) -> int:
         return self._owner(device, owner).swapped
 
@@ -166,6 +163,3 @@ class SwapManager:
         me.last_active = self.env.now
         if transfer > 0:
             yield self.env.timeout(transfer / self.bandwidth)
-
-    def touch(self, device: GPUDevice, owner: str) -> None:
-        self._owner(device, owner).last_active = self.env.now

@@ -25,35 +25,23 @@ perturb a seeded schedule:
 * :mod:`repro.obs.profile` — the one deliberately wall-clock instrument:
   a continuous profiler around ``Environment.step`` writing
   speedscope-compatible collapsed-stack flamegraphs (kept out of the
-  deterministic snapshot; arm with ``REPRO_OBS_PROFILE=1``).
+  deterministic snapshot; arm with ``ObsHub.start_profiler``).
 
 CLI: ``python -m repro.obs {trace,events,explain,export,report,slo,profile}``
-— see ``README.md`` for the quickstart. Arm benchmarks with ``REPRO_OBS=1``.
+— see ``README.md`` for the quickstart. The four capstone benchmarks
+always run armed and write their artifacts with
+:func:`repro.obs.artifact.export_all`.
 """
 
-from .runtime import (
-    ENV_DIR,
-    ENV_FLAG,
-    ObsHub,
-    current,
-    disable,
-    enable,
-    enabled,
-    install_federation_from_env,
-    install_from_env,
-)
+from .runtime import ObsHub, current, disable, enable, enabled
 from .slo import SLO, Alert, BurnRatePolicy, SLOEvaluator, default_slos
 
 __all__ = [
     "ObsHub",
-    "ENV_FLAG",
-    "ENV_DIR",
     "current",
     "enabled",
     "enable",
     "disable",
-    "install_federation_from_env",
-    "install_from_env",
     "SLO",
     "Alert",
     "BurnRatePolicy",

@@ -17,11 +17,11 @@ Subcommands:
                 the top-N subsystem attribution, and write a
                 speedscope/flamegraph.pl-compatible ``.folded`` file.
 
-Input is either ``--artifact FILE`` (saved by an armed benchmark, see
-``REPRO_OBS=1``) or ``--scenario failover|chaos`` to re-run that canonical
-scenario of :mod:`repro.perf.scenarios` in-process, seeded and
-deterministic, under an armed hub (``profile`` always re-runs — host
-timings cannot come from a saved artifact).
+Input is either ``--artifact FILE`` (written by a capstone benchmark as
+``obs-artifacts/<label>.json``) or ``--scenario failover|chaos`` to
+re-run that canonical scenario of :mod:`repro.perf.scenarios`
+in-process, seeded and deterministic, under an armed hub (``profile``
+always re-runs — host timings cannot come from a saved artifact).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _load(args) -> Dict[str, object]:
 def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--artifact",
-        help="artifact JSON saved by an armed benchmark (REPRO_OBS=1)",
+        help="artifact JSON written by a capstone benchmark (obs-artifacts/<label>.json)",
     )
     p.add_argument(
         "--scenario",

@@ -57,10 +57,6 @@ class KubeEvent:
     def name(self) -> str:
         return self.metadata.name
 
-    @property
-    def involved_key(self) -> str:
-        return f"{self.involved_kind}/{self.involved_namespace}/{self.involved_name}"
-
     def clone(self) -> "KubeEvent":
         return KubeEvent(
             metadata=self.metadata.clone(),

@@ -15,29 +15,26 @@ with the host's monotonic clock. Attribution is two-level:
 
 Output is the collapsed-stack ("folded") format —
 ``frame;frame;frame <count>`` with integer microsecond counts — which
-speedscope and flamegraph.pl both import directly, plus a top-N
-attribution table for the terminal.
+speedscope and flamegraph.pl both import directly, plus per-subsystem
+totals that ``python -m repro.obs profile`` prints as a table.
 
 Unlike every other obs instrument, the measurements here are **host
 time** and therefore non-deterministic run to run. The profiler is kept
-strictly out of :meth:`ObsHub.snapshot`; its output is exported as
-separate ``.folded`` / ``.profile.json`` files so the byte-identical
-artifact contract is untouched. The *schedule* is also untouched:
-callbacks run in exactly the original order with exceptions propagating
-unchanged, and nothing here feeds back into the simulation.
+strictly out of :meth:`ObsHub.snapshot`; a run attaches
+:meth:`WallProfiler.to_dict` to the artifact under ``profile``, which
+:func:`repro.obs.artifact.export_all` writes out as a ``.folded`` file,
+so the byte-identical snapshot contract is untouched. The *schedule* is
+also untouched: callbacks run in exactly the original order with
+exceptions propagating unchanged, and nothing here feeds back into the
+simulation.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-__all__ = ["WallProfiler", "profiler_from_env", "ENV_PROFILE_FLAG"]
-
-#: set truthy alongside ``REPRO_OBS`` to arm the profiler in benchmarks.
-ENV_PROFILE_FLAG = "REPRO_OBS_PROFILE"
+__all__ = ["WallProfiler"]
 
 #: keep folded stacks readable: at most this many span frames per stack.
 _MAX_SPAN_FRAMES = 6
@@ -140,17 +137,6 @@ class WallProfiler:
                 lines.append(";".join(frames) + f" {micros}")
         return lines
 
-    def top_table(self, n: int = 15) -> str:
-        total = self.total_seconds or 1.0
-        rows = [f"{'subsystem':<24} {'host ms':>10} {'share':>7}"]
-        for name, secs in self.by_subsystem()[:n]:
-            rows.append(f"{name:<24} {secs * 1e3:>10.2f} {secs / total:>6.1%}")
-        rows.append(
-            f"{'(total)':<24} {self.total_seconds * 1e3:>10.2f} "
-            f"{self.attributed_fraction():>6.1%} attributed"
-        )
-        return "\n".join(rows)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "total_seconds": self.total_seconds,
@@ -162,26 +148,3 @@ class WallProfiler:
             ],
             "folded": self.folded_lines(),
         }
-
-    # -- export ------------------------------------------------------------
-    def export(self, directory: str, label: str) -> List[str]:
-        """Write ``{label}.folded`` + ``{label}.profile.json``."""
-        os.makedirs(directory, exist_ok=True)
-        paths = []
-        path = os.path.join(directory, f"{label}.folded")
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.folded_lines()) + "\n")
-        paths.append(path)
-        path = os.path.join(directory, f"{label}.profile.json")
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-        paths.append(path)
-        return paths
-
-
-def profiler_from_env(env, tracer=None) -> Optional[WallProfiler]:
-    """A :class:`WallProfiler` when ``REPRO_OBS_PROFILE`` is truthy."""
-    value = os.environ.get(ENV_PROFILE_FLAG, "").strip().lower()
-    if value in ("", "0", "false", "no", "off"):
-        return None
-    return WallProfiler(env, tracer=tracer)

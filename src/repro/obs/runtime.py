@@ -17,41 +17,27 @@ acceptance check of the observability PR). Event write-through does
 advance etcd's revision counter, but nothing decision-relevant depends
 on absolute revisions — only on CAS equality, which is unaffected.
 
-Enable explicitly::
+Enable::
 
     hub = ObsHub(cluster.env).attach_cluster(cluster)
     enable(hub)
-
-or from the environment (the pattern the chaos/failover benchmarks use)::
-
-    hub = install_from_env(cluster, kubeshare=ks, label="failover")
-    # None unless REPRO_OBS is set truthy
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List, Optional
 
 __all__ = [
     "ObsHub",
-    "ENV_FLAG",
-    "ENV_DIR",
     "current",
     "enabled",
     "enable",
     "disable",
-    "install_from_env",
-    "install_federation_from_env",
 ]
 
-#: set truthy (e.g. ``REPRO_OBS=1``) to arm observability in benchmarks.
-ENV_FLAG = "REPRO_OBS"
-#: where armed benchmarks drop their artifacts.
-ENV_DIR = "REPRO_OBS_DIR"
-
-_FALSY = ("", "0", "false", "no", "off")
+#: virtual seconds between metric samples, and between SLO evaluations.
+INTERVAL = 1.0
 
 _hub: Optional["ObsHub"] = None
 
@@ -74,7 +60,7 @@ _NULL = _NullCtx()
 class ObsHub:
     """One run's worth of spans, events, decisions, and metric families."""
 
-    def __init__(self, env, label: str = "run", sample_interval: float = 1.0) -> None:
+    def __init__(self, env, label: str = "run") -> None:
         from ..metrics.collector import MetricsRegistry
         from .decisions import DecisionLog
         from .hist import HistogramInstruments
@@ -83,7 +69,6 @@ class ObsHub:
 
         self.env = env
         self.label = label
-        self.sample_interval = sample_interval
         self.tracer = Tracer(env)
         self.events = EventRecorder(env)
         self.decisions = DecisionLog()
@@ -136,28 +121,25 @@ class ObsHub:
             self._controllers.extend([ks.sched, ks.devmgr])
         return self
 
-    def start_sampler(self, interval: Optional[float] = None) -> "ObsHub":
+    def start_sampler(self) -> "ObsHub":
         """Start the periodic read-only metric sampler process."""
-        if interval is not None:
-            self.sample_interval = interval
         if self._sampler_proc is None:
             self._sampler_proc = self.env.process(self._sample(), name="obs-sampler")
         return self
 
-    def start_slo(self, slos=None, interval: float = 1.0) -> "ObsHub":
-        """Start the virtual-time SLO evaluator (default SLO set unless
-        an explicit list is given)."""
+    def start_slo(self) -> "ObsHub":
+        """Start the virtual-time SLO evaluator over the default SLO set."""
         from .slo import SLOEvaluator
 
         if self.slo is None:
-            self.slo = SLOEvaluator(self, slos=slos, interval=interval).start()
+            self.slo = SLOEvaluator(self).start()
         return self
 
     def start_profiler(self) -> "ObsHub":
         """Install the wall-clock profiler around the kernel's dispatch.
 
         Host-time data stays out of :meth:`snapshot`; see
-        :mod:`repro.obs.profile` and :meth:`export_dir`.
+        :mod:`repro.obs.profile`.
         """
         from .profile import WallProfiler
 
@@ -177,7 +159,7 @@ class ObsHub:
         from .promfmt import metric
 
         while True:
-            yield self.env.timeout(self.sample_interval)
+            yield self.env.timeout(INTERVAL)
             now = self.env.now
             m = self.metrics
             multi = len(self._clusters) > 1
@@ -199,7 +181,7 @@ class ObsHub:
                     m.record(
                         metric("repro_etcd_revision_rate", **tag),
                         now,
-                        (rev - last) / self.sample_interval,
+                        (rev - last) / INTERVAL,
                     )
                 self._last_revision[i] = rev
                 m.record(
@@ -248,8 +230,8 @@ class ObsHub:
             },
             "histograms": self.hist.to_dicts(),
             # Everything above is virtual-time deterministic — the
-            # profiler's host timings are exported separately (export_dir)
-            # so identical-seed snapshots stay byte-identical.
+            # profiler's host timings never enter the snapshot, so
+            # identical-seed snapshots stay byte-identical.
             "slo": self.slo.to_dict() if self.slo is not None else None,
         }
 
@@ -257,18 +239,6 @@ class ObsHub:
         with open(path, "w") as fh:
             json.dump(self.snapshot(), fh)
         return path
-
-    def export_dir(self, directory: str, label: Optional[str] = None) -> List[str]:
-        """Write artifact + Chrome trace + events dump + Prometheus text
-        (+ SLO report when the evaluator ran, + flamegraph when the
-        profiler ran)."""
-        from .artifact import export_all
-
-        os.makedirs(directory, exist_ok=True)
-        paths = export_all(self.snapshot(), directory, label or self.label)
-        if self.profiler is not None:
-            paths.extend(self.profiler.export(directory, label or self.label))
-        return paths
 
 
 # -- global hub ------------------------------------------------------------
@@ -293,54 +263,6 @@ def disable() -> None:
         # outlive its hub (tests reset via this path too).
         _hub.profiler.uninstall()
     _hub = None
-
-
-def install_from_env(
-    cluster, kubeshare=None, label: str = "run", sampler: bool = True
-) -> Optional[ObsHub]:
-    """Arm observability when ``REPRO_OBS`` is set truthy.
-
-    Mirrors ``repro.analysis.race.install_from_env``: benchmarks call this
-    unconditionally and get ``None`` (no hub, no overhead) unless the
-    environment opts in.
-    """
-    value = os.environ.get(ENV_FLAG, "").strip().lower()
-    if value in _FALSY:
-        return None
-    hub = ObsHub(cluster.env, label=label)
-    hub.attach_cluster(cluster)
-    if kubeshare is not None:
-        hub.attach_kubeshare(kubeshare)
-    if sampler:
-        hub.start_sampler()
-    hub.start_slo()
-    _maybe_start_profiler(hub)
-    return enable(hub)
-
-
-def _maybe_start_profiler(hub: ObsHub) -> None:
-    from .profile import ENV_PROFILE_FLAG
-
-    if os.environ.get(ENV_PROFILE_FLAG, "").strip().lower() not in _FALSY:
-        hub.start_profiler()
-
-
-def install_federation_from_env(
-    fed, label: str = "federation", sampler: bool = True
-) -> Optional[ObsHub]:
-    """:func:`install_from_env` for a whole federation: every member
-    cluster's series is labeled ``cluster="<name>"``, and federation
-    decisions/health transitions land in the shared decision log."""
-    value = os.environ.get(ENV_FLAG, "").strip().lower()
-    if value in _FALSY:
-        return None
-    hub = ObsHub(fed.env, label=label)
-    hub.attach_federation(fed)
-    if sampler:
-        hub.start_sampler()
-    hub.start_slo()
-    _maybe_start_profiler(hub)
-    return enable(hub)
 
 
 # -- generic hooks ---------------------------------------------------------

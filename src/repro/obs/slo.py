@@ -12,8 +12,8 @@ An :class:`SLO` is an objective (e.g. "99% of SharePods schedule within
   every labeled counter whose family matches (e.g. token grants vs.
   grants + denies).
 
-The :class:`SLOEvaluator` is a simulated process: every ``interval``
-virtual seconds it snapshots each indicator's cumulative (good, total),
+The :class:`SLOEvaluator` is a simulated process: every
+:data:`~repro.obs.runtime.INTERVAL` virtual seconds it snapshots each indicator's cumulative (good, total),
 computes the **burn rate** — windowed error rate divided by the error
 budget ``1 - objective`` — over a long and a short window per severity
 (the Google SRE workbook's multi-window multi-burn-rate recipe, windows
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .promfmt import _family, metric
+from .runtime import INTERVAL
 
 __all__ = [
     "SLO",
@@ -206,15 +207,11 @@ class SLOEvaluator:
         self,
         hub,
         slos: Optional[List[SLO]] = None,
-        interval: float = 1.0,
         pending_for: float = 0.0,
         resolve_after: int = 3,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be > 0")
         self.hub = hub
         self.slos = list(slos) if slos is not None else default_slos()
-        self.interval = interval
         self.pending_for = pending_for
         self.resolve_after = max(1, int(resolve_after))
         self.alerts: List[Alert] = []
@@ -232,7 +229,7 @@ class SLOEvaluator:
 
     def _run(self):
         while True:
-            yield self.hub.env.timeout(self.interval)
+            yield self.hub.env.timeout(INTERVAL)
             self.evaluate()
 
     # -- indicators --------------------------------------------------------
@@ -283,7 +280,7 @@ class SLOEvaluator:
             snaps = self._snaps[slo.name]
             snaps.append((now, good, total))
             # Snapshots older than the widest window can never be a base.
-            horizon = now - max(w.long_window for w in slo.windows) - self.interval
+            horizon = now - max(w.long_window for w in slo.windows) - INTERVAL
             while len(snaps) > 2 and snaps[1][0] <= horizon:
                 snaps.pop(0)
             for policy in slo.windows:
@@ -383,7 +380,7 @@ class SLOEvaluator:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "interval": self.interval,
+            "interval": INTERVAL,
             "resolve_after": self.resolve_after,
             "slos": [
                 dict(slo.to_dict(), attainment=self.attainment(slo))

@@ -33,7 +33,11 @@ values, and ``tests/perf/test_scenario_goldens.py`` pins their SHA-256
 digests and exact event counts. With an *obs_label*, ``chaos`` and
 ``failover`` also take ``profile=True``, which arms the wall-clock
 profiler and attaches its host-time report to ``obs["profile"]`` (never
-part of a golden).
+part of a golden). They also take ``race=True``, which arms the dynamic
+race detector (:mod:`repro.analysis.race`) for the whole run and raises
+:class:`~repro.analysis.race.RaceViolation` on any violation, and one
+control knob each for the capstones' control runs (``recovery`` and
+``replicas``).
 """
 
 from __future__ import annotations
@@ -58,6 +62,17 @@ def _install_obs(env, cluster, ks, label: Optional[str], profile: bool = False):
     if profile:
         hub.start_profiler()
     return enable(hub)
+
+
+def _install_race(cluster, race: bool):
+    """The race detector for the whole run, or ``None``. It raises at the
+    offending write, but a controller survives a raising reconcile, so
+    the scenario also calls ``check()`` once the run is over."""
+    if not race:
+        return None
+    from ..analysis.race import install
+
+    return install(cluster)
 
 
 def _finish_obs(hub) -> Optional[Dict[str, Any]]:
@@ -116,12 +131,18 @@ def fig8(
 
 
 def chaos(
-    seed: int = 11, obs_label: Optional[str] = None, profile: bool = False
+    seed: int = 11,
+    obs_label: Optional[str] = None,
+    profile: bool = False,
+    recovery: bool = True,
+    race: bool = False,
 ) -> Dict[str, Any]:
-    """Node-crash recovery (the chaos capstone, recovery stack enabled).
+    """Node-crash recovery (the chaos capstone).
 
     *seed* feeds the chaos engine's fault-injection RNG, so a sweep over
     seeds explores different crash victims with the same workload.
+    ``recovery=False`` is the capstone's control run: the same fault with
+    the node-lifecycle controller off, so nothing notices the dead node.
     """
     from ..analysis.resets import reset_all
     from ..chaos import ChaosEngine
@@ -133,8 +154,9 @@ def chaos(
     reset_all()
     env = Environment()
     cluster = Cluster(
-        env, ClusterConfig(nodes=4, gpus_per_node=2, node_lifecycle=True)
+        env, ClusterConfig(nodes=4, gpus_per_node=2, node_lifecycle=recovery)
     ).start()
+    detector = _install_race(cluster, race)
     ks = KubeShare(cluster, isolation="token").start()
     hub = _install_obs(env, cluster, ks, obs_label, profile)
 
@@ -185,6 +207,8 @@ def chaos(
         "torn_down": ks.devmgr.vgpus_torn_down_total,
     }
     obs = _finish_obs(hub)
+    if detector is not None:
+        detector.check()
     return {
         "summary": summary,
         "events": env.events_processed,
@@ -194,12 +218,17 @@ def chaos(
 
 
 def failover(
-    seed: int = 13, obs_label: Optional[str] = None, profile: bool = False
+    seed: int = 13,
+    obs_label: Optional[str] = None,
+    profile: bool = False,
+    replicas: int = 2,
+    race: bool = False,
 ) -> Dict[str, Any]:
     """HA leader failover mid-burst (the leader-election capstone).
 
     *seed* feeds the chaos engine's fault-injection RNG (see
-    :func:`chaos`).
+    :func:`chaos`). ``replicas=1`` is the capstone's control run: no
+    standby, so the control plane halts when its leader dies.
     """
     from ..analysis.resets import reset_all
     from ..chaos import ChaosEngine
@@ -211,7 +240,8 @@ def failover(
     reset_all()
     env = Environment()
     cluster = Cluster(env, ClusterConfig(nodes=4, gpus_per_node=2)).start()
-    ks = HAKubeShare(cluster, replicas=2, isolation="token").start()
+    detector = _install_race(cluster, race)
+    ks = HAKubeShare(cluster, replicas=replicas, isolation="token").start()
     hub = _install_obs(env, cluster, ks, obs_label, profile)
 
     steady = [f"steady{i}" for i in range(4)]
@@ -270,6 +300,8 @@ def failover(
         "pod_names": sorted(p.name for p in cluster.api.list("Pod")),
     }
     obs = _finish_obs(hub)
+    if detector is not None:
+        detector.check()
     return {
         "summary": summary,
         "events": env.events_processed,

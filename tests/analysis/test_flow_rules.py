@@ -21,6 +21,7 @@ class TestScopes:
     def test_src_repro_in_scope(self):
         assert library_scope("src/repro/core/devmgr.py")
         assert taint_sink_scope("src/repro/core/devmgr.py")
+        assert taint_sink_scope("src/repro/perf/scenarios.py")
 
     def test_tests_and_benchmarks_exempt(self):
         assert not library_scope("tests/analysis/test_lint_rules.py")

@@ -5,7 +5,7 @@ token over-grant — and stay silent on the correct patterns."""
 
 import pytest
 
-from repro.analysis.race import RaceDetector, RaceViolation, install, install_from_env
+from repro.analysis.race import RaceDetector, RaceViolation, install
 from repro.cluster.etcd import Etcd
 from repro.cluster.objects import (
     ContainerSpec,
@@ -197,12 +197,6 @@ class TestInstall:
         assert small_cluster.api.etcd.tracker is det
         for node in small_cluster.nodes:
             assert node.backend.tracker is det
-
-    def test_install_from_env_requires_flag(self, small_cluster, monkeypatch):
-        monkeypatch.delenv("REPRO_RACE_DETECT", raising=False)
-        assert install_from_env(small_cluster) is None
-        monkeypatch.setenv("REPRO_RACE_DETECT", "1")
-        assert install_from_env(small_cluster) is not None
 
     def test_clean_scenario_records_traffic_without_violations(self, small_cluster):
         from repro.core import KubeShare

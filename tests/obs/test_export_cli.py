@@ -1,4 +1,4 @@
-"""Artifact round-trips (``export_dir`` / CLI ``export``) and the
+"""Artifact round-trips (``export_all`` / CLI ``export``) and the
 ``cluster="..."`` labeling of federation metric families."""
 
 import json
@@ -49,8 +49,8 @@ def observed_hub():
 
 
 class TestExportRoundTrip:
-    def test_export_dir_artifact_loads_back_identically(self, observed_hub, tmp_path):
-        paths = observed_hub.export_dir(str(tmp_path))
+    def test_export_all_artifact_loads_back_identically(self, observed_hub, tmp_path):
+        paths = artifact_mod.export_all(observed_hub.snapshot(), str(tmp_path), "roundtrip")
         art_path = paths[0]
         assert art_path.endswith("roundtrip.json")
         loaded = artifact_mod.load(art_path)
@@ -72,12 +72,14 @@ class TestExportRoundTrip:
         assert "# TYPE repro_sharepod_schedule_seconds histogram" in live
         assert 'repro_sharepod_schedule_seconds_bucket{le="+Inf"} 2' in live
 
-    def test_cli_export_writes_same_files_as_export_dir(
+    def test_cli_export_writes_same_files_as_export_all(
         self, observed_hub, tmp_path, capsys
     ):
         direct = tmp_path / "direct"
         via_cli = tmp_path / "cli"
-        direct_paths = observed_hub.export_dir(str(direct))
+        direct_paths = artifact_mod.export_all(
+            observed_hub.snapshot(), str(direct), "roundtrip"
+        )
         art_path = observed_hub.save(str(tmp_path / "art.json"))
         rc = cli_main(
             ["export", "--artifact", art_path, "--dir", str(via_cli), "--label",
@@ -86,7 +88,7 @@ class TestExportRoundTrip:
         assert rc == 0
         out = capsys.readouterr().out
         assert "wrote" in out
-        # No profiler armed -> no .folded/.profile.json from either path.
+        # No profiler armed -> no .folded from either path.
         direct_names = sorted(os.path.basename(p) for p in direct_paths)
         cli_names = sorted(os.listdir(via_cli))
         assert cli_names == direct_names

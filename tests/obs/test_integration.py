@@ -9,7 +9,8 @@ from repro.analysis.resets import reset_all
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.objects import PodPhase
 from repro.core import KubeShare
-from repro.obs import ObsHub, disable, enable, install_from_env
+from repro.obs import ObsHub, disable, enable
+from repro.obs.artifact import export_all
 from repro.sim import Environment
 from repro.workloads.jobs import InferenceJob
 
@@ -167,9 +168,11 @@ class TestJourneyCapture:
             stack, _, count = line.rpartition(" ")
             assert stack and int(count) > 0
 
-    def test_export_dir_writes_all_artifacts(self, observed_run, tmp_path):
+    def test_export_all_writes_all_artifacts(self, observed_run, tmp_path):
         _, hub = observed_run
-        paths = hub.export_dir(str(tmp_path))
+        art = hub.snapshot()
+        art["profile"] = hub.profiler.to_dict()
+        paths = export_all(art, str(tmp_path), hub.label)
         assert [os.path.basename(p) for p in paths] == [
             "obs-it.json",
             "obs-it.trace.json",
@@ -177,7 +180,6 @@ class TestJourneyCapture:
             "obs-it.prom",
             "obs-it.slo.json",
             "obs-it.folded",
-            "obs-it.profile.json",
         ]
         for p in paths:
             assert os.path.getsize(p) > 0
@@ -189,19 +191,3 @@ class TestDeterminism:
         observed, _ = run_scenario(observed=True)
         assert plain["placement"] == observed["placement"]
         assert plain["pod_uids"] == observed["pod_uids"]
-
-
-class TestInstallFromEnv:
-    def test_disabled_by_default(self, monkeypatch, env, small_cluster):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert install_from_env(small_cluster) is None
-        monkeypatch.setenv("REPRO_OBS", "0")
-        assert install_from_env(small_cluster) is None
-
-    def test_enabled_when_opted_in(self, monkeypatch, env, small_cluster):
-        monkeypatch.setenv("REPRO_OBS", "1")
-        hub = install_from_env(small_cluster, label="smoke")
-        assert hub is not None
-        assert hub.label == "smoke"
-        assert hub.events.api is small_cluster.api
-        disable()

@@ -3,6 +3,7 @@ folded output well-formed, hook installed/removed cleanly."""
 
 import pytest
 
+from repro.obs.artifact import export_all
 from repro.obs.profile import WallProfiler
 from repro.obs.runtime import ObsHub, disable, enable
 from repro.sim import Environment, environment as env_mod
@@ -113,12 +114,11 @@ class TestAttribution:
         prof = WallProfiler(env).install()
         env.run(until=10.0)
         prof.uninstall()
-        paths = prof.export(str(tmp_path), "smoke")
-        assert [p.rsplit("/", 1)[-1] for p in paths] == [
-            "smoke.folded",
-            "smoke.profile.json",
-        ]
-        with open(paths[0]) as fh:
+        art = ObsHub(env, label="smoke").snapshot()
+        art["profile"] = prof.to_dict()
+        paths = export_all(art, str(tmp_path), "smoke")
+        assert paths[-1].rsplit("/", 1)[-1] == "smoke.folded"
+        with open(paths[-1]) as fh:
             for line in fh.read().strip().splitlines():
                 stack, _, count = line.rpartition(" ")
                 assert stack, line

@@ -28,7 +28,6 @@ def hub():
 
 
 def _evaluator(hub, slo=LATENCY_SLO, **kw):
-    kw.setdefault("interval", 1.0)
     ev = SLOEvaluator(hub, slos=[slo], **kw)
     ev.start()
     return ev

@@ -10,6 +10,8 @@ Each scenario is pinned three ways, all hardware-independent:
   the SHA-256 of the canonical-JSON ObsHub snapshot — spans, events,
   decision log, counters, every sampled series — and of the Chrome trace
   rendered from its spans. The trace digest does not depend on the label.
+  These runs also arm the race detector, which must neither fire nor
+  move a digest.
 
 A change that moves any of these changes what the simulation computes,
 and must say why in the history below. To refresh on purpose, print the
@@ -65,13 +67,13 @@ OBS_LABEL = "golden"
 #: kernel events). The summary digest is the obs-off one in GOLDENS.
 OBS_GOLDENS = {
     "chaos": (
-        lambda: scenarios.chaos(11, obs_label=OBS_LABEL),
+        lambda: scenarios.chaos(11, obs_label=OBS_LABEL, race=True),
         "ed367eb93602e8d591e772699002f30d6fb7940bee7527d45fc55c908e424e65",
         "d4d6cd52ba3ede41dea00838759a8d49c38377b57c08d32572e2c5f528384575",
         25_858,
     ),
     "failover": (
-        lambda: scenarios.failover(13, obs_label=OBS_LABEL),
+        lambda: scenarios.failover(13, obs_label=OBS_LABEL, race=True),
         "41f2dc61aed078b3ddf2f07f83bfbfc36dc2a85e6cf665f79cb338af319073ab",
         "c49dd409fca3057466c207adae42b36101845af4ba2cdb76e0703bdcc248405d",
         21_082,

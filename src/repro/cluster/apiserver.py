@@ -77,6 +77,14 @@ def _clone(obj: Any) -> Any:
     return clone() if callable(clone) else copy.deepcopy(obj)
 
 
+def _stored(ev: WatchEvent) -> Any:
+    """The stored object an event is about, uncloned: the new value of a
+    PUT, the previous value of a DELETE (the tombstone carries ``None``)."""
+    if ev.type is WatchEventType.DELETE:
+        return ev.prev.value if ev.prev is not None else None
+    return ev.kv.value
+
+
 def translate_event(ev: WatchEvent) -> Tuple[WatchEventType, Any]:
     """Translate a raw etcd event into ``(type, cloned object)``.
 
@@ -90,10 +98,7 @@ def translate_event(ev: WatchEvent) -> Tuple[WatchEventType, Any]:
     codebase goes through ``api.patch`` on a freshly ``get``-cloned
     object, which is also what optimistic concurrency requires).
     """
-    if ev.type is WatchEventType.DELETE:
-        payload = ev.prev.value if ev.prev is not None else None
-    else:
-        payload = ev.kv.value
+    payload = _stored(ev)
     if payload is None:
         return (ev.type, None)
     obj = ev.translated
@@ -192,7 +197,9 @@ class APIServer:
         #: node name -> the lease its kubelet last armed.
         self.node_leases: Dict[str, NodeLease] = {}
         #: called with no arguments when a node lease starts or stops and
-        #: when an outage begins: the events that move lease expiry.
+        #: when an outage begins. Node lifecycle wakes on all three (they
+        #: move lease expiry); every controller arms its post-outage
+        #: resync on the last, told apart by ``outages_total``.
         self.lease_hooks: List[Callable[[], None]] = []
 
     # -- chaos -------------------------------------------------------------
@@ -456,17 +463,35 @@ class APIServer:
             return False
 
     # -- watches ---------------------------------------------------------------
-    def watch(self, kind: str, namespace: Optional[str] = None, replay: bool = False):
+    def watch(
+        self,
+        kind: str,
+        namespace: Optional[str] = None,
+        replay: bool = False,
+        node_name: Optional[str] = None,
+    ):
         """Subscribe to changes of *kind*.
 
         Returns an etcd watch; yield ``stream.get()`` to receive raw
         :class:`WatchEvent` items and run them through
         :func:`translate_event`. With ``replay=True`` current objects are
         delivered first as synthetic PUTs (the informer "list+watch").
+
+        *node_name* is a Pod watch's ``spec.nodeName`` field selector (a
+        kubelet's): only events whose stored Pod (for a DELETE, the Pod
+        removed) is bound to that node are delivered. It is checked at the
+        source, uncloned, so other nodes' Pods wake this subscriber never.
         """
         self._check_kind(kind)
         prefix = f"/registry/{kind}/" + (f"{namespace}/" if namespace else "")
-        return self.etcd.watch(prefix, replay=replay)
+        match = None
+        if node_name is not None:
+
+            def match(ev: WatchEvent) -> bool:
+                pod = _stored(ev)
+                return pod is not None and pod.spec.node_name == node_name
+
+        return self.etcd.watch(prefix, replay=replay, match=match)
 
     # -- convenience -----------------------------------------------------------
     def bind(

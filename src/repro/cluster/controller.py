@@ -8,6 +8,7 @@ framework, following the *operator pattern* the paper adopts (§4.6).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..obs import runtime as obs
@@ -228,9 +229,6 @@ class Controller:
     retry_delay: float = 0.05
     max_retry_delay: float = 2.0
     workers: int = 1
-    #: How often the outage monitor checks whether an apiserver outage
-    #: ended (it then resyncs the informer once per outage).
-    resync_interval: float = 0.5
 
     def __init__(self, env: Environment, api: APIServer, name: Optional[str] = None) -> None:
         from ..core.backoff import DecorrelatedJitter  # deferred: import cycle
@@ -254,6 +252,10 @@ class Controller:
         self.first_reconcile_at: Optional[float] = None
         self.last_reconcile_at: Optional[float] = None
         self.resyncs_total = 0
+        #: ``api.outages_total`` when last looked at, and the process
+        #: waiting out the current outage to resync (None when idle).
+        self._outages_seen = 0
+        self._resync_proc: Optional[Process] = None
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "Controller":
@@ -263,15 +265,18 @@ class Controller:
             self._procs.append(
                 self.env.process(self._worker(), name=f"{self.name}:worker{i}")
             )
-        self._procs.append(
-            self.env.process(
-                self._outage_monitor(), name=f"{self.name}:outage-monitor"
-            )
-        )
+        self._outages_seen = self.api.outages_total
+        self.api.lease_hooks.append(self._on_lease_event)
         return self
 
     def stop(self) -> None:
-        """Stop informer and workers (with their in-flight reconciles)."""
+        """Stop informer and workers (with their in-flight reconciles),
+        and forget any outage still to be resynced."""
+        if self._on_lease_event in self.api.lease_hooks:
+            self.api.lease_hooks.remove(self._on_lease_event)
+        if self._resync_proc is not None:
+            self._resync_proc.kill()
+            self._resync_proc = None
         self.informer.stop()
         for proc in self._procs:
             # A worker blocked on an in-flight reconcile must take the
@@ -311,16 +316,28 @@ class Controller:
         raise NotImplementedError
         yield  # pragma: no cover
 
-    # -- worker loop -------------------------------------------------------------
-    def _outage_monitor(self) -> Generator:
-        """Resync once after every apiserver outage window closes."""
-        seen = self.api.outages_total
-        while True:
-            yield self.env.timeout(self.resync_interval)
-            if self.api.outages_total != seen and self.api.available:
-                seen = self.api.outages_total
-                self.resync()
+    # -- outage resync -----------------------------------------------------------
+    def _on_lease_event(self) -> None:
+        """Arm one resync when an outage begins; lease starts and stops
+        fire the same hook but move no outage counter."""
+        if self.api.outages_total == self._outages_seen:
+            return
+        self._outages_seen = self.api.outages_total
+        if self._resync_proc is None:
+            self._resync_proc = self.env.process(
+                self._resync_after_outage(), name=f"{self.name}:resync"
+            )
 
+    def _resync_after_outage(self) -> Generator:
+        """Resync once when the (possibly extended) outage window closes;
+        a permanent outage never closes."""
+        while not self.api.available and self.api.down_until < math.inf:
+            yield self.env.timeout(self.api.down_until - self.env.now)
+        self._resync_proc = None
+        if self.api.available:
+            self.resync()
+
+    # -- worker loop -------------------------------------------------------------
     def _worker(self) -> Generator:
         while True:
             key = yield self.queue.get()

@@ -52,8 +52,15 @@ class CasFailure(Exception):
 class _Watch:
     """One subscriber's view of a key prefix."""
 
-    def __init__(self, env: Environment, prefix: str, source: "Etcd" = None) -> None:
+    def __init__(
+        self,
+        env: Environment,
+        prefix: str,
+        source: "Etcd" = None,
+        match: Optional[Callable[[WatchEvent], bool]] = None,
+    ) -> None:
         self.prefix = prefix
+        self.match = match
         self.events: Store = Store(env)
         self.cancelled = False
         self._source = source
@@ -178,17 +185,30 @@ class Etcd:
         return prev
 
     # -- watches ---------------------------------------------------------
-    def watch(self, prefix: str = "", replay: bool = False) -> _Watch:
+    def watch(
+        self,
+        prefix: str = "",
+        replay: bool = False,
+        match: Optional[Callable[[WatchEvent], bool]] = None,
+    ) -> _Watch:
         """Subscribe to changes under *prefix*.
 
         With ``replay=True`` the current contents are delivered first as
         synthetic PUT events (the "list then watch" pattern informers use).
+
+        *match* filters at the source: an event is offered only if
+        ``match(event)`` holds, on replay and inside :meth:`_notify`'s walk
+        over the watchers, so delivered events keep their order and a
+        rejected one wakes nobody. It runs inside the write: keep it cheap
+        and read-only.
         """
-        w = _Watch(self._env, prefix, source=self)
+        w = _Watch(self._env, prefix, source=self, match=match)
         self._watches.append(w)
         if replay:
             for kv in self.range(prefix):
-                w.events.offer(WatchEvent(WatchEventType.PUT, kv, None))
+                event = WatchEvent(WatchEventType.PUT, kv, None)
+                if match is None or match(event):
+                    w.events.offer(event)
         return w
 
     def unwatch(self, watch: _Watch) -> None:
@@ -222,7 +242,7 @@ class Etcd:
         for w in self._watches:
             if w.cancelled:
                 stale = True
-            elif key.startswith(w.prefix):
+            elif key.startswith(w.prefix) and (w.match is None or w.match(event)):
                 w.events.offer(event)
         if stale:
             self._watches = [w for w in self._watches if not w.cancelled]

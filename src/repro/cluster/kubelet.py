@@ -3,7 +3,9 @@
 Watches the API server for pods bound to its node, performs device-plugin
 allocation for extended resources (Figure 2b), asks the container runtime
 to start the container, keeps the pod status current, and tears everything
-down when the pod is deleted.
+down when the pod is deleted. The watch carries the ``spec.nodeName``
+field selector, as a real kubelet's does, so the apiserver delivers only
+this node's Pod events; other nodes' pods never wake this kubelet.
 
 Liveness is a node lease (:class:`~repro.cluster.apiserver.NodeLease`)
 armed on the apiserver at start and stopped on crash. It renews every
@@ -156,12 +158,12 @@ class Kubelet:
             self._advertise_devices()
 
     def _run(self) -> Generator:
-        self._stream = stream = self.api.watch("Pod", replay=True)
+        self._stream = stream = self.api.watch(
+            "Pod", replay=True, node_name=self.node_name
+        )
         while True:
             raw = yield stream.get()
             etype, pod = translate_event(raw)
-            if pod is None or pod.spec.node_name != self.node_name:
-                continue
             if etype is WatchEventType.DELETE:
                 self.env.process(self._teardown(pod), name=f"teardown:{pod.name}")
             elif (

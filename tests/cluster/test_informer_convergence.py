@@ -4,13 +4,17 @@ Watch streams attach directly to etcd, and an apiserver outage gates
 request processing — writes fail, so there are no events to miss while
 the stream stays open. Events *can* be missed by a stopped informer
 (controller failover or pause/resume), which is what relist-on-reconnect
-(:meth:`Informer._run` pruning) and :meth:`Informer.resync` cover; the
-controller's outage monitor resyncs once per outage as a safety net.
+(:meth:`Informer._run` pruning) and :meth:`Informer.resync` cover; as a
+safety net, a controller resyncs once per outage, armed by the
+apiserver's outage hook and run when the outage window closes.
 These are the regression tests for all three paths.
 """
 
+import math
+
 import pytest
 
+from repro import Cluster, ClusterConfig, KubeShare
 from repro.cluster.apiserver import APIServer, ServiceUnavailable
 from repro.cluster.controller import Controller, Informer
 from repro.cluster.etcd import WatchEventType
@@ -36,6 +40,22 @@ def api_keys(api, kind="Pod"):
     return {obj.metadata.key for obj in api.list(kind)}
 
 
+class Noop(Controller):
+    """A controller that only records when it resyncs."""
+
+    def __init__(self, env, api):
+        super().__init__(env, api)
+        self.resynced_at = []
+
+    def reconcile(self, key):
+        return
+        yield
+
+    def resync(self):
+        self.resynced_at.append(self.env.now)
+        super().resync()
+
+
 class TestLiveWatchDuringOutage:
     def test_no_events_can_be_missed_during_outage(self, env, api):
         """While the apiserver is down, writes fail — so an informer that
@@ -58,11 +78,6 @@ class TestLiveWatchDuringOutage:
         assert cache_keys(informer) == api_keys(api) == {"default/after"}
 
     def test_controller_resyncs_once_after_outage(self, env, api):
-        class Noop(Controller):
-            def reconcile(self, key):
-                return
-                yield
-
         ctl = Noop(env, api).start()
         env.run(until=1.0)
         assert ctl.resyncs_total == 0
@@ -72,6 +87,60 @@ class TestLiveWatchDuringOutage:
         api.set_outage(0.5)
         env.run(until=6.0)
         assert ctl.resyncs_total == 2
+        assert ctl.resynced_at == [2.0, 4.5]  # as each window closes
+
+
+class TestOutageResync:
+    def test_extended_outage_resyncs_once_when_the_merged_window_closes(self, env, api):
+        ctl = Noop(env, api).start()
+        env.run(until=1.0)
+        api.set_outage(2.0)  # down until t=3
+        env.run(until=2.0)
+        api.set_outage(2.25)  # still down: the window grows to t=4.25
+        env.run(until=10.0)
+        assert ctl.resynced_at == [4.25]
+
+    def test_permanent_outage_never_resyncs(self, env, api):
+        """The federation's dead-cluster form: ``down_until`` is inf, so no
+        timer may be armed at it (the calendar queue cannot hold inf)."""
+        dead = Noop(env, api).start()
+        api2 = APIServer(env)
+        dying = Noop(env, api2).start()
+        env.run(until=1.0)
+        api.set_outage(math.inf)
+        api2.set_outage(1.0)
+        env.run(until=1.5)
+        api2.set_outage(math.inf)  # turns permanent while a resync waits on it
+        env.run(until=100.0)
+        assert dead.resynced_at == dying.resynced_at == []
+        assert dead._resync_proc is dying._resync_proc is None
+
+    def test_stop_mid_outage_cancels_the_resync_and_unhooks(self, env, api):
+        hooks = len(api.lease_hooks)
+        ctl = Noop(env, api).start()
+        assert len(api.lease_hooks) == hooks + 1
+        env.run(until=1.0)
+        api.set_outage(2.0)
+        env.run(until=2.0)
+        ctl.stop()
+        ctl.stop()  # idempotent: a paused HA replica that crashes stops twice
+        assert len(api.lease_hooks) == hooks
+        env.run(until=5.0)
+        assert ctl.resynced_at == []
+
+        ctl.start()
+        api.set_outage(1.0)
+        env.run(until=8.0)
+        assert ctl.resynced_at == [6.0]
+
+    def test_idle_control_plane_dispatches_only_the_stop_marker(self):
+        env = Environment()
+        cluster = Cluster(env, ClusterConfig(nodes=4, gpus_per_node=2)).start()
+        KubeShare(cluster).start()
+        env.run(until=1.0)
+        before = env.events_processed
+        env.run(until=501.0)
+        assert env.events_processed - before == 1
 
 
 class TestStoppedInformer:

@@ -22,12 +22,19 @@ The token-scheduling policy implements the paper's three steps verbatim:
 Each grant costs a fixed ``handoff_overhead`` of idle device time (IPC +
 context switch), which is what produces Figure 7's overhead-vs-quota
 curve: overhead fraction ≈ handoff / (quota + handoff).
+
+The daemon runs no process of its own. Handoff, grant, quota expiry and
+the retry after a denial are timer callbacks, and a token's expiry timer
+lives exactly as long as the token: every other way a token ends
+(release, the holder unregistering, a daemon restart, a failed device)
+tombstones it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, Generator, List, Optional, Tuple
 
 from ..obs import runtime as obs
@@ -134,6 +141,8 @@ class _DeviceState:
         #: FIFO of (client_id, grant event) waiting for the token.
         self.queue: List[Tuple[str, Event]] = []
         self.token: Optional[Token] = None
+        #: the quota-expiry timer of ``token``, tombstoned when it ends early.
+        self.expiry: Optional[Event] = None
         self.granting = False
         self.retry_scheduled = False
         self.grants_total = 0
@@ -200,8 +209,7 @@ class TokenBackend:
             # token right away, so the device is not dead until quota expiry
             # and the expiry path never touches the popped record.
             self._end_hold(state, record)
-            state.token.valid = False
-            state.token = None
+            self._end_token(state)
         self._maybe_grant(device_uuid)
 
     def usage(self, device_uuid: str, client_id: str) -> float:
@@ -257,11 +265,10 @@ class TokenBackend:
         state = self._devices.get(token.device_uuid)
         if state is None or state.token is not token or not token.valid:
             return
-        token.valid = False
         record = state.clients.get(token.client_id)
         if record is not None:
             self._end_hold(state, record)
-        state.token = None
+        self._end_token(state)
         self._maybe_grant(token.device_uuid)
 
     # -- failure & restart ------------------------------------------------------
@@ -276,8 +283,7 @@ class TokenBackend:
         if state is None:
             return
         if state.token is not None:
-            state.token.valid = False
-            state.token = None
+            self._end_token(state)
         for client_id, grant in state.queue:
             if not grant.triggered:
                 grant.fail(
@@ -302,8 +308,7 @@ class TokenBackend:
         self.restarts_total += 1
         for device_uuid, state in self._devices.items():
             if state.token is not None:
-                state.token.valid = False
-                state.token = None
+                self._end_token(state)
             for client_id, grant in state.queue:
                 if not grant.triggered:
                     grant.fail(
@@ -321,6 +326,13 @@ class TokenBackend:
         if record.hold_start is not None:
             record.push_interval(record.hold_start, self.env.now)
             record.hold_start = None
+
+    def _end_token(self, state: _DeviceState) -> None:
+        """Invalidate the device's token and tombstone its expiry timer."""
+        state.token.valid = False
+        state.token = None
+        state.expiry.cancel()
+        state.expiry = None
 
     def _pick(self, state: _DeviceState) -> Optional[int]:
         """Index into the queue of the request to grant next, or None."""
@@ -358,23 +370,17 @@ class TokenBackend:
         if not state.queue:
             return
         state.granting = True
-        self.env.process(self._grant(device_uuid), name=f"token-backend:{device_uuid}")
-
-    def _retry_later(self, device_uuid: str) -> Generator:
-        yield self.env.timeout(self.quota / 4)
-        state = self._devices.get(device_uuid)
-        if state is None:  # device failed / daemon restarted meanwhile
-            return
-        state.retry_scheduled = False
-        self._maybe_grant(device_uuid)
-
-    def _grant(self, device_uuid: str) -> Generator:
         # The pick happens *after* the handoff delay so that a holder whose
         # token just expired has re-queued by decision time — otherwise the
         # priority policy would degrade to strict alternation. A small
         # floor keeps the decision robust to same-instant floating-point
         # races even when handoff_overhead is configured to zero.
-        yield self.env.timeout(max(self.handoff_overhead, self.quota * 1e-3))
+        self.env.timeout(max(self.handoff_overhead, self.quota * 1e-3)).callbacks.append(
+            partial(self._handoff, device_uuid)
+        )
+
+    def _handoff(self, device_uuid: str, _event: Event) -> None:
+        """The handoff delay is over: grant the token to the next client."""
         state = self._devices.get(device_uuid)
         if state is None:  # device failed / daemon restarted mid-handoff
             return
@@ -387,7 +393,9 @@ class TokenBackend:
                 state.retry_scheduled = True
                 if obs.enabled():
                     obs.token_deny(device_uuid, len(state.queue))
-                self.env.process(self._retry_later(device_uuid))
+                self.env.timeout(self.quota / 4).callbacks.append(
+                    partial(self._retry, device_uuid)
+                )
             return
         client_id, grant = state.queue.pop(idx)
         record = state.clients.get(client_id)
@@ -406,13 +414,23 @@ class TokenBackend:
         if obs.enabled():
             obs.token_grant(device_uuid, client_id, self.quota)
         grant.succeed(token)
-        yield self.env.timeout(self.quota)
-        if state.token is token and token.valid:
-            token.valid = False
-            # The holder may have unregistered mid-hold; the `record` local
-            # captured at grant time would be stale then — re-fetch it.
-            current = state.clients.get(client_id)
-            if current is not None:
-                self._end_hold(state, current)
-            state.token = None
-            self._maybe_grant(device_uuid)
+        state.expiry = self.env.timeout(self.quota)
+        state.expiry.callbacks.append(partial(self._expire, state, token))
+
+    def _retry(self, device_uuid: str, _event: Event) -> None:
+        """The back-off after a denial is over: try to grant again."""
+        state = self._devices.get(device_uuid)
+        if state is None:  # device failed / daemon restarted meanwhile
+            return
+        state.retry_scheduled = False
+        self._maybe_grant(device_uuid)
+
+    def _expire(self, state: _DeviceState, token: Token, _event: Event) -> None:
+        """*token* ran its full quota (any earlier end tombstoned this)."""
+        if state.token is not token:
+            # A handoff timer that outlived a restart granted over it.
+            return
+        # The holder's current record: it may have re-registered mid-hold.
+        self._end_hold(state, state.clients[token.client_id])
+        self._end_token(state)
+        self._maybe_grant(token.device_uuid)

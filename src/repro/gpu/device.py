@@ -20,6 +20,14 @@ Isolation styles map onto this engine naturally:
 * **unisolated sharing** (Deepomatic-style baselines): sessions carry
   request=0, limit=1 and additionally suffer a contention penalty per
   concurrent peer, modelling interference that no throttling mitigates.
+
+The device times each running session itself. A session's process sleeps
+on one event: its finish timer, or nothing while its rate is 0. When a
+recompute changes the allocation, the device bills every running
+session's progress at its old rate and moves its resume onto a new finish
+timer, so a rate change wakes no process. A process resumes only to
+finish, to see its device fail, or when its finish timer leaves float
+residue of work.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ __all__ = [
 
 #: Device memory of the paper's Tesla V100s (16 GB).
 V100_MEMORY = 16 * 2**30
+
+_INF = float("inf")
 
 
 class GpuOutOfMemory(Exception):
@@ -84,6 +94,16 @@ class ComputeSession:
         self.granted_integral = 0.0
         self._last_update = device.env.now
         self.closed = False
+        # The slice in flight while run() executes, owned by the device
+        # (GPUDevice._arm / _retime): work left as of `_started`, the rate
+        # it bills at since then, the event holding the process's resume
+        # (None while parked at rate 0) and when that event fires.
+        self._resume = None
+        self._remaining = 0.0
+        self._started = 0.0
+        self._slice_rate = 0.0
+        self._holder: Optional[Event] = None
+        self._due = _INF
 
     # -- engine bookkeeping -------------------------------------------------
     def _accumulate(self, now: float) -> None:
@@ -103,62 +123,40 @@ class ComputeSession:
         *demand* caps the session's instantaneous appetite (an inference
         job serving a 30% request load has demand 0.3 even when alone);
         default is 1.0 (saturating, like training).
+
+        Each pass of the loop sleeps on the event :meth:`GPUDevice._arm`
+        returns. While it sleeps, an allocation change re-times the slice
+        in place (:meth:`GPUDevice._retime`): the device bills the work
+        done so far, tombstones the finish timer and hangs this process's
+        resume on a new one, or on a shared wake when the device failed or
+        the work is done. The process itself resumes only when that timer
+        or wake fires, and bills what is left of the slice. The
+        ``finally`` detaches the resume from
+        whichever event holds it, so a kill or interrupt mid-slice (chaos
+        teardown) never resumes a dead process.
         """
         if self.closed:
             raise RuntimeError(f"session {self.name} is closed")
         if work < 0:
             raise ValueError("work must be >= 0")
-        env = self.device.env
-        appetite = 1.0 if demand is None else float(demand)
-        remaining = float(work)
-        self.demand = appetite
-        self.device._recompute()
+        device = self.device
+        env = device.env
+        self.demand = 1.0 if demand is None else float(demand)
+        self._remaining = float(work)
+        device._recompute()
         try:
-            while remaining > 1e-12:
-                if self.device.failed:
+            while self._remaining > 1e-12:
+                if device.failed:
                     raise DeviceLostError(
-                        f"GPU {self.device.uuid} lost while running "
-                        f"{self.name}: {self.device.fail_reason}"
+                        f"GPU {device.uuid} lost while running "
+                        f"{self.name}: {device.fail_reason}"
                     )
-                rate = self.rate
-                if rate <= 1e-12:
-                    yield self.device.change_event()
-                    continue
-                started = env.now
-                finish = env.timeout(remaining / rate)
-                change = self.device.change_event()
-                # Race finish against change without an AnyOf
-                # condition event. The owning process subscribes to the
-                # shared change event directly and yields the finish
-                # timer, so whichever fires first resumes it during its
-                # own dispatch — one event pop per slice instead of two
-                # (the Condition's succeed/schedule/pop round trip). The
-                # finally detaches from change even when the process is
-                # killed or interrupted mid-slice (chaos teardown), so a
-                # later allocation change can never resume a corpse.
-                resume = env.active_process._resume
-                change.callbacks.append(resume)
-                try:
-                    yield finish
-                finally:
-                    callbacks = change.callbacks
-                    if callbacks is not None:
-                        try:
-                            callbacks.remove(resume)
-                        except ValueError:
-                            pass
-                remaining -= (env.now - started) * rate
-                if finish.callbacks is not None:
-                    # A rate change won the race: the stale finish timer
-                    # would otherwise sit in the heap until its original
-                    # expiry. Tombstone it so re-slicing costs one live
-                    # event per rate change, not one per abandoned slice
-                    # (the drain discards its callbacks unrun, which also
-                    # unsubscribes this process).
-                    finish.cancel()
+                yield device._arm(self)
+                self._remaining -= (env.now - self._started) * self._slice_rate
         finally:
+            device._disarm(self)
             self.demand = 0.0
-            self.device._recompute()
+            device._recompute()
 
     def set_params(self, request: Optional[float] = None, limit: Optional[float] = None) -> None:
         """Adjust request/limit on the fly (vGPU spec updates)."""
@@ -196,12 +194,13 @@ class GPUDevice:
         #: the device threw an uncorrectable error and is unusable.
         self.failed = False
         self.fail_reason: Optional[str] = None
-        #: failed state at the last _recompute (forces a waiter wake-up on
+        #: failed state at the last _recompute (forces a re-time pass on
         #: every fail/recover transition even if no rate changed).
         self._last_failed = False
         self._mem_by_owner: Dict[str, int] = {}
         self._sessions: List[ComputeSession] = []
-        self._change: Event = env.event()
+        #: sessions inside run(), in arming order (a dict as ordered set).
+        self._armed: Dict[ComputeSession, None] = {}
         #: integral of total granted rate over time (NVML utilization).
         self.busy_integral = 0.0
         self._busy_rate = 0.0
@@ -271,9 +270,81 @@ class GPUDevice:
     def sessions(self) -> List[ComputeSession]:
         return list(self._sessions)
 
-    def change_event(self) -> Event:
-        """Event fired on the next allocation change (one-shot, shared)."""
-        return self._change
+    # -- slice timing ------------------------------------------------------------
+    def _arm(self, s: ComputeSession) -> Event:
+        """Start a slice of *s* on behalf of the process running it;
+        returns the event that process sleeps on.
+
+        A session at rate 0 parks: the returned event is never triggered,
+        and :meth:`_retime` arms a finish timer once the rate returns.
+        """
+        armed = self._armed
+        armed.pop(s, None)
+        armed[s] = None  # re-arming from its own loop moves a session last
+        s._resume = self.env.active_process._resume
+        timer = self._slice(s, self.env.now)
+        return Event(self.env) if timer is None else timer
+
+    def _slice(self, s: ComputeSession, now: float) -> Optional[Event]:
+        """Start a slice of *s* at its current rate: its finish timer, or
+        None when it parks at rate 0."""
+        s._started = now
+        rate = s.rate
+        if rate <= 1e-12:
+            s._slice_rate = 0.0
+            s._holder = None
+            s._due = _INF
+            return None
+        s._slice_rate = rate
+        delay = s._remaining / rate
+        s._holder = timer = self.env.timeout(delay)
+        s._due = now + delay
+        return timer
+
+    def _disarm(self, s: ComputeSession) -> None:
+        """*s* left run(): detach its resume from whatever event holds it,
+        and tombstone that event if nothing else waits on it."""
+        self._armed.pop(s, None)
+        holder, s._holder = s._holder, None
+        if holder is not None and holder.callbacks is not None:
+            callbacks = holder.callbacks
+            if s._resume in callbacks:  # Process.kill may have detached it
+                callbacks.remove(s._resume)
+            if not callbacks:
+                holder.cancel()
+
+    def _retime(self, now: float) -> None:
+        """Re-slice every armed session after an allocation change.
+
+        In arming order, each session's slice so far is billed at its old
+        rate and a new slice starts at the current rate, with the same
+        arithmetic as :meth:`ComputeSession.run`. A session whose resume
+        already fires at *now* is left alone: its finish timer is due, so
+        it bills and re-arms on that timer, or an earlier pass this
+        instant already woke it (one pending wake per session at most,
+        so no wake can land on a later yield of its process). Sessions
+        that must run now — their device failed, or their work is done —
+        share one wake event.
+        """
+        failed = self.failed
+        wake = None
+        for s in self._armed:
+            if s._due == now:
+                continue
+            s._remaining -= (now - s._started) * s._slice_rate
+            if s._holder is not None:
+                s._holder.cancel()
+            if failed or s._remaining <= 1e-12:
+                if wake is None:
+                    wake = self.env.event().succeed()
+                wake.callbacks.append(s._resume)
+                s._started = now
+                s._holder = wake
+                s._due = now
+            else:
+                timer = self._slice(s, now)
+                if timer is not None:
+                    timer.callbacks.append(s._resume)
 
     # -- failure & recovery -----------------------------------------------------
     def fail(self, reason: str = "uncorrectable ECC error") -> None:
@@ -342,18 +413,8 @@ class GPUDevice:
                     s.rate = rate
                 busy_rate += rate
             self._busy_rate = busy_rate
-            if changed:
-                old_ev = self._change
-                # Fire only when a waiter subscribed: the change event's
-                # consumers (ComputeSession.run) always attach a callback
-                # in the same kernel step they fetch it, so an empty
-                # callback list means nobody can observe this edge and
-                # firing would be two events of pure queue traffic. The
-                # armed event stays in place for future waiters, who then
-                # see the *next* change.
-                if old_ev.callbacks:
-                    self._change = self.env.event()
-                    old_ev.succeed()
+            if changed and self._armed:
+                self._retime(now)
             return
         # Contention penalizes *unisolated* concurrent sharing of an
         # over-committed device (limited memory bandwidth, §1). Sessions
@@ -394,18 +455,13 @@ class GPUDevice:
             busy_rate += rate
         self._busy_rate = busy_rate
 
-        # Wake every waiter exactly once — and only when some session's
-        # rate actually changed (or the device's failed flag flipped). An
-        # unchanged allocation means every woken session would recompute
-        # the *same* absolute finish time and go back to sleep; skipping
-        # the wake coalesces those redundant re-slices. The failed-flag
-        # term matters because a session can legitimately hold rate 0 on
-        # a saturated device and must still observe the loss.
-        if changed:
-            old = self._change
-            if old.callbacks:  # see the n<2 fast path above
-                self._change = self.env.event()
-                old.succeed()
+        # Re-time only when some session's rate actually changed (or the
+        # device's failed flag flipped): an unchanged allocation leaves
+        # every finish time where it is. The failed-flag term matters
+        # because a session can legitimately hold rate 0 on a saturated
+        # device and must still observe the loss.
+        if changed and self._armed:
+            self._retime(now)
 
     # -- utilization accounting -----------------------------------------------------
     def busy_time(self) -> float:

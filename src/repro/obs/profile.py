@@ -5,10 +5,15 @@ funnels through — ``Environment.step`` — via
 :func:`repro.sim.environment.set_profile_hook`, and times each callback
 with the host's monotonic clock. Attribution is two-level:
 
-* **actor**: callbacks are almost always the bound ``_resume`` of a
+* **actor**: callbacks are mostly the bound ``_resume`` of a
   :class:`~repro.sim.process.Process`; its ``name`` (``"kubeshare-sched:
   reconcile"``, ``"informer:kubeshare-devmgr"``, ``"app:sp3"``) names the
-  actor, and its first ``:``-segment names the subsystem;
+  actor, and its first ``:``-segment names the subsystem. A timer
+  callback bound to a component, directly or through
+  :func:`functools.partial` (``TokenBackend._handoff``,
+  ``VGPUDeviceLibrary._idle_fire``), is charged to the component's class,
+  with the method as the actor. Only the kernel's own callbacks (condition
+  checks, the stop marker) and unbound functions land in ``kernel``;
 * **operation**: the actor's open span stack in the hub's tracer
   (``reconcile``, ``token.wait``, …) extends the frame stack, so the
   flamegraph shows *what* the actor was doing, not just who it was.
@@ -31,10 +36,16 @@ simulation.
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
 from typing import Dict, List, Tuple
 
+from .. import sim
+
 __all__ = ["WallProfiler"]
+
+#: module prefix of the kernel's own classes (``Condition``, the stop marker).
+_KERNEL_MODULES = sim.__name__ + "."
 
 #: keep folded stacks readable: at most this many span frames per stack.
 _MAX_SPAN_FRAMES = 6
@@ -93,10 +104,11 @@ class WallProfiler:
                 self.total_seconds += dt
 
     def _frames(self, callback) -> Tuple[str, ...]:
-        from ..sim.process import Process
-
-        receiver = getattr(callback, "__self__", None)
-        if isinstance(receiver, Process):
+        func = callback
+        while isinstance(func, partial):
+            func = func.func
+        receiver = getattr(func, "__self__", None)
+        if isinstance(receiver, sim.Process):
             name = receiver.name or "<anonymous>"
             frames: List[str] = [_clean(name.split(":", 1)[0]), _clean(name)]
             if self.tracer is not None:
@@ -107,8 +119,11 @@ class WallProfiler:
                     )
             return tuple(frames)
         if receiver is not None:
-            return ("kernel", _clean(type(receiver).__name__))
-        return ("kernel", _clean(getattr(callback, "__qualname__", "<callback>")))
+            owner = receiver if isinstance(receiver, type) else type(receiver)
+            if owner.__module__.startswith(_KERNEL_MODULES):
+                return ("kernel", _clean(owner.__name__))
+            return (_clean(owner.__name__), _clean(func.__name__))
+        return ("kernel", _clean(getattr(func, "__qualname__", "<callback>")))
 
     # -- views -------------------------------------------------------------
     def attributed_fraction(self) -> float:

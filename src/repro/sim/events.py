@@ -324,8 +324,8 @@ class Condition(Event):
         """Unsubscribe from sub-events that have not fired yet.
 
         Without this an AnyOf that fired leaves its ``_check`` hanging off
-        every still-pending sub-event (a shared ``change_event``, a long
-        timer), pinning the whole condition graph until those eventually
+        every still-pending sub-event (a long timer, a pending token
+        grant), pinning the whole condition graph until those eventually
         fire — long chaos runs accumulate garbage and every later dispatch
         walks dead callbacks. The check is removed the way
         ``Process._detach_from_target`` does it.

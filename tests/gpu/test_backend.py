@@ -1,9 +1,12 @@
 """Unit tests for the token backend daemon (§4.5 token scheduling)."""
 
+from functools import partial
+
 import pytest
 
 from repro.gpu.backend import TokenBackend
-from repro.sim import Environment
+from repro.sim import Environment, Process
+from repro.sim.environment import set_profile_hook
 
 DEV = "GPU-0"
 
@@ -375,4 +378,127 @@ class TestFailureAndRestart:
         env.process(ask())
         env.run(until=0.005)  # inside the 10 ms handoff window
         backend.restart()
-        env.run(until=1.0)  # the in-flight _grant resumes and finds no state
+        env.run(until=1.0)  # the in-flight handoff fires and finds no state
+
+
+class TestTimerDriven:
+    """The daemon runs no process: handoff, grant and quota expiry are
+    timer callbacks, and the expiry timer lives exactly as long as the
+    token."""
+
+    @pytest.fixture
+    def expiries(self, backend, monkeypatch):
+        """Times at which an expiry callback actually ran."""
+        fired = []
+        expire = backend._expire
+
+        def spy(state, token, event):
+            fired.append(backend.env.now)
+            expire(state, token, event)
+
+        monkeypatch.setattr(backend, "_expire", spy)
+        return fired
+
+    def test_grant_spawns_no_process(self, env, backend):
+        class Recorder:
+            def __init__(self):
+                self.receivers = []
+
+            def dispatch(self, event, callbacks):
+                for callback in callbacks:
+                    func = callback
+                    while isinstance(func, partial):
+                        func = func.func
+                    self.receivers.append(getattr(func, "__self__", None))
+                    callback(event)
+
+        backend.register(DEV, "c1", 0.5, 1.0)
+        backend.register(DEV, "c2", 0.5, 1.0)
+
+        def client(name, hold):
+            for _ in range(3):
+                token = yield from backend.acquire(DEV, name)
+                yield env.timeout(hold)
+                backend.release(token)
+
+        env.process(client("c1", 0.03), name="client:c1")
+        env.process(client("c2", 0.2), name="client:c2")  # outlives its quota
+        recorder = Recorder()
+        set_profile_hook(recorder)
+        try:
+            env.run()
+        finally:
+            set_profile_hook(None)
+        processes = {r.name for r in recorder.receivers if isinstance(r, Process)}
+        assert processes == {"client:c1", "client:c2"}
+        assert backend in recorder.receivers
+        assert backend.stats(DEV)["grants"] == 6
+
+    def test_release_tombstones_the_expiry(self, env, backend, expiries):
+        backend.register(DEV, "c1", 0.5, 1.0)
+        seen = {}
+
+        def holder():
+            token = yield from backend.acquire(DEV, "c1")
+            seen["expiry"] = backend._devices[DEV].expiry
+            yield env.timeout(0.03)
+            backend.release(token)
+
+        env.process(holder())
+        env.run(until=1.0)
+        assert seen["expiry"].cancelled
+        assert backend._devices[DEV].expiry is None
+        assert expiries == []
+
+    def test_full_quota_hold_expires_and_grants_the_next_waiter(
+        self, env, backend, expiries
+    ):
+        backend.register(DEV, "a", 0.5, 1.0)
+        backend.register(DEV, "b", 0.5, 1.0)
+        got = {}
+
+        def hog():
+            got["a"] = yield from backend.acquire(DEV, "a")
+            yield env.timeout(1.0)  # never releases
+
+        def waiter():
+            yield env.timeout(0.01)
+            got["b"] = yield from backend.acquire(DEV, "b")
+            got["b_at"] = env.now
+
+        env.process(hog())
+        env.process(waiter())
+        env.run(until=2.0)
+        first = got["a"]
+        assert expiries[0] == first.expires_at()
+        assert not first.valid
+        assert got["b"].client_id == "b"
+        # the next grant pays one decision delay after the expiry
+        assert got["b_at"] == pytest.approx(
+            first.expires_at() + backend.quota * 1e-3, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("end", ["unregister", "restart", "fail_device"])
+    def test_ending_the_token_early_cancels_the_expiry(
+        self, env, backend, expiries, end
+    ):
+        backend.register(DEV, "c1", 0.5, 1.0)
+        seen = {}
+
+        def holder():
+            token = yield from backend.acquire(DEV, "c1")
+            seen["token"] = token
+            seen["expiry"] = backend._devices[DEV].expiry
+            yield env.timeout(0.05)  # mid-hold: the quota is 0.1
+            if end == "unregister":
+                backend.unregister(DEV, "c1")
+            elif end == "restart":
+                backend.restart()
+            else:
+                backend.fail_device(DEV)
+
+        env.process(holder())
+        env.run(until=1.0)
+        assert not seen["token"].valid
+        assert seen["expiry"].cancelled
+        assert expiries == []

@@ -1,6 +1,8 @@
 """Wall-clock profiler: dispatch semantics preserved, attribution named,
 folded output well-formed, hook installed/removed cleanly."""
 
+from functools import partial
+
 import pytest
 
 from repro.obs.artifact import export_all
@@ -87,6 +89,35 @@ class TestAttribution:
         assert "kubelet" in subsystems
         assert prof.attributed_fraction() >= 0.9
         assert prof.total_seconds > 0
+
+    def test_component_timer_callbacks_charge_the_component(self):
+        """A timer callback bound to a component, directly or through
+        functools.partial (the token backend's handoff and expiry, the
+        device library's idle revoke), is charged to the component; only
+        the kernel's own callbacks stay in ``kernel``."""
+
+        class Daemon:
+            def fire(self, _event):
+                sum(range(500))
+
+            def fire_for(self, device, _event):
+                sum(range(500))
+
+        env = Environment()
+        daemon = Daemon()
+        env.timeout(1.0).callbacks.append(daemon.fire)
+        env.timeout(2.0).callbacks.append(partial(daemon.fire_for, "GPU-0"))
+        done = env.any_of([env.timeout(3.0)])
+        prof = WallProfiler(env).install()
+        env.run(until=done)
+        prof.uninstall()
+        assert set(prof.samples) == {
+            ("Daemon", "fire"),
+            ("Daemon", "fire_for"),
+            ("kernel", "AnyOf"),
+            ("kernel", "_StopSimulation"),
+        }
+        assert {name for name, _ in prof.by_subsystem()} == {"Daemon", "kernel"}
 
     def test_span_stack_extends_frames(self):
         env = Environment()

@@ -36,6 +36,18 @@ History of deliberate changes:
   28,098; obs on, chaos 25,858 -> 25,426 and failover 21,082 -> 20,693.
   The obs snapshots moved only in their ``repro_sim_events_total``
   series. All four summary digests and both Chrome-trace digests held.
+* event counts of all four, and both obs-snapshot digests: GPU-layer
+  kernel events now carry only modelled work. When an allocation
+  changes, the device re-times each running session's finish timer in
+  place instead of firing a shared change event that woke every running
+  session to do it; and the token backend's handoff, quota expiry and
+  retry are timer callbacks instead of a process per grant, with the
+  expiry tombstoned whenever the token ends early. Events: chaos 25,254
+  -> 18,512, failover 20,551 -> 15,380, trace_replay 11,032 -> 9,086,
+  fig8 28,098 -> 24,918; obs on, chaos 25,426 -> 18,684 and failover
+  20,693 -> 15,522. The obs snapshots moved only in their
+  ``repro_sim_events_total`` series. All four summary digests and both
+  Chrome-trace digests held.
 """
 
 import functools
@@ -52,22 +64,22 @@ GOLDENS = {
     "chaos": (
         lambda: scenarios.chaos(11),
         "3e18d3ce7e94bc3c2582524f18bb0bf0ff1ea19402b01314d5268ad0bdf39c57",
-        25_254,
+        18_512,
     ),
     "failover": (
         lambda: scenarios.failover(13),
         "3e9519439c478d5e731beb080cb664bc734848972cfe878449e36e3eafeeec98",
-        20_551,
+        15_380,
     ),
     "trace_replay": (
         scenarios.trace_replay,
         "10829719e62322dd5b6786a7dafb7746580d91315e01e86bbc39eb72617e224d",
-        11_032,
+        9_086,
     ),
     "fig8": (
         lambda: scenarios.fig8(seed=7),
         "94fb2f1b0d3d5b074cbdaa0a38be172c0e37ed82a41cc65c824f2e5c608a4f5a",
-        28_098,
+        24_918,
     ),
 }
 
@@ -78,15 +90,15 @@ OBS_LABEL = "golden"
 OBS_GOLDENS = {
     "chaos": (
         lambda: scenarios.chaos(11, obs_label=OBS_LABEL, race=True),
-        "07c499842aa2d0ad7c9de15459f3b42b3e048904521f4eb3be6b9bfafba5bc5e",
+        "bb389391d73fdc8e0198278a3c232ad2449e7769019c527cea6811e8e45d9beb",
         "d4d6cd52ba3ede41dea00838759a8d49c38377b57c08d32572e2c5f528384575",
-        25_426,
+        18_684,
     ),
     "failover": (
         lambda: scenarios.failover(13, obs_label=OBS_LABEL, race=True),
-        "54b2180567af8ca8b37daa6a9c8892422869b6295ec647824b91117a72c64e97",
+        "687336f4920190b9e9144b74b24fbeae7038c38084230da0c2687f5121347e23",
         "c49dd409fca3057466c207adae42b36101845af4ba2cdb76e0703bdcc248405d",
-        20_693,
+        15_522,
     ),
 }
 

@@ -279,14 +279,9 @@ class Controller:
             self._resync_proc = None
         self.informer.stop()
         for proc in self._procs:
-            # A worker blocked on an in-flight reconcile must take the
-            # child down too, or the orphaned reconcile could later fail
-            # with nobody waiting and crash the simulation.
-            target = proc.target
+            # Killing a worker closes its in-flight reconcile with it.
             if proc.is_alive:
                 proc.kill()
-            if isinstance(target, Process) and target.is_alive:
-                target.kill()
         self._procs = []
         # In-flight keys would otherwise be stuck in `processing` forever
         # and silently swallow re-adds after a restart (pause/resume).
@@ -352,9 +347,7 @@ class Controller:
                 yield self.env.timeout(self.api.extra_latency)
             try:
                 with obs.reconcile_ctx(self, key):
-                    yield self.env.process(
-                        self.reconcile(key), name=f"{self.name}:reconcile"
-                    )
+                    yield from self.reconcile(key)
             except Exception as err:  # noqa: BLE001 - controller must survive
                 self.reconcile_errors.append((self.env.now, key, repr(err)))
                 n = self._failures.get(key, 0) + 1

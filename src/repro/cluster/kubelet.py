@@ -27,7 +27,7 @@ import math
 from typing import Any, Dict, Generator, Optional
 
 from ..obs import runtime as obs
-from ..sim import Environment, Process
+from ..sim import Environment
 from .apiserver import (
     AlreadyExists,
     APIServer,
@@ -237,10 +237,7 @@ class Kubelet:
             trace_id=pod.metadata.key,
             pod=pod.name,
         ):
-            handle = yield self.env.process(
-                self.runtime.start_container(ctx, pod.spec.workload),
-                name=f"runc:{pod.name}",
-            )
+            handle = yield from self.runtime.start_container(ctx, pod.spec.workload)
 
         self._set_phase(pod, PodPhase.RUNNING, env=env_vars)
         obs.event(
@@ -283,7 +280,7 @@ class Kubelet:
 
     # -- pod teardown -------------------------------------------------------------
     def _teardown(self, pod: Pod) -> Generator:
-        yield self.env.process(self.runtime.stop_container(pod.metadata.uid))
+        yield from self.runtime.stop_container(pod.metadata.uid)
         self.devices.release_pod(pod.metadata.uid)
         self._handled.discard(pod.metadata.uid)
         self._pod_procs.pop(pod.metadata.uid, None)
@@ -307,15 +304,7 @@ class Kubelet:
         if self.lease is not None:
             self.api.stop_node_lease(self.lease)
         for proc in self._pod_procs.values():
-            if proc is None or not proc.is_alive:
-                continue
-            # A startup in flight waits on a runtime child process (image
-            # setup); take it down too or it would materialize a container
-            # on the dead node.
-            target = proc.target
-            proc.kill()
-            if isinstance(target, Process) and target.is_alive:
-                target.kill()
+            proc.kill()  # closes a start in flight, setup slot and all
         self._pod_procs.clear()
 
     def restart(self) -> Generator:

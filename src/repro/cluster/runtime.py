@@ -151,11 +151,12 @@ class ContainerRuntime:
         ctx: ContainerContext,
         workload: Optional[Callable[[ContainerContext], Generator]],
     ) -> Generator:
-        """Process: start a container, return its :class:`ContainerHandle`.
+        """Start a container; the generator's value is its
+        :class:`ContainerHandle` once the container is up.
 
-        The returned generator is meant to be wrapped in ``env.process``
-        (kubelet does this); its value is the handle once the container is
-        up.
+        The caller runs it inside its own process (``yield from``, as the
+        kubelet does), so killing the caller abandons the start and gives
+        back its setup slot.
         """
         yield self.env.timeout(self.latency.base)
         with self._setup_slots.request() as slot:
@@ -203,7 +204,8 @@ class ContainerRuntime:
         handle._exit_event.succeed(handle.exit_ok)
 
     def stop_container(self, pod_uid: str) -> Generator:
-        """Process: stop and remove a container (small fixed latency)."""
+        """Stop and remove a container (small fixed latency); run with
+        ``yield from``."""
         handle = self.containers.pop(pod_uid, None)
         if handle is not None:
             handle.stop()

@@ -89,7 +89,7 @@ def run_inference_workload(
         yield FlowScheduler(env).schedule(
             [max(j.arrival_time, 0.0) for j in jobs], fire
         )
-        yield env.process(system.wait_all())
+        yield from system.wait_all()
 
     done = env.process(driver(), name=f"driver:{system.name}")
     env.run(until=done)

@@ -88,7 +88,7 @@ def _run_setting(
                 _requirements(kind),
                 anti_affinity=anti,
             )
-        yield env.process(system.wait_all())
+        yield from system.wait_all()
 
     env.run(until=env.process(driver()))
     stats = system.stats()

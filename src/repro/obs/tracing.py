@@ -85,7 +85,8 @@ class Tracer:
         self.spans: List[Span] = []
         self.dropped = 0
         self._next_id = 1
-        #: per-process stack of open spans (implicit parenting).
+        #: per-process stack of open spans (implicit parenting); a
+        #: process has an entry only while it has an open span.
         self._stacks: Dict[object, List[Span]] = {}
         #: called once per span on its fresh ok/error close (never on the
         #: bulk ``close_open`` sweep) — the hub hangs latency histograms
@@ -93,10 +94,9 @@ class Tracer:
         self.on_end = None
 
     # -- recording ---------------------------------------------------------
-    def _stack(self) -> List[Span]:
+    def _actor(self) -> object:
         proc = getattr(self.env, "active_process", None)
-        key = proc if proc is not None else "<root>"
-        return self._stacks.setdefault(key, [])
+        return proc if proc is not None else "<root>"
 
     def start(
         self,
@@ -114,7 +114,8 @@ class Tracer:
         long-lived story spans (SharePod journeys, leadership reigns)
         whose lifetime is not lexical.
         """
-        stack = self._stack()
+        actor = self._actor()
+        stack = self._stacks.get(actor)
         if parent is None and not detached and stack:
             parent = stack[-1]
         if trace_id is None and parent is not None:
@@ -134,7 +135,7 @@ class Tracer:
         else:
             self.dropped += 1
         if not detached:
-            stack.append(span)
+            self._stacks.setdefault(actor, []).append(span)
         return span
 
     def end(self, span: Span, status: str = STATUS_OK) -> Span:
@@ -143,9 +144,11 @@ class Tracer:
         if fresh:
             span.end = self.env.now
             span.status = status
-        for stack in self._stacks.values():
+        for actor, stack in self._stacks.items():
             if span in stack:
                 stack.remove(span)
+                if not stack:
+                    del self._stacks[actor]
                 break
         if fresh and self.on_end is not None:
             self.on_end(span)
@@ -183,7 +186,7 @@ class Tracer:
         **attrs: object,
     ) -> Span:
         """Record a zero-duration marker (does not affect the span stack)."""
-        stack = self._stack()
+        stack = self._stacks.get(self._actor())
         parent = stack[-1] if stack else None
         if trace_id is None and parent is not None:
             trace_id = parent.trace_id

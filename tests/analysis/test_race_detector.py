@@ -6,6 +6,8 @@ token over-grant — and stay silent on the correct patterns."""
 import pytest
 
 from repro.analysis.race import RaceDetector, RaceViolation, install
+from repro.cluster.apiserver import APIServer
+from repro.cluster.controller import Controller
 from repro.cluster.etcd import Etcd
 from repro.cluster.objects import (
     ContainerSpec,
@@ -207,3 +209,70 @@ class TestInstall:
         small_cluster.env.run(until=20.0)
         assert det.reads_total > 0 and det.writes_total > 0
         det.check()  # no violations in a healthy run
+
+
+class Stomper(Controller):
+    """Reads its Pod, naps, then blind-puts its stale copy back: the
+    lost-update bug inside a reconcile pass. ``reads``/``writes`` switch
+    either half off, so one pass can read and a later one write."""
+
+    kind = "Pod"
+
+    def __init__(self, env, api):
+        super().__init__(env, api)
+        self.reads = self.writes = True
+        self.seen = None
+
+    def filter(self, etype, obj):
+        return False  # passes are queued by hand
+
+    def reconcile(self, key):
+        namespace, name = key.split("/", 1)
+        if self.reads:
+            self.seen = self.api.get("Pod", name, namespace)
+        yield self.env.timeout(1.0)
+        if self.writes:
+            self.api.etcd.put(f"/registry/Pod/{key}", self.seen)
+
+
+class TestControllerPasses:
+    """A worker is one actor across all its passes (DESIGN §8.3)."""
+
+    @pytest.fixture
+    def api(self, env):
+        api = APIServer(env)
+        api.etcd.tracker = RaceDetector(env, fail_fast=False)
+        api.create(Pod(metadata=ObjectMeta(name="p1")))
+        return api
+
+    def test_overwrite_of_another_actors_commit_is_flagged(self, env, api):
+        ctl = Stomper(env, api).start()
+
+        def intruder():
+            yield env.timeout(0.5)
+            api.patch("Pod", "p1", lambda p: setattr(p.status, "message", "mine"))
+
+        env.process(intruder(), name="intruder")
+        ctl.queue.add("default/p1")
+        env.run(until=3)
+        [violation] = api.etcd.tracker.violations
+        assert violation.kind == RaceDetector.LOST_UPDATE
+        assert violation.actor == "Stomper:worker0"
+        assert violation.subject == "/registry/Pod/default/p1"
+        assert violation.at == 1.0
+
+    def test_worker_rewriting_what_it_read_in_an_earlier_pass_is_clean(
+        self, env, api
+    ):
+        """No other writer's change is lost when nothing was written
+        between the worker's read and its overwrite."""
+        ctl = Stomper(env, api).start()
+        ctl.writes = False
+        ctl.queue.add("default/p1")
+        env.run(until=1.5)
+        ctl.reads, ctl.writes = False, True
+        ctl.queue.add("default/p1")
+        env.run(until=5)
+        assert ctl.reconciles_total == 2
+        assert api.etcd.tracker.writes_total == 2  # the create, then the pass
+        assert api.etcd.tracker.violations == []

@@ -6,7 +6,10 @@ from repro.cluster.apiserver import APIServer, ServiceUnavailable
 from repro.cluster.controller import Controller, Informer, WorkQueue
 from repro.cluster.etcd import WatchEventType
 from repro.cluster.objects import ObjectMeta, Pod
-from repro.sim import Environment
+from repro.obs import ObsHub, disable, enable
+from repro.sim import Environment, Process
+from repro.sim.environment import set_profile_hook
+from repro.sim.events import Initialize
 
 
 @pytest.fixture
@@ -269,3 +272,111 @@ class TestInformerReconnect:
         # Mirror what _run does when the session outlived max_reconnect_delay.
         informer._reconnect.reset()
         assert informer._reconnect.streak("") == 0
+
+
+class SleepyController(Controller):
+    """Each pass stamps a status message after a nap, so a stop can land
+    while the pass is suspended."""
+
+    kind = "Pod"
+    nap = 1.0
+
+    def __init__(self, env, api):
+        super().__init__(env, api)
+        self.entered = []
+        self.completed = []
+        self.closed = []
+
+    def filter(self, etype, obj):
+        # React to arrivals only, so the pass's own write does not requeue.
+        return etype is WatchEventType.PUT and not obj.status.message
+
+    def reconcile(self, key):
+        self.entered.append((self.env.now, key))
+        try:
+            yield self.env.timeout(self.nap)
+            name = key.split("/", 1)[1]
+            self.api.patch("Pod", name, lambda p: setattr(p.status, "message", "seen"))
+            self.completed.append((self.env.now, key))
+        finally:
+            self.closed.append((self.env.now, key))
+
+
+class Recorder:
+    """Profile hook that logs each dispatched (event, callback receiver)."""
+
+    def __init__(self):
+        self.dispatched = []
+
+    def dispatch(self, event, callbacks):
+        for callback in callbacks:
+            self.dispatched.append((event, getattr(callback, "__self__", None)))
+            callback(event)
+
+
+@pytest.fixture
+def hub(env):
+    yield enable(ObsHub(env))
+    disable()
+
+
+class TestPassRunsInWorker:
+    """A reconcile pass is a subroutine of its worker, not a process."""
+
+    def test_pass_spawns_no_process(self, env, api):
+        ctl = SleepyController(env, api).start()
+        api.create(Pod(metadata=ObjectMeta(name="p1")))
+        recorder = Recorder()
+        set_profile_hook(recorder)
+        try:
+            env.run(until=5)
+        finally:
+            set_profile_hook(None)
+        assert ctl.completed == [(1.0, "default/p1")]
+        processes = {r.name for _, r in recorder.dispatched if isinstance(r, Process)}
+        assert processes == {"SleepyController:worker0", "informer:Pod"}
+        assert not [
+            r.name
+            for e, r in recorder.dispatched
+            if isinstance(e, Initialize) and r.name.endswith(":reconcile")
+        ]
+
+    def test_write_inside_pass_is_a_child_of_its_reconcile_span(self, env, api, hub):
+        ctl = SleepyController(env, api).start()
+        api.create(Pod(metadata=ObjectMeta(name="p1")))
+        env.run(until=5)
+        assert ctl.completed == [(1.0, "default/p1")]
+        (reconcile,) = [s for s in hub.tracer.spans if s.name == "reconcile"]
+        (write,) = [s for s in hub.tracer.spans if s.name == "update Pod"]
+        assert write.parent_id == reconcile.span_id
+        assert reconcile.status == "ok"
+
+
+class TestStopMidPass:
+    """Stopping a controller takes its suspended passes down with it."""
+
+    def test_stop_closes_the_pass_once_and_restart_reconciles_again(
+        self, env, api, hub
+    ):
+        ctl = SleepyController(env, api).start()
+        api.create(Pod(metadata=ObjectMeta(name="p1")))
+        env.run(until=0.5)
+        assert ctl.entered == [(0.0, "default/p1")]
+        ctl.stop()
+        # The pass's finally ran exactly once, at the stop, and its span
+        # closed with error rather than leaking open.
+        assert ctl.closed == [(0.5, "default/p1")]
+        spans = [s for s in hub.tracer.spans if s.name == "reconcile"]
+        assert [(s.status, s.end) for s in spans] == [("error", 0.5)]
+        ctl.start()
+        env.run(until=5)
+        # The restarted controller reconciles the key afresh; nothing
+        # resumes the old pass (it would have completed at t=1.0).
+        assert ctl.entered == [(0.0, "default/p1"), (0.5, "default/p1")]
+        assert ctl.completed == [(1.5, "default/p1")]
+        assert ctl.closed == [(0.5, "default/p1"), (1.5, "default/p1")]
+        assert [s.status for s in hub.tracer.spans if s.name == "reconcile"] == [
+            "error",
+            "ok",
+        ]
+        assert api.get("Pod", "p1").status.message == "seen"

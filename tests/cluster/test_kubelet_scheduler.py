@@ -1,5 +1,6 @@
 """Integration tests for kube-scheduler + kubelet + runtime on a cluster."""
 
+import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.objects import (
@@ -10,6 +11,9 @@ from repro.cluster.objects import (
     PodPhase,
     PodSpec,
 )
+from repro.cluster.runtime import RuntimeLatency
+from repro.sim import Process
+from repro.sim.environment import set_profile_hook
 
 
 def gpu_pod(name, gpus=1, cpu=1.0, workload=None, node_selector=None):
@@ -193,3 +197,76 @@ class TestRuntimeLatency:
         # Only `setup_slots` containers set up at once: the last of 4 pods on
         # one node waits a full extra setup round.
         assert starts[3] >= starts[0] + lat.setup - 1e-6
+
+
+class TestStartInCaller:
+    def test_pod_start_dispatches_no_runtime_process(self, env):
+        cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=1)).start()
+        names = set()
+
+        class Recorder:
+            def dispatch(self, event, callbacks):
+                for callback in callbacks:
+                    receiver = getattr(callback, "__self__", None)
+                    if isinstance(receiver, Process):
+                        names.add(receiver.name)
+                    callback(event)
+
+        cluster.submit(gpu_pod("p1", workload=finish_quickly))
+        done = env.process(cluster.wait_for_phase("p1", [PodPhase.SUCCEEDED]))
+        set_profile_hook(Recorder())
+        try:
+            env.run(until=done)
+        finally:
+            set_profile_hook(None)
+        assert "startpod:p1" in names and "workload:p1" in names
+        assert not [n for n in sorted(names) if n.startswith("runc:")]
+
+
+class TestCrashMidStart:
+    """A node crash takes a container start in flight down with the
+    kubelet: the start never materializes a container and never keeps a
+    setup slot."""
+
+    @pytest.mark.parametrize(
+        "slot_taken", [True, False], ids=["waiting-for-slot", "during-setup"]
+    )
+    def test_crash_abandons_the_start(self, env, slot_taken):
+        lat = RuntimeLatency(setup_slots=1)
+        cluster = Cluster(
+            env, ClusterConfig(nodes=1, gpus_per_node=1, runtime_latency=lat)
+        ).start()
+        node = cluster.nodes[0]
+        slots = node.runtime._setup_slots
+
+        def squatter():
+            # Holds the only setup slot across the crash, so the pod's
+            # start is still queued for it when the node goes down.
+            with slots.request() as req:
+                yield req
+                yield env.timeout(2.0)
+
+        if slot_taken:
+            env.process(squatter())
+        pod = gpu_pod("p1", workload=None)
+        pod.spec.node_name = node.name
+        cluster.submit(pod)
+        env.run(until=lat.base + 0.1)
+        assert (slots.count, len(slots.queue)) == (1, 1 if slot_taken else 0)
+        node.crash()
+        assert slots.queue == []
+        assert slots.count == (1 if slot_taken else 0)
+        env.run(until=3.0)
+        # No container was created later, and the slot is free.
+        assert node.runtime.started_total == 0
+        assert node.runtime.containers == {}
+        assert slots.count == 0 and slots.queue == []
+        # The agent comes back clean and starts the pod exactly once.
+        env.process(node.restart())
+        running = env.process(cluster.wait_for_phase("p1", [PodPhase.RUNNING]))
+        env.run(until=running)
+        started = cluster.api.get("Pod", "p1").status.start_time
+        assert started == pytest.approx(3.0 + lat.base + lat.setup)
+        assert not node.kubelet.crashed
+        assert node.runtime.started_total == 1
+        assert slots.count == 0 and slots.queue == []

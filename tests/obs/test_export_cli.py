@@ -109,6 +109,14 @@ class TestExportRoundTrip:
         assert "sharepod-schedule-latency" in slo_out
         assert "MET" in slo_out
 
+    def test_cli_explain_timeline_lists_devmgr_pod_create(self, capsys):
+        """DevMgr creates the pod inside its reconcile pass, so the write
+        carries the SharePod's trace id and joins its journey."""
+        assert cli_main(["explain", "burst3"]) == 0
+        timeline = capsys.readouterr().out.split("— Timeline", 1)[1]
+        assert timeline.startswith(" (149 spans)")
+        assert "43.942s · apiserver                create Pod" in timeline
+
 
 class TestFederationLabels:
     @pytest.fixture

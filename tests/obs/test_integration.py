@@ -102,6 +102,25 @@ class TestJourneyCapture:
         # controllers, the kubelet, and the in-container app track.
         assert len(tracks) >= 4
 
+    def test_control_plane_writes_are_children_of_their_pass(self, observed_run):
+        """A write made inside a reconcile pass is that pass's child, so
+        DevMgr's pod creations join the SharePod's journey."""
+        _, hub = observed_run
+        by_id = {s.span_id: s for s in hub.tracer.spans}
+        writes = [
+            s for s in hub.tracer.spans if s.name in ("update SharePod", "create Pod")
+        ]
+        assert {f"default/sp{i}" for i in range(N_PODS)} <= {
+            s.attrs["object"] for s in writes
+        }
+        for write in writes:
+            parent = by_id[write.parent_id]
+            assert parent.name == "reconcile"
+            assert write.trace_id == parent.attrs["key"]
+        creates = [s for s in writes if s.name == "create Pod"]
+        assert {by_id[s.parent_id].track for s in creates} == {"kubeshare-devmgr"}
+        assert {s.trace_id for s in creates} == set(hub.roots)
+
     def test_events_tell_the_placement_story(self, observed_run):
         _, hub = observed_run
         reasons = {e.reason for e in hub.events.ledger}

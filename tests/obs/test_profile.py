@@ -25,7 +25,7 @@ def _busy_env():
             sum(range(500))
             yield env.timeout(1.0)
 
-    env.process(worker(5), name="kubeshare-sched:reconcile")
+    env.process(worker(5), name="kubeshare-sched:worker0")
     env.process(worker(3), name="kubelet:node00")
     return env
 

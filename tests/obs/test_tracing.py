@@ -76,6 +76,30 @@ class TestNesting:
         p = env.process(proc())
         env.run(until=p)
 
+    def test_stack_map_holds_only_processes_with_open_spans(self, env, tracer):
+        """Processes that recorded only instants or detached spans leave
+        no stack behind, and a stack goes when its last span closes."""
+
+        def marker(i):
+            tracer.instant("mark", "ctl")
+            yield env.timeout(i)
+            tracer.end(tracer.start("story", "ctl", detached=True))
+
+        def nested():
+            with tracer.span("outer", "ctl"):
+                with tracer.span("inner", "ctl"):
+                    yield env.timeout(1)
+                assert len(tracer._stacks) == 1
+            assert tracer._stacks == {}
+            yield env.timeout(1)
+
+        for i in range(5):
+            env.process(marker(i))
+        env.process(nested())
+        env.run()
+        assert len(tracer.spans) == 12
+        assert tracer._stacks == {}
+
     def test_max_spans_drops_not_grows(self, env):
         small = Tracer(env, max_spans=2)
         for i in range(5):

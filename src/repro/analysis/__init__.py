@@ -14,11 +14,9 @@ vGPUs, token quotas respected):
   (DESIGN.md §8); whole-program dataflow passes — interprocedural taint,
   fence escape, yield-point atomicity — in :mod:`repro.analysis.flow`
   over the project call graph (:mod:`repro.analysis.callgraph`,
-  DESIGN.md §13). Production surface: SARIF 2.1.0 output
-  (:mod:`repro.analysis.sarif`), a committed finding baseline with
-  diff-aware CI mode (:mod:`repro.analysis.baseline`), mechanical
-  autofixes (:mod:`repro.analysis.fixes`), and a content-hash result
-  cache (:mod:`repro.analysis.cache`).
+  DESIGN.md §13). SARIF 2.1.0 output for code scanning
+  (:mod:`repro.analysis.sarif`) and a stale-suppression check
+  (``--check-suppressions``).
 * :mod:`repro.analysis.race` — a dynamic lost-update / double-bind /
   token-over-grant detector that instruments :class:`~repro.cluster.etcd.Etcd`
   and the per-node token backends at runtime (armed in every capstone

@@ -6,13 +6,11 @@ know *what a call resolves to* across module boundaries. This module
 builds that view in two stages:
 
 1. **Collection** — :func:`collect_file_facts` walks one parsed file and
-   distills everything the global passes need into a serializable
-   :class:`FileFacts` record: function summaries (params, taint-relevant
-   return shapes, every call site), class summaries (init params,
-   ``self.x = param`` stores, constructor forwarding, write-through
-   attributes), and ``HAControllerGroup`` factory bodies. Facts are
-   plain dicts/lists/strings so the lint cache can persist them keyed by
-   file content hash — an unchanged file is never re-parsed.
+   distills everything the global passes need into a :class:`FileFacts`
+   record: function summaries (params, taint-relevant return shapes,
+   every call site), class summaries (init params, ``self.x = param``
+   stores, constructor forwarding, write-through attributes), and
+   ``HAControllerGroup`` factory bodies.
 2. **Resolution** — :class:`ProjectIndex` ingests every file's facts and
    answers qualified-name queries: module functions through the import
    table, ``self.method`` through the class and its (project-local)
@@ -40,9 +38,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .rules import FileContext, _dotted, _is_set_annotation
+from .rules import FileContext, _dotted
 
 __all__ = [
     "FileFacts",
@@ -123,7 +121,7 @@ def _direct_taint_source(ctx: FileContext, node: ast.AST) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# facts records (everything JSON-serializable via to_dict/from_dict)
+# facts records
 # ---------------------------------------------------------------------------
 
 
@@ -137,20 +135,6 @@ class CallSiteFacts:
     display: str  # as written in source, for messages
     arg_callees: List[str] = field(default_factory=list)
     arg_direct_taint: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "callee": self.callee,
-            "display": self.display,
-            "arg_callees": list(self.arg_callees),
-            "arg_direct_taint": self.arg_direct_taint,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "CallSiteFacts":
-        return cls(**d)
 
 
 @dataclass
@@ -169,24 +153,6 @@ class FunctionFacts:
     return_callees: List[str]
     call_sites: List[CallSiteFacts]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "cls": self.cls,
-            "params": list(self.params),
-            "is_generator": self.is_generator,
-            "direct_taint": self.direct_taint,
-            "return_callees": list(self.return_callees),
-            "call_sites": [c.to_dict() for c in self.call_sites],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "FunctionFacts":
-        d = dict(d)
-        d["call_sites"] = [CallSiteFacts.from_dict(c) for c in d["call_sites"]]
-        return cls(**d)
-
 
 @dataclass
 class ForwardFacts:
@@ -196,18 +162,6 @@ class ForwardFacts:
     class_ref: str
     arg_index: Optional[int]  # positional (0-based, self excluded) …
     kw: Optional[str]  # … or keyword
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "param": self.param,
-            "class_ref": self.class_ref,
-            "arg_index": self.arg_index,
-            "kw": self.kw,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ForwardFacts":
-        return cls(**d)
 
 
 @dataclass
@@ -233,26 +187,6 @@ class ClassFacts:
     method_shared_reads: Dict[str, List[str]]
     method_shared_writes: Dict[str, List[str]]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "bases": list(self.bases),
-            "init_params": list(self.init_params),
-            "stores": {k: list(v) for k, v in self.stores.items()},
-            "forwards": [f.to_dict() for f in self.forwards],
-            "write_attrs": list(self.write_attrs),
-            "attr_types": dict(self.attr_types),
-            "method_shared_reads": {k: list(v) for k, v in self.method_shared_reads.items()},
-            "method_shared_writes": {k: list(v) for k, v in self.method_shared_writes.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ClassFacts":
-        d = dict(d)
-        d["forwards"] = [ForwardFacts.from_dict(f) for f in d["forwards"]]
-        return cls(**d)
-
 
 @dataclass
 class FactoryCtorArg:
@@ -270,23 +204,6 @@ class FactoryCtorArg:
     #: an unfenced api-ish handle (two-constructor laundering).
     inner_class_ref: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "class_ref": self.class_ref,
-            "arg_index": self.arg_index,
-            "kw": self.kw,
-            "expr": self.expr,
-            "fenced": self.fenced,
-            "apiish": self.apiish,
-            "inner_class_ref": self.inner_class_ref,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "FactoryCtorArg":
-        return cls(**d)
-
 
 @dataclass
 class FactoryFacts:
@@ -296,19 +213,6 @@ class FactoryFacts:
     col: int
     ctor_args: List[FactoryCtorArg]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "ctor_args": [a.to_dict() for a in self.ctor_args],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "FactoryFacts":
-        d = dict(d)
-        d["ctor_args"] = [FactoryCtorArg.from_dict(a) for a in d["ctor_args"]]
-        return cls(**d)
-
 
 @dataclass
 class FileFacts:
@@ -316,29 +220,9 @@ class FileFacts:
 
     path: str
     module: str
-    #: cross-file set-attribute facts (feeds rules.ProjectContext).
-    set_attrs: List[str]
     functions: List[FunctionFacts]
     classes: List[ClassFacts]
     factories: List[FactoryFacts]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "set_attrs": sorted(self.set_attrs),
-            "functions": [f.to_dict() for f in self.functions],
-            "classes": [c.to_dict() for c in self.classes],
-            "factories": [f.to_dict() for f in self.factories],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "FileFacts":
-        d = dict(d)
-        d["functions"] = [FunctionFacts.from_dict(f) for f in d["functions"]]
-        d["classes"] = [ClassFacts.from_dict(c) for c in d["classes"]]
-        d["factories"] = [FactoryFacts.from_dict(f) for f in d["factories"]]
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +771,7 @@ def _walk_function(fn: ast.AST, into_body: bool = False) -> Iterator[ast.AST]:
 
 
 def collect_file_facts(ctx: FileContext) -> FileFacts:
-    """Distill one parsed file into its serializable facts record."""
+    """Distill one parsed file into its facts record."""
     collector = _Collector(ctx)
     functions: List[FunctionFacts] = []
     classes: List[ClassFacts] = []
@@ -903,47 +787,13 @@ def collect_file_facts(ctx: FileContext) -> FileFacts:
                 if isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     functions.append(collector.collect_function(meth, node, attr_types))
 
-    # set-attribute facts for rules.ProjectContext (so cached files need
-    # no re-parse to contribute their cross-file facts)
-    set_attrs: Set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.AnnAssign) and _is_set_annotation(node.annotation):
-            target = node.target
-            if isinstance(target, ast.Attribute):
-                set_attrs.add(target.attr)
-            elif isinstance(target, ast.Name) and _in_class_body(ctx.tree, node):
-                set_attrs.add(target.id)
-        elif isinstance(node, ast.Assign) and _is_set_literal(node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Attribute):
-                    set_attrs.add(target.attr)
-
     return FileFacts(
         path=ctx.path,
         module=collector.module,
-        set_attrs=sorted(set_attrs),
         functions=functions,
         classes=classes,
         factories=collector.collect_factories(),
     )
-
-
-def _is_set_literal(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        name = _dotted(node.func)
-        return name in ("set", "frozenset")
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.Sub)):
-        return _is_set_literal(node.left) or _is_set_literal(node.right)
-    return False
-
-
-def _in_class_body(tree: ast.Module, node: ast.AST) -> bool:
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and node in cls.body:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,10 @@ def taint_sink_scope(path: str) -> bool:
     return parts[-1] not in ("cli.py", "__main__.py")
 
 
-def _finding(
-    path: str, line: int, col: int, rule_id: str, message: str,
-    fix: Optional[Tuple[int, int, int, int, str]] = None,
-) -> Finding:
+def _finding(path: str, line: int, col: int, rule_id: str, message: str) -> Finding:
     return Finding(
         path=path, line=line, col=col, rule_id=rule_id,
-        message=message, fixit=_RULE_BY_ID[rule_id].fixit, fix=fix,
+        message=message, fixit=_RULE_BY_ID[rule_id].fixit,
     )
 
 

@@ -1,15 +1,16 @@
 """Sim-aware linter driver: ``python -m repro.analysis.lint src tests benchmarks``.
 
-Walks the given files/directories, parses every ``.py`` file once (or
-pulls its facts from the content-hash cache), runs the file-local RPR
-rules (:mod:`repro.analysis.rules`), the per-file yield-atomicity pass,
-and the whole-program dataflow passes (:mod:`repro.analysis.flow` over
-:mod:`repro.analysis.callgraph`), and prints one line per finding::
+Walks the given files/directories, parses every ``.py`` file once, runs
+the file-local RPR rules (:mod:`repro.analysis.rules`), the per-file
+yield-atomicity pass, and the whole-program dataflow passes
+(:mod:`repro.analysis.flow` over :mod:`repro.analysis.callgraph`), and
+prints one line per finding::
 
     src/repro/core/devmgr.py:185:29: RPR006 unsorted iteration over set
     `vgpu.attached` (fix: iterate sorted(...): ...)
 
-Exit status is 1 if any unsuppressed finding remains, else 0.
+Exit status is 1 if any unsuppressed finding remains or any file fails
+to parse, else 0.
 
 Suppressions are inline, flake8-style, and must name the rule::
 
@@ -26,15 +27,15 @@ semantics, conflict-retry tests) can disable named rules file-wide::
 
     # repro-lint: disable=RPR004 - this file tests raw put/CAS semantics
 
-Production modes::
+Other modes::
 
     --format sarif            SARIF 2.1.0 for GitHub code scanning
-    --baseline FILE           fail only on findings not in the baseline
-    --write-baseline FILE     accept the current findings as the baseline
-    --changed-since REF       report only files changed since a git ref
-    --fix                     apply the mechanical fix-its in place
+    --output FILE             write the report to FILE instead of stdout
     --check-suppressions      report stale `# noqa: RPRxxx` comments
-    --no-cache                bypass the .repro-lint-cache content cache
+    --explain-rules           print the rule catalogue (docs/rules.md)
+
+``lint_source`` (the rule-fixture tests) and ``run_analysis`` (this CLI)
+run the same pipeline, :func:`_analyze`.
 """
 
 from __future__ import annotations
@@ -48,18 +49,14 @@ import re
 import sys
 import tokenize
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from . import baseline as baseline_mod
 from . import flow
-from .cache import DEFAULT_CACHE_PATH, LintCache, content_hash, set_attrs_digest
 from .callgraph import FileFacts, ProjectIndex, collect_file_facts
-from .fixes import apply_fixes
 from .rules import ALL_RULES, FileContext, Finding, ProjectContext, run_rules
 from .sarif import render_sarif
 
 __all__ = [
-    "lint_paths",
     "lint_source",
     "run_analysis",
     "AnalysisResult",
@@ -146,140 +143,75 @@ class AnalysisResult:
         #: unsuppressed findings, sorted (what the CLI reports).
         self.findings: List[Finding] = []
         #: every finding before noqa/pragma filtering (stale-suppression
-        #: detection and ``--write-baseline`` work on these).
+        #: detection works on these).
         self.raw_findings: List[Finding] = []
         self.errors: List[str] = []
         self.sources: Dict[str, str] = {}
         self.index: ProjectIndex = ProjectIndex()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
 
-def _collect_one(
-    path: Path,
-    source: str,
-    sha: str,
-    cache: LintCache,
-) -> Tuple[Optional[FileFacts], Optional[FileContext], Optional[str]]:
-    """Facts (+ parsed context when a parse happened) for one file."""
-    facts = cache.get_facts(str(path), sha)
-    if facts is not None:
-        return facts, None, None
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as err:
-        return None, None, f"{path}: {err}"
-    ctx = FileContext(str(path), source, tree)
-    facts = collect_file_facts(ctx)
-    cache.put_facts(str(path), sha, facts)
-    return facts, ctx, None
+def _analyze(files: Iterable[Tuple[str, str]], result: AnalysisResult) -> AnalysisResult:
+    """Run every pass over *files* (``(path, source)`` pairs) into *result*.
 
-
-def run_analysis(
-    paths: Sequence[str], cache: Optional[LintCache] = None
-) -> AnalysisResult:
-    """Analyze every ``.py`` file under *paths* (all passes)."""
-    cache = cache if cache is not None else LintCache(None)
-    result = AnalysisResult()
-
-    records: List[Tuple[Path, str, str, FileFacts, Optional[FileContext]]] = []
-    for file in _iter_py_files(paths):
-        try:
-            source = file.read_text(encoding="utf-8")
-        except OSError as err:
-            result.errors.append(f"{file}: {err}")
-            continue
-        sha = content_hash(source)
-        facts, ctx, error = _collect_one(file, source, sha, cache)
-        if error is not None:
-            result.errors.append(error)
-            continue
-        result.sources[str(file)] = source
-        records.append((file, source, sha, facts, ctx))
-        result.index.add(facts)
-
-    # project-wide set-attribute table (feeds RPR006) from facts, so
-    # cached files contribute without a re-parse.
+    The one analysis pipeline: parse each file, collect the project-wide
+    set attributes (RPR006) and the call-graph facts, run the file-local
+    rules and yield atomicity per file, then the whole-program passes
+    over the index, and finally apply the noqa/pragma suppressions.
+    """
     project = ProjectContext()
-    for _, _, _, facts, _ in records:
-        project.set_attrs.update(facts.set_attrs)
-    attrs_digest = set_attrs_digest(sorted(project.set_attrs))
+    parsed: List[Tuple[FileContext, FileFacts]] = []
+    for path, source in files:
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as err:
+            result.errors.append(f"{path}: {err}")
+            continue
+        ctx = FileContext(path, source, tree)
+        project.collect(ctx)
+        facts = collect_file_facts(ctx)
+        result.index.add(facts)
+        result.sources[path] = source
+        parsed.append((ctx, facts))
 
     raw: List[Finding] = []
-    for file, source, sha, facts, ctx in records:
-        cached = cache.get_findings(str(file), sha, attrs_digest)
-        if cached is not None:
-            raw.extend(cached)
-            result.cache_hits += 1
-            continue
-        result.cache_misses += 1
-        if ctx is None:  # facts came from cache but findings did not
-            try:
-                tree = ast.parse(source, filename=str(file))
-            except SyntaxError as err:  # pragma: no cover - caught above
-                result.errors.append(f"{file}: {err}")
-                continue
-            ctx = FileContext(str(file), source, tree)
-        file_findings = run_rules(ctx, project)
-        file_findings.extend(flow.check_yield_atomicity(ctx, facts))
-        file_findings.sort(key=lambda f: (f.line, f.col, f.rule_id))
-        cache.put_findings(str(file), sha, attrs_digest, file_findings)
-        raw.extend(file_findings)
-
-    # whole-program passes: always recomputed, purely over facts.
+    for ctx, facts in parsed:
+        raw.extend(run_rules(ctx, project))
+        raw.extend(flow.check_yield_atomicity(ctx, facts))
     raw.extend(flow.project_findings(result.index))
     raw.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     result.raw_findings = raw
 
-    noqa_by_path: Dict[str, Dict[int, Set[str]]] = {}
-    pragma_by_path: Dict[str, Set[str]] = {}
-    for f in raw:
-        if f.path not in noqa_by_path:
-            source = result.sources.get(f.path, "")
-            noqa_by_path[f.path] = _noqa_map(source)
-            pragma_by_path[f.path] = _file_pragma(source)
-        if not _suppressed(f, noqa_by_path[f.path], pragma_by_path[f.path]):
-            result.findings.append(f)
-
-    cache.prune([str(file) for file, *_ in records])
-    cache.save()
+    suppressions = {
+        path: (_noqa_map(source), _file_pragma(source))
+        for path, source in result.sources.items()
+    }
+    result.findings = [f for f in raw if not _suppressed(f, *suppressions[f.path])]
     return result
 
 
-def lint_source(
-    source: str, path: str = "<string>", project: ProjectContext | None = None
-) -> List[Finding]:
+def run_analysis(paths: Sequence[str]) -> AnalysisResult:
+    """Analyze every ``.py`` file under *paths* (all passes)."""
+    result = AnalysisResult()
+    files: List[Tuple[str, str]] = []
+    for file in _iter_py_files(paths):
+        try:
+            files.append((str(file), file.read_text(encoding="utf-8")))
+        except OSError as err:
+            result.errors.append(f"{file}: {err}")
+    return _analyze(files, result)
+
+
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one source blob (the unit the fixture tests drive).
 
     Runs every pass, including the whole-program ones, over a
     single-file project — helpers and callers in the same blob resolve
     against each other.
     """
-    tree = ast.parse(source, filename=path)
-    ctx = FileContext(path, source, tree)
-    facts = collect_file_facts(ctx)
-    if project is None:
-        project = ProjectContext()
-        project.collect(ctx)
-    findings = run_rules(ctx, project)
-    findings.extend(flow.check_yield_atomicity(ctx, facts))
-    index = ProjectIndex()
-    index.add(facts)
-    findings.extend(flow.project_findings(index))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    noqa = _noqa_map(source)
-    file_wide = _file_pragma(source)
-    return [f for f in findings if not _suppressed(f, noqa, file_wide)]
-
-
-def lint_paths(paths: Sequence[str]) -> Tuple[List[Finding], List[str]]:
-    """Lint every ``.py`` file under *paths* (no cache).
-
-    Returns ``(findings, errors)`` where *errors* are files that failed
-    to parse (reported, and counted as failures).
-    """
-    result = run_analysis(paths, LintCache(None))
-    return result.findings, result.errors
+    result = _analyze([(path, source)], AnalysisResult())
+    if result.errors:
+        raise SyntaxError(result.errors[0])
+    return result.findings
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +292,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or directories")
     parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue and exit"
-    )
-    parser.add_argument(
         "--explain-rules",
         action="store_true",
         help="print the rule catalogue as markdown (docs/rules.md) and exit",
@@ -377,51 +306,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--output", metavar="FILE", help="write the report here instead of stdout"
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="accept the current findings: write them as the new baseline and exit",
-    )
-    parser.add_argument(
-        "--changed-since",
-        metavar="REF",
-        help="diff-aware mode: only report findings in files changed since REF",
-    )
-    parser.add_argument(
-        "--fix", action="store_true", help="apply mechanical fix-its in place"
-    )
-    parser.add_argument(
         "--check-suppressions",
         action="store_true",
         help="report stale `# noqa: RPRxxx` / pragma suppressions and exit",
     )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="bypass the lint result cache"
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        default=DEFAULT_CACHE_PATH,
-        help=f"cache file location (default: {DEFAULT_CACHE_PATH})",
-    )
     args = parser.parse_args(argv)
 
-    if args.list_rules:
-        for rule in ALL_RULES:
-            print(f"{rule.id}  {rule.title}")
-            print(f"        why: {rule.rationale}")
-            print(f"        fix: {rule.fixit}")
-        return 0
     if args.explain_rules:
         print(explain_rules())
         return 0
 
-    cache = LintCache(None if args.no_cache else args.cache)
-    result = run_analysis(args.paths, cache)
+    result = run_analysis(args.paths)
+    # A file that does not parse fails every mode: none of its findings
+    # or suppressions can be judged.
+    for error in result.errors:
+        print(f"error: {error}", file=sys.stderr)
 
     if args.check_suppressions:
         stale = stale_suppressions(result)
@@ -429,41 +328,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{path}:{line}: stale suppression for {code} (no such finding)")
         if stale:
             print(f"\n{len(stale)} stale suppression(s)")
-            return 1
-        return 0
-
-    if args.fix:
-        changed = apply_fixes(result.findings)
-        for path, n in sorted(changed.items()):
-            print(f"fixed: {path} ({n} edit(s))")
-        if changed:
-            # re-analyze so the report reflects the rewritten tree
-            result = run_analysis(args.paths, cache)
-
-    if args.write_baseline:
-        baseline_mod.write_baseline(args.write_baseline, result.findings)
-        print(f"baseline: wrote {len(result.findings)} finding(s) to {args.write_baseline}")
-        return 0
+        return 1 if (stale or result.errors) else 0
 
     findings = result.findings
-    if args.baseline:
-        accepted = baseline_mod.load_baseline(args.baseline)
-        findings = baseline_mod.filter_baseline(findings, accepted)
-
-    if args.changed_since:
-        changed_set = baseline_mod.changed_files(args.changed_since)
-        if changed_set is None:
-            print(
-                f"warning: `git diff {args.changed_since}` failed; "
-                "reporting the full tree",
-                file=sys.stderr,
-            )
-        else:
-            findings = baseline_mod.restrict_to_changed(findings, changed_set)
-
-    for error in result.errors:
-        print(f"error: {error}", file=sys.stderr)
-
     if args.format == "sarif":
         report = render_sarif(findings)
     else:

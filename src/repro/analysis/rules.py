@@ -26,8 +26,7 @@ RPR013  read-modify-write on shared state spans a yield point
 
 RPR011–013 are implemented in :mod:`repro.analysis.flow` over the
 project call graph (:mod:`repro.analysis.callgraph`); their catalogue
-entries live here so ``--list-rules``/``--explain-rules`` and SARIF see
-one rule table.
+entries live here so ``--explain-rules`` and SARIF see one rule table.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ class Finding:
     rule_id: str
     message: str
     fixit: str
-    #: mechanical autofix, when one exists: ``(start_line, start_col,
-    #: end_line, end_col, replacement)`` in 1-based line / 0-based column
-    #: AST coordinates. Applied by ``repro.analysis.fixes``.
-    fix: Optional[Tuple[int, int, int, int, str]] = None
 
     def render(self) -> str:
         return (
@@ -63,7 +58,7 @@ class Finding:
 
 @dataclass(frozen=True)
 class RuleInfo:
-    """Catalogue entry for one rule (``--list-rules`` and DESIGN.md §8)."""
+    """Catalogue entry for one rule (``--explain-rules`` and DESIGN.md §8)."""
 
     id: str
     title: str
@@ -701,34 +696,17 @@ def _check_set_iteration(ctx: FileContext, project: ProjectContext) -> Iterator[
 
         for sub in _walk_scope(scope):
             if isinstance(sub, (ast.For, ast.AsyncFor)) and is_set(sub.iter):
-                yield _finding(
-                    ctx, sub.iter, "RPR006", _set_iter_msg(sub.iter),
-                    fix=_sorted_wrap_fix(ctx, sub.iter),
-                )
+                yield _finding(ctx, sub.iter, "RPR006", _set_iter_msg(sub.iter))
             elif isinstance(sub, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
                 if sub in reduced and not isinstance(sub, (ast.ListComp, ast.DictComp)):
                     continue
                 for gen in sub.generators:
                     if is_set(gen.iter):
-                        yield _finding(
-                            ctx, gen.iter, "RPR006", _set_iter_msg(gen.iter),
-                            fix=_sorted_wrap_fix(ctx, gen.iter),
-                        )
+                        yield _finding(ctx, gen.iter, "RPR006", _set_iter_msg(gen.iter))
             elif isinstance(sub, ast.Call):
                 name = _dotted(sub.func)
                 if name in _ORDERED_CONSUMERS and sub.args and is_set(sub.args[0]):
-                    if name == "list":
-                        # list(s) -> sorted(s): same list out, stable order.
-                        arg_seg = _segment(ctx, sub.args[0])
-                        fix = (
-                            (sub.lineno, sub.col_offset, sub.end_lineno,
-                             sub.end_col_offset, f"sorted({arg_seg})")
-                            if arg_seg is not None and sub.end_lineno is not None
-                            else None
-                        )
-                    else:
-                        fix = _sorted_wrap_fix(ctx, sub.args[0])
-                    yield _finding(ctx, sub, "RPR006", _set_iter_msg(sub.args[0]), fix=fix)
+                    yield _finding(ctx, sub, "RPR006", _set_iter_msg(sub.args[0]))
 
 
 def _walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
@@ -754,24 +732,6 @@ def _set_iter_msg(expr: ast.AST) -> str:
     name = _dotted(expr)
     what = f"`{name}`" if name else "a set expression"
     return f"unsorted iteration over set {what}"
-
-
-def _segment(ctx: FileContext, node: ast.AST) -> Optional[str]:
-    try:
-        return ast.get_source_segment(ctx.source, node)
-    except Exception:
-        return None
-
-
-def _sorted_wrap_fix(
-    ctx: FileContext, expr: ast.AST
-) -> Optional[Tuple[int, int, int, int, str]]:
-    """Autofix span wrapping *expr* in ``sorted(...)``."""
-    seg = _segment(ctx, expr)
-    if seg is None or getattr(expr, "end_lineno", None) is None:
-        return None
-    return (expr.lineno, expr.col_offset, expr.end_lineno, expr.end_col_offset,
-            f"sorted({seg})")
 
 
 # ---------------------------------------------------------------------------
@@ -949,22 +909,12 @@ def _check_unguarded_delete(ctx: FileContext) -> Iterator[Finding]:
             receiver = _dotted(sub.func.value)
             if receiver is None or "api" not in _segments(receiver):
                 continue
-            fix = None
-            if sub.func.attr == "delete" and getattr(sub.func, "end_lineno", None):
-                # mechanical helper substitution: delete -> try_delete
-                # (same signature, NotFound-tolerant).
-                fix = (
-                    sub.func.lineno, sub.func.col_offset,
-                    sub.func.end_lineno, sub.func.end_col_offset,
-                    f"{receiver}.try_delete",
-                )
             yield _finding(
                 ctx,
                 sub,
                 "RPR009",
                 f"`{receiver}.{sub.func.attr}(...)` with no NotFound/Conflict "
                 "handling in scope",
-                fix=fix,
             )
 
 
@@ -1031,7 +981,6 @@ def _finding(
     node: ast.AST,
     rule_id: str,
     message: str,
-    fix: Optional[Tuple[int, int, int, int, str]] = None,
     fixit: Optional[str] = None,
 ) -> Finding:
     info = _RULE_BY_ID[rule_id]
@@ -1042,7 +991,6 @@ def _finding(
         rule_id=rule_id,
         message=message,
         fixit=fixit if fixit is not None else info.fixit,
-        fix=fix,
     )
 
 

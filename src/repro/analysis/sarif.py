@@ -2,20 +2,25 @@
 
 One static schema subset, kept deliberately small: a single ``run`` with
 the full rule catalogue in ``tool.driver.rules`` and one ``result`` per
-finding, carrying a stable ``partialFingerprints`` entry (the same
-fingerprint the baseline uses, so code scanning and the baseline agree
-on finding identity across line shifts).
+finding, carrying a stable ``partialFingerprints`` entry so code
+scanning keeps a finding's identity across line shifts.
+
+Fingerprints are deliberately *line-independent*: ``sha1(rule_id |
+normalized-path | message | occurrence-index)``, where the occurrence
+index disambiguates identical messages in one file. Inserting unrelated
+lines above a finding does not change its fingerprint; changing the code
+that produces the finding does.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Any, Dict, List, Sequence
 
-from .baseline import fingerprints
 from .rules import ALL_RULES, Finding
 
-__all__ = ["SARIF_SCHEMA", "SARIF_VERSION", "to_sarif", "render_sarif"]
+__all__ = ["SARIF_SCHEMA", "SARIF_VERSION", "fingerprints", "to_sarif", "render_sarif"]
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -25,6 +30,22 @@ SARIF_SCHEMA = (
 
 TOOL_NAME = "repro-lint"
 TOOL_URI = "https://github.com/kubeshare-repro"
+
+
+def _norm(path: str) -> str:
+    return path.replace("\\", "/").lstrip("./")
+
+
+def fingerprints(findings: Sequence[Finding]) -> List[str]:
+    """Stable fingerprint per finding (order-aligned with the input)."""
+    counts: Dict[str, int] = {}
+    out: List[str] = []
+    for f in findings:
+        base = f"{f.rule_id}|{_norm(f.path)}|{f.message}"
+        n = counts.get(base, 0)
+        counts[base] = n + 1
+        out.append(hashlib.sha1(f"{base}|{n}".encode("utf-8")).hexdigest()[:20])
+    return out
 
 
 def _rule_descriptor(rule) -> Dict[str, Any]:

@@ -1,6 +1,6 @@
 """Call-graph collection and resolution fixtures: module functions,
-``self.method``, typed locals, constructor inference, factory bodies,
-and the facts round-trip that backs the lint cache."""
+``self.method``, typed locals, constructor inference, and factory
+bodies."""
 
 import ast
 import textwrap
@@ -236,44 +236,3 @@ class TestProjectIndex:
         index = index_for("def f():\n    return 1\n")
         assert index.resolve_function("nowhere.else") is None
         assert index.resolve_class("nowhere.Else") is None
-
-
-class TestFactsRoundTrip:
-    def test_to_dict_from_dict_is_lossless(self):
-        facts = facts_for("""
-            import time
-
-            POOL_KEYS = {"a", "b"}
-
-            class Controller:
-                def __init__(self, api):
-                    self.api = api
-                def push(self, obj):
-                    self.api.update(obj)
-
-            def stamp():
-                return time.time()
-
-            def wire(env, apiserver):
-                def factory(client):
-                    return Controller(apiserver)
-                return HAControllerGroup(env, "ctl", 3, factory)
-        """)
-        clone = FileFacts.from_dict(facts.to_dict())
-        assert clone.to_dict() == facts.to_dict()
-        assert [f.qualname for f in clone.functions] == [
-            f.qualname for f in facts.functions
-        ]
-        assert clone.classes[0].stores == facts.classes[0].stores
-        assert len(clone.factories) == len(facts.factories)
-
-    def test_round_trip_survives_json(self):
-        import json
-
-        facts = facts_for("""
-            class C:
-                def __init__(self, api):
-                    self.api = api
-        """)
-        clone = FileFacts.from_dict(json.loads(json.dumps(facts.to_dict())))
-        assert clone.to_dict() == facts.to_dict()

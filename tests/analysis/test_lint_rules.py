@@ -4,17 +4,28 @@ rule (positive) and one that must not (negative), driven through
 
 import textwrap
 
-from repro.analysis.lint import lint_source
-from repro.analysis.rules import ALL_RULES, FileContext, ProjectContext
-import ast
+from repro.analysis.lint import lint_source, run_analysis
+from repro.analysis.rules import ALL_RULES
 
 
-def findings(source: str, project: ProjectContext = None):
-    return lint_source(textwrap.dedent(source), path="fixture.py", project=project)
+def findings(source: str):
+    return lint_source(textwrap.dedent(source), path="fixture.py")
 
 
-def rule_ids(source: str, project: ProjectContext = None):
-    return sorted({f.rule_id for f in findings(source, project)})
+def rule_ids(source: str):
+    return sorted({f.rule_id for f in findings(source)})
+
+
+def tree_findings(tmp_path, files):
+    """Unsuppressed findings per file name, from ``run_analysis`` (the
+    CLI's path) over a temp tree holding *files* (name -> source)."""
+    for name, source in files.items():
+        (tmp_path / name).write_text(textwrap.dedent(source), encoding="utf-8")
+    result = run_analysis([str(tmp_path)])
+    return {
+        name: [f for f in result.findings if f.path.endswith(name)]
+        for name in files
+    }
 
 
 class TestRPR001WallClock:
@@ -247,47 +258,50 @@ class TestRPR006SetIteration:
                     yield key
         """) == []
 
-    def test_set_attr_cross_file_flagged(self):
-        project = ProjectContext()
-        decl = textwrap.dedent("""
-            class Queue:
-                def __init__(self):
-                    self._live = set()
-        """)
-        use = textwrap.dedent("""
-            def drain(q):
-                for key in q._live:
-                    yield key
-        """)
-        project.collect(FileContext("decl.py", decl, ast.parse(decl)))
-        use_tree = ast.parse(use)
-        project.collect(FileContext("use.py", use, use_tree))
-        ids = {f.rule_id for f in lint_source(use, path="use.py", project=project)}
+    def test_set_attr_cross_file_flagged(self, tmp_path):
+        found = tree_findings(
+            tmp_path,
+            {
+                "decl.py": """
+                    class Queue:
+                        def __init__(self):
+                            self._live = set()
+                """,
+                "use.py": """
+                    def drain(q):
+                        for key in q._live:
+                            yield key
+                """,
+            },
+        )
+        ids = {f.rule_id for f in found["use.py"]}
         assert "RPR006" in ids
 
-    def test_local_list_overrides_foreign_set_attr(self):
+    def test_local_list_overrides_foreign_set_attr(self, tmp_path):
         # Another file's `self._pending = set()` must not taint a class
         # whose own `_pending` is a list.
-        project = ProjectContext()
-        decl = textwrap.dedent("""
-            class Queue:
-                def __init__(self):
-                    self._pending = set()
-        """)
-        use = textwrap.dedent("""
-            from typing import List
+        found = tree_findings(
+            tmp_path,
+            {
+                "decl.py": """
+                    class Queue:
+                        def __init__(self):
+                            self._pending = set()
+                """,
+                "use.py": """
+                    from typing import List
 
-            class Retrier:
-                def __init__(self):
-                    self._pending: List[str] = []
+                    class Retrier:
+                        def __init__(self):
+                            self._pending: List[str] = []
 
-                def drain(self):
-                    for entry in self._pending:
-                        yield entry
-        """)
-        project.collect(FileContext("decl.py", decl, ast.parse(decl)))
-        project.collect(FileContext("use.py", use, ast.parse(use)))
-        assert lint_source(use, path="use.py", project=project) == []
+                        def drain(self):
+                            for entry in self._pending:
+                                yield entry
+                """,
+            },
+        )
+        assert found["use.py"] == []
 
     def test_order_insensitive_reduction_clean(self):
         assert rule_ids("""

@@ -1,25 +1,22 @@
-"""Production-tooling tests for the lint engine: SARIF output, the
-committed baseline + diff-aware mode, autofix idempotency, the
-content-hash cache, tokenize-based noqa scanning, stale-suppression
-detection, and the CLI exit-code contract."""
+"""Tooling tests for the lint engine: SARIF output and its line-independent
+fingerprints, tokenize-based noqa scanning, stale-suppression detection,
+the CLI exit-code contract, and the generated rule catalogue."""
 
 import json
-import shutil
-import subprocess
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import baseline as baseline_mod
-from repro.analysis.cache import ENGINE_VERSION, LintCache
-from repro.analysis.fixes import apply_fixes_to_source
+from repro.analysis import sarif
 from repro.analysis.lint import (
+    explain_rules,
     lint_source,
     main,
     run_analysis,
     stale_suppressions,
 )
-from repro.analysis.rules import ALL_RULES
+from repro.analysis.rules import ALL_RULES, Finding
 from repro.analysis.sarif import to_sarif
 
 
@@ -75,14 +72,6 @@ class TestSarif:
         rules = doc["runs"][0]["tool"]["driver"]["rules"]
         assert rules[res["ruleIndex"]]["id"] == "RPR001"
 
-    def test_fingerprint_matches_baseline_fingerprint(self, tmp_path):
-        _write(tmp_path, "bad.py", WALLCLOCK)
-        result = run_analysis([str(tmp_path)])
-        doc = to_sarif(result.findings)
-        (res,) = doc["runs"][0]["results"]
-        (fp,) = baseline_mod.fingerprints(result.findings)
-        assert res["partialFingerprints"]["reproLintFingerprint/v1"] == fp
-
     def test_empty_findings_validates(self):
         doc = to_sarif([])
         assert doc["runs"][0]["results"] == []
@@ -90,7 +79,7 @@ class TestSarif:
 
 
 # ---------------------------------------------------------------------------
-# baseline + diff-aware mode
+# fingerprints (SARIF partialFingerprints)
 # ---------------------------------------------------------------------------
 
 
@@ -102,9 +91,7 @@ class TestBaseline:
         _write(tmp_path, "bad.py", "\n\n" + textwrap.dedent(WALLCLOCK))
         after = run_analysis([str(tmp_path)])
         assert before.findings[0].line != after.findings[0].line
-        assert baseline_mod.fingerprints(before.findings) == baseline_mod.fingerprints(
-            after.findings
-        )
+        assert sarif.fingerprints(before.findings) == sarif.fingerprints(after.findings)
 
     def test_duplicate_messages_get_distinct_fingerprints(self, tmp_path):
         _write(
@@ -121,206 +108,21 @@ class TestBaseline:
             """,
         )
         result = run_analysis([str(tmp_path)])
-        fps = baseline_mod.fingerprints(result.findings)
+        fps = sarif.fingerprints(result.findings)
         assert len(fps) == len(set(fps)) == 2
 
-    def test_write_then_filter_suppresses_everything(self, tmp_path):
-        _write(tmp_path, "bad.py", WALLCLOCK)
-        result = run_analysis([str(tmp_path)])
-        assert result.findings
-        bl = tmp_path / "baseline.json"
-        baseline_mod.write_baseline(str(bl), result.findings)
-        accepted = baseline_mod.load_baseline(str(bl))
-        assert baseline_mod.filter_baseline(result.findings, accepted) == []
-
-    def test_new_finding_survives_baseline(self, tmp_path):
-        _write(tmp_path, "bad.py", WALLCLOCK)
-        result = run_analysis([str(tmp_path)])
-        bl = tmp_path / "baseline.json"
-        baseline_mod.write_baseline(str(bl), result.findings)
-        _write(
-            tmp_path,
-            "bad.py",
-            textwrap.dedent(WALLCLOCK)
-            + "\ndef later():\n    return time.time()\n",
-        )
-        result = run_analysis([str(tmp_path)])
-        accepted = baseline_mod.load_baseline(str(bl))
-        fresh = baseline_mod.filter_baseline(result.findings, accepted)
-        assert len(fresh) == 1 and "time.time" in fresh[0].message
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert baseline_mod.load_baseline(str(tmp_path / "nope.json")) == set()
-
-
-@pytest.mark.skipif(shutil.which("git") is None, reason="git not available")
-class TestChangedSince:
-    def _git(self, cwd, *args):
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-            cwd=cwd,
-            check=True,
-            capture_output=True,
-        )
-
-    def test_changed_files_and_restrict(self, tmp_path, monkeypatch):
-        self._git(tmp_path, "init", "-q")
-        _write(tmp_path, "a.py", WALLCLOCK)
-        _write(tmp_path, "b.py", WALLCLOCK)
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-q", "-m", "seed")
-        _write(tmp_path, "a.py", textwrap.dedent(WALLCLOCK) + "X = 1\n")
-        changed = baseline_mod.changed_files("HEAD", cwd=str(tmp_path))
-        assert changed is not None
-        assert any(c.endswith("a.py") for c in changed)
-        assert not any(c.endswith("b.py") for c in changed)
-
-        # findings carry repo-relative paths when lint runs at the root,
-        # which is how the CLI matches them against `git diff` output
-        monkeypatch.chdir(tmp_path)
-        result = run_analysis(["."])
-        kept = baseline_mod.restrict_to_changed(result.findings, changed)
-        assert kept and all(f.path.endswith("a.py") for f in kept)
-
-    def test_unchanged_tree_reports_nothing(self, tmp_path, monkeypatch):
-        self._git(tmp_path, "init", "-q")
-        _write(tmp_path, "a.py", WALLCLOCK)
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-q", "-m", "seed")
-        changed = baseline_mod.changed_files("HEAD", cwd=str(tmp_path))
-        assert changed == set()
-        monkeypatch.chdir(tmp_path)
-        result = run_analysis(["."])
-        assert result.findings  # the tree has findings...
-        assert baseline_mod.restrict_to_changed(result.findings, changed) == []
-
-    def test_bad_ref_returns_none(self, tmp_path):
-        self._git(tmp_path, "init", "-q")
-        assert baseline_mod.changed_files("no-such-ref", cwd=str(tmp_path)) is None
-
-
-# ---------------------------------------------------------------------------
-# autofix
-# ---------------------------------------------------------------------------
-
-
-class TestAutofix:
-    SET_ITER = """
-        def drain(keys):
-            pending = set(keys)
-            for key in pending:
-                yield key
-    """
-
-    def test_sorted_wrap_applied(self):
-        src = textwrap.dedent(self.SET_ITER)
-        findings = lint_source(src, path="fixture.py")
-        assert any(f.fix is not None for f in findings)
-        fixed, applied = apply_fixes_to_source(src, findings)
-        assert applied == 1
-        assert "for key in sorted(pending):" in fixed
-
-    def test_fix_clears_the_finding(self):
-        src = textwrap.dedent(self.SET_ITER)
-        fixed, _ = apply_fixes_to_source(src, lint_source(src, path="fixture.py"))
-        assert not [
-            f for f in lint_source(fixed, path="fixture.py") if f.rule_id == "RPR006"
+    def test_fingerprint_values_are_pinned(self):
+        # Code scanning matches results across runs by these values: a
+        # change to the hash input re-opens every known finding.
+        msg = "wall-clock read `time.time()`"
+        findings = [
+            Finding("./src/repro/core/devmgr.py", 10, 5, "RPR001", msg, "x"),
+            Finding("src/repro/core/devmgr.py", 99, 1, "RPR001", msg, "y"),
         ]
-
-    def test_second_pass_is_byte_identical(self):
-        src = textwrap.dedent(self.SET_ITER)
-        once, _ = apply_fixes_to_source(src, lint_source(src, path="fixture.py"))
-        twice, applied = apply_fixes_to_source(
-            once, lint_source(once, path="fixture.py")
-        )
-        assert applied == 0
-        assert twice == once
-
-    def test_unguarded_delete_rewritten_to_try_delete(self):
-        # RPR009 polices library scope only, so give the fixture a src path
-        src = textwrap.dedent("""
-            def drop(api, name):
-                api.delete("Pod", name)
-        """)
-        findings = [f for f in lint_source(src, path="src/repro/fake.py") if f.fix]
-        fixed, applied = apply_fixes_to_source(src, findings)
-        assert applied == 1
-        assert 'api.try_delete("Pod", name)' in fixed
-
-    def test_noqa_is_never_autofixed_in(self):
-        # the only autofixes are mechanical rewrites; suppressions must be
-        # written (and justified) by a human.
-        src = textwrap.dedent("""
-            import time
-
-            def stamp():
-                return time.perf_counter()
-        """)
-        findings = lint_source(src, path="fixture.py")
-        fixed, applied = apply_fixes_to_source(src, findings)
-        assert applied == 0
-        assert "noqa" not in fixed
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-class TestCache:
-    def test_second_run_hits_for_every_file(self, tmp_path):
-        _write(tmp_path, "a.py", WALLCLOCK)
-        _write(tmp_path, "b.py", CLEAN)
-        cache_path = str(tmp_path / ".cache")
-        run_analysis([str(tmp_path)], LintCache(cache_path))
-        result = run_analysis([str(tmp_path)], LintCache(cache_path))
-        assert result.cache_hits == 2 and result.cache_misses == 0
-
-    def test_cached_findings_equal_fresh_findings(self, tmp_path):
-        _write(tmp_path, "a.py", WALLCLOCK)
-        cache_path = str(tmp_path / ".cache")
-        fresh = run_analysis([str(tmp_path)], LintCache(cache_path))
-        cached = run_analysis([str(tmp_path)], LintCache(cache_path))
-        assert [f.render() for f in cached.findings] == [
-            f.render() for f in fresh.findings
-        ]
-
-    def test_edit_invalidates_only_that_file(self, tmp_path):
-        _write(tmp_path, "a.py", WALLCLOCK)
-        _write(tmp_path, "b.py", CLEAN)
-        cache_path = str(tmp_path / ".cache")
-        run_analysis([str(tmp_path)], LintCache(cache_path))
-        _write(tmp_path, "b.py", CLEAN.replace("env.now", "env.now + 0"))
-        result = run_analysis([str(tmp_path)], LintCache(cache_path))
-        assert result.cache_hits == 1 and result.cache_misses == 1
-
-    def test_engine_version_mismatch_invalidates(self, tmp_path):
-        _write(tmp_path, "a.py", CLEAN)
-        cache_path = tmp_path / ".cache"
-        run_analysis([str(tmp_path)], LintCache(str(cache_path)))
-        payload = json.loads(cache_path.read_text(encoding="utf-8"))
-        assert payload["engine"] == ENGINE_VERSION
-        payload["engine"] = "rpr-engine-0"
-        cache_path.write_text(json.dumps(payload), encoding="utf-8")
-        result = run_analysis([str(tmp_path)], LintCache(str(cache_path)))
-        assert result.cache_misses == 1
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        _write(tmp_path, "a.py", WALLCLOCK)
-        cache_path = tmp_path / ".cache"
-        cache_path.write_text("{not json", encoding="utf-8")
-        result = run_analysis([str(tmp_path)], LintCache(str(cache_path)))
-        assert len(result.findings) == 1
-
-    def test_deleted_file_is_pruned(self, tmp_path):
-        a = _write(tmp_path, "a.py", CLEAN)
-        _write(tmp_path, "b.py", CLEAN)
-        cache_path = tmp_path / ".cache"
-        run_analysis([str(tmp_path)], LintCache(str(cache_path)))
-        a.unlink()
-        run_analysis([str(tmp_path)], LintCache(str(cache_path)))
-        payload = json.loads(cache_path.read_text(encoding="utf-8"))
-        assert not any(p.endswith("a.py") for p in payload["files"])
+        pinned = ["88f1e3d9f11222f7430b", "cad5cdd95a4819f0be3a"]
+        assert sarif.fingerprints(findings) == pinned
+        results = to_sarif(findings)["runs"][0]["results"]
+        assert [r["partialFingerprints"]["reproLintFingerprint/v1"] for r in results] == pinned
 
 
 # ---------------------------------------------------------------------------
@@ -418,59 +220,57 @@ class TestStaleSuppressions:
 class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         _write(tmp_path, "a.py", CLEAN)
-        assert main([str(tmp_path), "--no-cache"]) == 0
+        assert main([str(tmp_path)]) == 0
 
     def test_findings_exit_one(self, tmp_path, capsys):
         _write(tmp_path, "a.py", WALLCLOCK)
-        assert main([str(tmp_path), "--no-cache"]) == 1
+        assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "RPR001" in out and "1 finding(s)" in out
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         _write(tmp_path, "a.py", "def broken(:\n")
-        assert main([str(tmp_path), "--no-cache"]) == 1
+        assert main([str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_sarif_output_file(self, tmp_path, capsys):
         _write(tmp_path, "a.py", WALLCLOCK)
         out = tmp_path / "report.sarif"
-        assert main([str(tmp_path), "--no-cache", "--format", "sarif",
+        assert main([str(tmp_path), "--format", "sarif",
                      "--output", str(out)]) == 1
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["version"] == "2.1.0"
         assert len(doc["runs"][0]["results"]) == 1
 
-    def test_write_baseline_then_baseline_suppresses(self, tmp_path, capsys):
-        _write(tmp_path, "a.py", WALLCLOCK)
-        bl = tmp_path / "baseline.json"
-        assert main([str(tmp_path), "--no-cache", "--write-baseline", str(bl)]) == 0
-        assert main([str(tmp_path), "--no-cache", "--baseline", str(bl)]) == 0
-
-    def test_fix_rewrites_in_place(self, tmp_path, capsys):
-        path = _write(
-            tmp_path,
-            "a.py",
-            """
-            def drain(keys):
-                pending = set(keys)
-                for key in pending:
-                    yield key
-            """,
-        )
-        assert main([str(tmp_path), "--no-cache", "--fix"]) == 0
-        assert "sorted(pending)" in path.read_text(encoding="utf-8")
-
     def test_check_suppressions_exit_codes(self, tmp_path, capsys):
         _write(tmp_path, "a.py", "x = 1  # noqa: RPR001 - stale\n")
-        assert main([str(tmp_path), "--no-cache", "--check-suppressions"]) == 1
+        assert main([str(tmp_path), "--check-suppressions"]) == 1
         _write(tmp_path, "a.py", "x = 1\n")
-        assert main([str(tmp_path), "--no-cache", "--check-suppressions"]) == 0
+        assert main([str(tmp_path), "--check-suppressions"]) == 0
 
-    def test_changed_since_bad_ref_warns_and_falls_back(self, tmp_path, capsys):
-        _write(tmp_path, "a.py", WALLCLOCK)
-        code = main(
-            [str(tmp_path), "--no-cache", "--changed-since", "no-such-ref-xyz"]
-        )
-        captured = capsys.readouterr()
-        assert code == 1  # full-tree fallback still reports the finding
-        assert "warning" in captured.err
+    def test_check_suppressions_parse_error_exits_one(self, tmp_path, capsys):
+        # An unparsable file's suppressions cannot be judged, so the
+        # suppression gate fails on it just as the plain gate does.
+        _write(tmp_path, "a.py", "def broken(:\n")
+        assert main([str(tmp_path), "--check-suppressions"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_removed_options_are_rejected(self, tmp_path, capsys):
+        _write(tmp_path, "a.py", CLEAN)
+        for option in ("--no-cache", "--baseline=b.json", "--fix", "--list-rules"):
+            with pytest.raises(SystemExit) as exc:
+                main([str(tmp_path), option])
+            assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# generated docs
+# ---------------------------------------------------------------------------
+
+
+class TestRulesDoc:
+    def test_rules_md_matches_catalogue(self):
+        # docs/rules.md is `--explain-rules` output (print adds the
+        # trailing newline); regenerate it whenever a rule's text moves.
+        doc = Path(__file__).resolve().parents[2] / "docs" / "rules.md"
+        assert doc.read_text(encoding="utf-8") == explain_rules() + "\n"

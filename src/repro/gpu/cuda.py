@@ -16,6 +16,7 @@ vGPU device library does inside a container (§4.5).
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, Dict, Generator, Optional
 
 from ..analysis.resets import register_reset
@@ -83,6 +84,10 @@ class CudaAPI:
         self.session_request = 0.0
         self.session_limit = 1.0
         self.session_isolated = False
+        #: set by a device library that takes paced launches (the fluid
+        #: one); an application that sees it launches its request stream
+        #: at once instead of batch by batch.
+        self.paced_launches = False
 
     # -- context management -------------------------------------------------
     def cu_ctx_create(self, device_index: int = 0) -> CudaContext:
@@ -163,7 +168,7 @@ class CudaAPI:
 
     # -- compute API (intercepted by the device library) --------------------------
     def cu_launch_kernel(
-        self, ctx: CudaContext, work: float, demand: Optional[float] = None
+        self, ctx: CudaContext, work: float, demand: Optional[float] = None, pace: float = 0.0
     ) -> Generator:
         """Launch kernels totalling *work* seconds of full-device compute
         and synchronize (``cuLaunchKernel`` + ``cuCtxSynchronize``).
@@ -172,26 +177,36 @@ class CudaAPI:
         server handling a 30% load submits kernels only 30% of the time
         even when the device is otherwise free. ``None`` saturates.
 
+        A positive *pace* launches a request stream instead: the work
+        arrives at *pace* per second, and the device serves it as it
+        arrives, bursting to the session's limit while a backlog waits
+        (:meth:`~repro.gpu.device.ComputeSession.run_paced`).
+
         Returns a simulation generator — drive it with ``yield from`` (or
         wrap in ``env.process``).
         """
-        return self.hooks.call("cuLaunchKernel", self._launch, ctx, work, demand)
+        return self.hooks.call("cuLaunchKernel", self._launch, ctx, work, demand, pace)
 
     def cu_launch_grid(
-        self, ctx: CudaContext, work: float, demand: Optional[float] = None
+        self, ctx: CudaContext, work: float, demand: Optional[float] = None, pace: float = 0.0
     ) -> Generator:
         """Legacy launch entry point (``cuLaunchGrid``); same path."""
-        return self.hooks.call("cuLaunchGrid", self._launch, ctx, work, demand)
+        return self.hooks.call("cuLaunchGrid", self._launch, ctx, work, demand, pace)
 
     def _launch(
-        self, ctx: CudaContext, work: float, demand: Optional[float] = None
+        self, ctx: CudaContext, work: float, demand: Optional[float] = None, pace: float = 0.0
     ) -> Generator:
         self._check_ctx(ctx)
         if work < 0:
             raise CudaError(f"negative kernel work {work}")
         if demand is not None and not 0.0 < demand <= 1.0:
             raise CudaError(f"demand must be in (0,1], got {demand}")
-        yield from ctx.session.run(work, demand=demand)
+        if not pace:
+            yield from ctx.session.run(work, demand)
+        elif 0.0 < pace < math.inf:
+            yield from ctx.session.run_paced(work, pace)
+        else:
+            raise CudaError(f"pace must be finite and >= 0, got {pace}")
 
     def cu_memcpy_htod(self, ctx: CudaContext, ptr: DevicePointer, nbytes: int) -> Generator:
         """Host-to-device copy; costs transfer time but no compute."""

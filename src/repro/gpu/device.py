@@ -26,8 +26,14 @@ on one event: its finish timer, or nothing while its rate is 0. When a
 recompute changes the allocation, the device bills every running
 session's progress at its old rate and moves its resume onto a new finish
 timer, so a rate change wakes no process. A process resumes only to
-finish, to see its device fail, or when its finish timer leaves float
-residue of work.
+finish, to see its device fail, when its finish timer leaves float
+residue of work, or when a paced session catches up.
+
+A *paced* session (``run_paced(work, p)``) serves a request stream whose
+work arrives at ``p`` per second from the launch. While it keeps up with
+the arrivals its appetite is ``p``; when the allocation leaves it below
+``p`` it falls behind, and a backlogged server wants the whole device
+(appetite 1, so it runs at its limit) until its backlog empties.
 """
 
 from __future__ import annotations
@@ -104,6 +110,14 @@ class ComputeSession:
         self._slice_rate = 0.0
         self._holder: Optional[Event] = None
         self._due = _INF
+        # Pacing, while run_paced() executes: work arrives at `pace`
+        # per second until `_pace_end`; `_behind` while arrived work waits
+        # (appetite 1.0, not `pace`); `_catch` when the slice in flight
+        # ends where that backlog empties rather than at the finish.
+        self.pace = 0.0
+        self._pace_end = 0.0
+        self._behind = False
+        self._catch = False
 
     # -- engine bookkeeping -------------------------------------------------
     def _accumulate(self, now: float) -> None:
@@ -153,10 +167,66 @@ class ComputeSession:
                     )
                 yield device._arm(self)
                 self._remaining -= (env.now - self._started) * self._slice_rate
+                if self._catch and self._remaining > 1e-12:
+                    # A paced session caught up with its arrivals. The
+                    # slice is billed up to now, as _backlog reads it.
+                    self._started = env.now
+                    self._on_schedule()
+                    device._recompute()
         finally:
             device._disarm(self)
             self.demand = 0.0
             device._recompute()
+
+    def run_paced(self, work: float, pace: float) -> Generator:
+        """Process: serve *work* that arrives at *pace* per second from
+        now, a request stream whose arrivals end at ``start + work / pace``.
+
+        The session is *on schedule* while its unserved work is at most
+        what is still to arrive, ``pace * (pace_end - now)``; its appetite
+        is then *pace*. :meth:`GPUDevice._recompute` makes it *behind*
+        when a solve leaves it below *pace*, and a behind session's
+        appetite is 1.0, so it runs at its limit. A behind slice at a rate
+        above *pace* ends at the earlier of the finish and the catch-up,
+        where the backlog is empty; there the process flips back on
+        schedule and recomputes. A lone session that keeps up therefore
+        finishes at ``start + work / pace``; a pace above the limit (or
+        above 1) is behind from the start and runs at the limit. The
+        slices are :meth:`run`'s, started at appetite *pace*.
+        """
+        if not 0.0 < pace < _INF:
+            raise ValueError(f"pace must be finite and > 0, got {pace}")
+        device = self.device
+        self.pace = float(pace)
+        self._pace_end = device.env.now + work / self.pace
+        device._paced += 1
+        try:
+            yield from self.run(work, min(self.pace, 1.0))
+        finally:
+            self.pace = 0.0
+            self._behind = self._catch = False
+            device._paced -= 1
+
+    def _backlog(self, now: float) -> float:
+        """Arrived work not yet served at *now*, while a paced run is
+        armed (the slice in flight billed up to *now*)."""
+        remaining = self._remaining - (now - self._started) * self._slice_rate
+        return remaining - self.pace * (self._pace_end - now)
+
+    def _on_schedule(self) -> None:
+        self._behind = False
+        self.demand = min(self.pace, 1.0)
+
+    def _falls_behind(self, rate: float) -> bool:
+        """Called with a solved *rate*: an on-schedule paced session left
+        below its pace would fall behind at once, so it becomes behind,
+        with the appetite of a backlogged server. Returns whether it
+        flipped."""
+        if self.pace and not self._behind and rate < self.pace:
+            self._behind = True
+            self.demand = 1.0
+            return True
+        return False
 
     def set_params(self, request: Optional[float] = None, limit: Optional[float] = None) -> None:
         """Adjust request/limit on the fly (vGPU spec updates)."""
@@ -201,6 +271,9 @@ class GPUDevice:
         self._sessions: List[ComputeSession] = []
         #: sessions inside run(), in arming order (a dict as ordered set).
         self._armed: Dict[ComputeSession, None] = {}
+        #: how many sessions are inside run_paced(); _recompute checks
+        #: pacing only while this is non-zero.
+        self._paced = 0
         #: integral of total granted rate over time (NVML utilization).
         self.busy_integral = 0.0
         self._busy_rate = 0.0
@@ -297,6 +370,15 @@ class GPUDevice:
             return None
         s._slice_rate = rate
         delay = s._remaining / rate
+        if s.pace:
+            # A backlogged paced session that outruns its arrivals ends
+            # the slice no later than where its backlog empties.
+            s._catch = False
+            if s._behind and rate > s.pace:
+                backlog = s._backlog(now)
+                if backlog > 1e-12 and backlog / (rate - s.pace) < delay:
+                    delay = backlog / (rate - s.pace)
+                    s._catch = True
         s._holder = timer = self.env.timeout(delay)
         s._due = now + delay
         return timer
@@ -341,6 +423,7 @@ class GPUDevice:
                 s._started = now
                 s._holder = wake
                 s._due = now
+                s._catch = False
             else:
                 timer = self._slice(s, now)
                 if timer is not None:
@@ -382,8 +465,8 @@ class GPUDevice:
         demanding = (
             [] if self.failed else [s for s in self._sessions if s.demand > 0.0]
         )
-        n = len(demanding)
-
+        if self._paced:
+            self._pace_states(now, demanding)
         if len(demanding) < 2:
             # Token mode serializes launches, so the engine almost always
             # sees 0 or 1 demanding sessions — and then the full solve
@@ -416,32 +499,15 @@ class GPUDevice:
             if changed and self._armed:
                 self._retime(now)
             return
-        # Contention penalizes *unisolated* concurrent sharing of an
-        # over-committed device (limited memory bandwidth, §1). Sessions
-        # throttled by KubeShare's library serialize kernel launches and
-        # are immune.
-        contended_eff = 1.0
-        if n > 1:
-            total_appetite = sum(min(s.limit, s.demand) for s in demanding)
-            if total_appetite > 1.0 + 1e-9:
-                contended_eff = 1.0 / (1.0 + self.contention_per_peer * (n - 1))
-
-        entries = [
-            ShareEntry(request=s.request, cap=min(s.limit, s.demand))
-            for s in demanding
-        ]
-        if not entries:
-            alloc = []
-        elif n < 8:
-            # Bit-identical pure-Python mirror; numpy's fixed dispatch
-            # overhead dominates the solve at these sizes.
-            alloc = elastic_shares_py(entries, capacity=1.0)
-        else:
-            alloc = elastic_shares(entries, capacity=1.0)
-
-        new_rates = {}
-        for s, a in zip(demanding, alloc):
-            new_rates[id(s)] = float(a) * (1.0 if s.isolated else contended_eff)
+        new_rates = self._solve(demanding)
+        while self._paced:
+            # Paced sessions the solve leaves below their pace fall behind
+            # and want more, so solve again. A flipped session stays
+            # behind, so this ends within n + 1 solves.
+            flipped = [s for s in demanding if s._falls_behind(new_rates[id(s)])]
+            if not flipped:
+                break
+            new_rates = self._solve(demanding)
 
         changed = self.failed is not self._last_failed
         self._last_failed = self.failed
@@ -462,6 +528,46 @@ class GPUDevice:
         # device and must still observe the loss.
         if changed and self._armed:
             self._retime(now)
+
+    def _pace_states(self, now: float, demanding: List[ComputeSession]) -> None:
+        """Before a solve: behind is a backlog, not a memory, so a paced
+        session squeezed for no time at all (a same-instant departure) or
+        caught up is on schedule again. A lone demanding session needs no
+        solve to know its rate, so it falls behind here if it must."""
+        for s in self._armed:
+            if s._behind and s._backlog(now) <= 1e-12:
+                s._on_schedule()
+        if len(demanding) == 1:
+            winner = demanding[0]
+            winner._falls_behind(min(winner.limit, winner.demand))
+
+    def _solve(self, demanding: List[ComputeSession]) -> Dict[int, float]:
+        """Elastic-share rates of two or more demanding sessions, keyed by
+        session identity."""
+        # Contention penalizes *unisolated* concurrent sharing of an
+        # over-committed device (limited memory bandwidth, §1). Sessions
+        # throttled by KubeShare's library serialize kernel launches and
+        # are immune.
+        n = len(demanding)
+        contended_eff = 1.0
+        total_appetite = sum(min(s.limit, s.demand) for s in demanding)
+        if total_appetite > 1.0 + 1e-9:
+            contended_eff = 1.0 / (1.0 + self.contention_per_peer * (n - 1))
+
+        entries = [
+            ShareEntry(request=s.request, cap=min(s.limit, s.demand))
+            for s in demanding
+        ]
+        if n < 8:
+            # Bit-identical pure-Python mirror; numpy's fixed dispatch
+            # overhead dominates the solve at these sizes.
+            alloc = elastic_shares_py(entries, capacity=1.0)
+        else:
+            alloc = elastic_shares(entries, capacity=1.0)
+        return {
+            id(s): float(a) * (1.0 if s.isolated else contended_eff)
+            for s, a in zip(demanding, alloc)
+        }
 
     # -- utilization accounting -----------------------------------------------------
     def busy_time(self) -> float:

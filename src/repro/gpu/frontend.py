@@ -11,7 +11,9 @@ KubeShare-DevMgr installs this library in every sharePod container and
   call until the container holds a valid token from the per-node backend
   (token isolation), or registering an elastic (request, limit) share with
   the device engine (fluid isolation, the calibrated steady-state model
-  used for cluster-scale experiments; see DESIGN.md).
+  used for cluster-scale experiments; see DESIGN.md). Fluid isolation also
+  takes *paced* launches, a request stream the engine serves as it
+  arrives; token isolation rejects them.
 
 The library is configured entirely through environment variables injected
 by KubeShare-DevMgr, mirroring how the real library receives its pod
@@ -22,7 +24,9 @@ configuration:
 ``KUBESHARE_GPU_REQUEST``         guaranteed compute fraction (gpu_request)
 ``KUBESHARE_GPU_LIMIT``           compute ceiling (gpu_limit)
 ``KUBESHARE_GPU_MEM``             memory quota as a fraction of the device
-``KUBESHARE_ISOLATION``           ``token`` (default) or ``fluid``
+``KUBESHARE_ISOLATION``           ``token`` (default), ``fluid`` (also
+                                  marks the API for paced launches) or
+                                  ``memory``
 ================================  ==========================================
 """
 
@@ -33,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, Generator, Optional
 
 from ..obs import runtime as obs
 from .backend import Token, TokenBackend, TokenBackendUnavailable
-from .cuda import CudaAPI, CudaContext, DevicePointer
+from .cuda import CudaAPI, CudaContext, CudaError, DevicePointer
 from .device import GpuOutOfMemory
 from .swap import ENV_MEM_OVERCOMMIT, SwapManager
 
@@ -158,6 +162,9 @@ class VGPUDeviceLibrary:
             self.api.session_request = self.request
             self.api.session_limit = self.limit
             self.api.session_isolated = True
+            # Over-commit swaps pages back in per launch, so a stream
+            # launched at once would hold its pages for its whole life.
+            self.api.paced_launches = not self.mem_overcommit
         self._installed = True
         return self
 
@@ -193,38 +200,44 @@ class VGPUDeviceLibrary:
 
     # -- compute gate -------------------------------------------------------------
     def _hook_launch(
-        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float] = None
+        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float] = None, pace: float = 0.0
     ) -> Generator:
         if self.mem_overcommit:
-            return self._swap_aware_launch(next_fn, ctx, work, demand)
+            return self._swap_aware_launch(next_fn, ctx, work, demand, pace)
         if self.isolation == "fluid":
-            return self._fluid_launch(next_fn, ctx, work, demand)
-        return self._token_launch(next_fn, ctx, work, demand)
+            return self._fluid_launch(next_fn, ctx, work, demand, pace)
+        return self._token_launch(next_fn, ctx, work, demand, pace)
 
     def _swap_aware_launch(
-        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float]
+        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float], pace: float
     ) -> Generator:
         # Swap our pages back in (DMA, concurrent with others' compute)
         # before entering the normal isolation path.
         yield from self.swap.ensure_resident(ctx.device, ctx.owner)
         if self.isolation == "fluid":
-            yield from self._fluid_launch(next_fn, ctx, work, demand)
+            yield from self._fluid_launch(next_fn, ctx, work, demand, pace)
         else:
-            yield from self._token_launch(next_fn, ctx, work, demand)
+            yield from self._token_launch(next_fn, ctx, work, demand, pace)
 
     def _fluid_launch(
-        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float]
+        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float], pace: float
     ) -> Generator:
         # The elastic share is enforced by the device engine; the token
         # protocol's handoff cost is folded in as extra work so fluid runs
         # stay calibrated against token runs (Figure 7's overhead curve).
+        # A paced stream's arrivals scale with it, so a server that keeps
+        # up still ends when its last request arrives.
         backend = self.backend
-        overhead = backend.handoff_overhead / backend.quota
-        yield from next_fn(ctx, work * (1.0 + overhead), demand)
+        scale = 1.0 + backend.handoff_overhead / backend.quota
+        yield from next_fn(ctx, work * scale, demand, pace * scale)
 
     def _token_launch(
-        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float]
+        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float], pace: float
     ) -> Generator:
+        if pace:
+            # Tokens meter bursts of kernels; a stream must come batch by
+            # batch (a job misrouted here would silently change its model).
+            raise CudaError("token isolation takes no paced launch")
         backend = self.backend
         env = self.container.env
         dev = ctx.device.uuid

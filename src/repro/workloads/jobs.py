@@ -112,8 +112,24 @@ class InferenceJob:
 
     ``requests`` forward passes of ``request_work`` GPU-seconds each arrive
     at ``request_rate`` per second, so the job's steady GPU demand is
-    ``request_rate * request_work`` and its unthrottled duration is
-    ``requests / request_rate``.
+    ``request_rate * request_work`` and its last request arrives
+    ``requests / request_rate`` after it starts.
+
+    The server launches a batch of ``batch_requests`` requests when the
+    batch's *first* request arrives, at full appetite; a server that fell
+    behind (GPU contention) launches its backlog at once. So a server
+    that keeps up finishes ``(requests - last) / request_rate + last *
+    work / limit`` after it starts, where ``last`` is the size of its last
+    batch and ``work`` is a request's work as the device library bills it:
+    a little before its last request arrives (``0.154 * batch_requests /
+    request_rate`` earlier with Fig 8's limit of 1.2 × demand and the
+    default handoff overhead).
+
+    Under fluid isolation (the library sets ``paced_launches`` on the
+    CUDA API) the requests before the last batch are one paced launch,
+    which the GPU engine serves as they arrive, bursting to the limit
+    while a backlog waits; it ends exactly when the last batch is due,
+    and the batch loop serves that batch as above.
     """
 
     name: str
@@ -123,7 +139,8 @@ class InferenceJob:
     #: loaded model memory (DeepLab-V3 scale, ~4 GB on a 16 GB card).
     model_memory: int = int(0.25 * V100_MEMORY)
     #: how many requests to coalesce per launch call (keeps event counts
-    #: tractable at cluster scale without changing the demand math).
+    #: tractable at cluster scale without changing the demand math). Under
+    #: fluid isolation it sizes only the last batch.
     batch_requests: int = 5
 
     @property
@@ -175,6 +192,16 @@ class InferenceJob:
                 api.cu_mem_alloc(cu, job.model_memory)
                 served = 0
                 start = ctx.env.now
+                if api.paced_launches:
+                    # Every request before the last batch, as one stream.
+                    served = max(0, job.requests - 1) // job.batch_requests * job.batch_requests
+                    if served:
+                        work = served * job.request_work
+                        pace = job.request_rate * job.request_work
+                        yield from api.cu_launch_kernel(cu, work, pace=pace)
+                        stats.steps_done = served
+                        stats.work_done += work
+                        stats.progress.append((ctx.env.now, stats.work_done))
                 while served < job.requests:
                     batch = min(job.batch_requests, job.requests - served)
                     # Requests arrive from clients at request_rate; a batch

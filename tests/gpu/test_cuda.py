@@ -139,6 +139,17 @@ class TestLaunch:
         with pytest.raises(CudaError):
             env.run()
 
+    @pytest.mark.parametrize("pace", [-1.0, float("nan"), float("inf")])
+    def test_bad_pace_rejected(self, env, api, pace):
+        ctx = api.cu_ctx_create()
+
+        def proc():
+            yield from api.cu_launch_kernel(ctx, 1.0, pace=pace)
+
+        env.process(proc())
+        with pytest.raises(CudaError):
+            env.run()
+
     def test_memcpy_costs_transfer_time(self, env, api):
         ctx = api.cu_ctx_create()
         ptr = api.cu_mem_alloc(ctx, int(CudaAPI.HTOD_BANDWIDTH))

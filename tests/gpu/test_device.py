@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu.device import GPUDevice, GpuOutOfMemory, V100_MEMORY
+from repro.gpu.device import DeviceLostError, GPUDevice, GpuOutOfMemory, V100_MEMORY
 from repro.sim import Environment
 
 
@@ -231,3 +231,126 @@ class TestUtilizationAccounting:
         env.process(proc())
         env.run()
         assert gpu.utilization_since(t0, b0) == pytest.approx(0.5)
+
+
+class TestPacedSessions:
+    """A paced run serves a request stream as it arrives: appetite *pace*
+    while on schedule, the limit while behind, until it catches up."""
+
+    def squeeze(self, env, gpu):
+        """Paced P (work 4.0 at 0.5/s, limit 0.75) against S, whose 0.75
+        request leaves P 0.25 until S's 1.5 of work ends at t=2. P then
+        runs at its limit and has served all arrivals (2.0) at t=4."""
+        p = gpu.open_session("p", limit=0.75)
+        s = gpu.open_session("s", request=0.75)
+        done = {}
+
+        def paced():
+            yield from p.run_paced(4.0, 0.5)
+            done["p"] = env.now
+
+        def saturating():
+            yield from s.run(1.5)
+            done["s"] = env.now
+
+        proc = env.process(paced())
+        env.process(saturating())
+        return p, proc, done
+
+    def test_lone_session_finishes_when_arrivals_end(self, env, gpu):
+        s = gpu.open_session("job")
+
+        def proc():
+            yield from s.run_paced(3.0, 0.25)
+
+        env.process(proc())
+        env.run()
+        assert env.now == 12.0
+        assert gpu.busy_time() == 3.0
+
+    @pytest.mark.parametrize("limit, pace", [(0.5, 0.75), (1.0, 1.5)])
+    def test_pace_above_limit_runs_at_limit(self, env, gpu, limit, pace):
+        s = gpu.open_session("job", limit=limit)
+
+        def proc():
+            yield from s.run_paced(3.0, pace)
+
+        env.process(proc())
+        env.run(until=1.0)
+        assert s.rate == limit
+        env.run()
+        assert env.now == 3.0 / limit
+
+    def test_squeezed_session_falls_behind_and_catches_up(self, env, gpu):
+        p, _, done = self.squeeze(env, gpu)
+        seen = {}
+
+        def probe():
+            for t in (1.0, 3.0, 4.0, 5.0):
+                yield env.timeout(t - env.now)
+                seen[t] = (p.rate, p._behind, p.granted_time())
+
+        env.process(probe())
+        env.run()
+        assert done == {"s": 2.0, "p": 8.0}
+        assert seen[1.0] == (0.25, True, 0.25)  # squeezed below its pace
+        assert seen[3.0] == (0.75, True, 1.25)  # bursting at its limit
+        assert seen[4.0][2] == 2.0  # served every arrival at t=4
+        assert seen[5.0] == (0.5, False, 2.5)  # back on schedule
+        assert gpu.busy_time() == 4.0 + 1.5
+        assert gpu._paced == 0 and p.pace == 0.0
+
+    def test_squeeze_of_no_duration_leaves_session_on_schedule(self, env, gpu):
+        """P starts at t=1 just before S's finish timer, due at t=1,
+        fires: for no time at all S leaves P below its pace. Behind
+        follows the backlog, which is empty, so P is on schedule again
+        once S leaves, rather than running ahead of its arrivals."""
+        p = gpu.open_session("p")
+        s = gpu.open_session("s", request=0.75)
+        done = {}
+
+        def paced():
+            yield env.timeout(1.0)  # queued before S's finish timer
+            yield from p.run_paced(2.0, 0.5)
+            done["p"] = env.now
+
+        def saturating():
+            yield from s.run(1.0)
+
+        env.process(paced())
+        env.process(saturating())
+        env.run()
+        assert done == {"p": 5.0}
+
+    def test_kill_mid_slice_leaves_no_live_timer(self, env, gpu):
+        p, proc, done = self.squeeze(env, gpu)
+
+        def killer():
+            yield env.timeout(3.0)  # inside the catch-up slice
+            proc.kill()
+
+        env.process(killer())
+        env.run()
+        assert env.now == 3.0 and env.peek() == float("inf")
+        assert done == {"s": 2.0}
+        assert gpu._paced == 0 and p.rate == 0.0
+
+    def test_device_failure_raises_into_paced_run(self, env, gpu):
+        s = gpu.open_session("job")
+        seen = []
+
+        def proc():
+            try:
+                yield from s.run_paced(4.0, 0.5)
+            except DeviceLostError:
+                seen.append(env.now)
+
+        def breaker():
+            yield env.timeout(1.0)
+            gpu.fail()
+
+        env.process(proc())
+        env.process(breaker())
+        env.run()
+        assert seen == [1.0]
+        assert gpu._paced == 0 and s.pace == 0.0

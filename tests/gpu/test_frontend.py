@@ -52,6 +52,32 @@ class TestInstallation:
         assert api.hooks.installed("cuMemAlloc")
         assert not api.hooks.installed("cuLaunchKernel")
 
+    @pytest.mark.parametrize(
+        "isolation, overcommit, paced",
+        [("token", False, False), ("fluid", False, True), ("memory", False, False), ("fluid", True, False)],
+    )
+    def test_only_fluid_library_takes_paced_launches(self, env, gpu, isolation, overcommit, paced):
+        from repro.gpu.swap import ENV_MEM_OVERCOMMIT
+
+        ctx = make_ctx(env, gpu, isolation=isolation)
+        if overcommit:
+            ctx.env_vars[ENV_MEM_OVERCOMMIT] = "1"
+        assert ctx.cuda().paced_launches is paced
+        assert standalone_context(env, [gpu]).cuda().paced_launches is False
+
+    def test_token_isolation_rejects_paced_launch(self, env, gpu):
+        from repro.gpu.cuda import CudaError
+
+        api = make_ctx(env, gpu).cuda()
+        cu = api.cu_ctx_create()
+
+        def proc():
+            yield from api.cu_launch_kernel(cu, 1.0, pace=0.3)
+
+        env.process(proc())
+        with pytest.raises(CudaError):
+            env.run()
+
     def test_invalid_isolation_rejected(self, env, gpu):
         ctx = standalone_context(
             env,

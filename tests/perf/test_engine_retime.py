@@ -18,6 +18,15 @@ multiset: order only across instants. Skipping the sessions whose own
 rate did not change, or waking a session once per same-instant pass,
 fails the comparison; the due-now rule, which only keeps a due session
 on its own timer within the instant, has its own test below.
+
+Launches may be *paced* request streams, with paces below and above the
+session's limit. The oracle applies the pacing rule naively: at every
+allocation change it wakes, bills, and ends its next slice at the
+earlier of its finish and its catch-up, where its backlog empties; at
+the catch-up it flips back on schedule and recomputes. Flipping to
+behind, and back at a pass that finds the backlog empty, is part of the
+allocation arithmetic both engines share, so the oracle keeps its slice
+in flight where ``_recompute`` reads it.
 """
 
 from hypothesis import given, settings
@@ -30,13 +39,13 @@ from repro.sim import Environment
 class OracleSession(ComputeSession):
     def run(self, work, demand=None):
         """The wake-everyone loop: race the finish timer against the
-        device's shared change event, and re-slice on every change."""
+        device's shared change event, and re-slice on every change.
+        ``run_paced`` (inherited) sets the pace and delegates here."""
         if self.closed:
             raise RuntimeError(f"session {self.name} is closed")
         env = self.device.env
-        appetite = 1.0 if demand is None else float(demand)
         remaining = float(work)
-        self.demand = appetite
+        self.demand = 1.0 if demand is None else float(demand)
         self.device._armed[self] = None  # lets _recompute reach _retime
         self.device._recompute()
         try:
@@ -44,11 +53,23 @@ class OracleSession(ComputeSession):
                 if self.device.failed:
                     raise DeviceLostError(f"GPU {self.device.uuid} lost")
                 rate = self.rate
+                # What the shared _recompute reads to find a caught-up
+                # session: the slice in flight.
+                self._remaining, self._started = remaining, env.now
                 if rate <= 1e-12:
+                    self._slice_rate = 0.0
                     yield self.device.change
                     continue
+                self._slice_rate = rate
                 started = env.now
-                finish = env.timeout(remaining / rate)
+                delay = remaining / rate
+                catch_up = False
+                if self._behind and rate > self.pace:
+                    backlog = remaining - self.pace * (self._pace_end - started)
+                    if backlog > 1e-12 and backlog / (rate - self.pace) < delay:
+                        delay = backlog / (rate - self.pace)
+                        catch_up = True
+                finish = env.timeout(delay)
                 change = self.device.change
                 resume = env.active_process._resume
                 change.callbacks.append(resume)
@@ -60,6 +81,10 @@ class OracleSession(ComputeSession):
                 remaining -= (env.now - started) * rate
                 if finish.callbacks is not None:
                     finish.cancel()
+                elif catch_up and remaining > 1e-12:
+                    self._remaining, self._started = remaining, env.now
+                    self._on_schedule()
+                    self.device._recompute()
         finally:
             self.device._armed.pop(self, None)
             self.demand = 0.0
@@ -92,6 +117,8 @@ class OracleDevice(GPUDevice):
 WORKS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 GAPS = (0.0, 0.0, 0.25, 0.5, 1.0, 2.0)
 DEMANDS = (None, 1.0, 0.75, 0.5, 0.25)
+# Paces below, at and above the LIMITS, and above the device.
+PACES = (0.125, 0.25, 0.375, 0.5, 0.75, 1.5)
 REQUESTS = (0.0, 0.0, 0.125, 0.25)
 LIMITS = (0.25, 0.5, 0.75, 1.0)
 TIMES = tuple(0.25 * i for i in range(1, 33))
@@ -103,7 +130,12 @@ TIMES = tuple(0.25 * i for i in range(1, 33))
 # whose order within an instant changes nothing, stays on them.
 OFF_GRID = 0.1
 
-launch = st.tuples(st.sampled_from(GAPS), st.sampled_from(WORKS), st.sampled_from(DEMANDS))
+launch = st.one_of(
+    st.tuples(
+        st.sampled_from(GAPS), st.sampled_from(WORKS), st.sampled_from(DEMANDS), st.just(0.0)
+    ),
+    st.tuples(st.sampled_from(GAPS), st.sampled_from(WORKS), st.just(None), st.sampled_from(PACES)),
+)
 session = st.tuples(
     st.sampled_from(REQUESTS),
     st.sampled_from(LIMITS),
@@ -150,11 +182,14 @@ def play(schedule, device_cls):
     completions = []
 
     def app(i, launches):
-        for gap, work, demand in launches:
+        for gap, work, demand, pace in launches:
             if gap:
                 yield env.timeout(gap)
             try:
-                yield from sessions[i].run(work, demand)
+                if pace:
+                    yield from sessions[i].run_paced(work, pace)
+                else:
+                    yield from sessions[i].run(work, demand)
                 completions.append((env.now, i, "ok"))
             except DeviceLostError:
                 completions.append((env.now, i, "lost"))

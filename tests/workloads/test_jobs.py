@@ -18,8 +18,8 @@ def gpu(env):
     return GPUDevice(env, uuid="GPU-w", node_name="n0")
 
 
-def run_workload(env, gpu, workload):
-    ctx = standalone_context(env, [gpu])
+def run_workload(env, gpu, workload, ctx=None):
+    ctx = ctx or standalone_context(env, [gpu])
     proc = env.process(workload(ctx))
     env.run(until=proc)
     return proc.value
@@ -110,9 +110,14 @@ class TestInferenceJob:
         # 8.0 of work squeezed to a 0.4 limit ⇒ ≈20 s instead of 10 s
         assert env.now == pytest.approx(20.0, rel=0.05)
 
-    def test_backlogged_server_catches_up(self, env, gpu):
+    @pytest.mark.parametrize("isolation", [None, "fluid"])
+    def test_backlogged_server_catches_up(self, env, gpu, isolation):
         """After a contention phase ends, a backlogged server bursts above
-        its nominal demand instead of idling (arrival-paced model)."""
+        its nominal demand instead of idling (arrival-paced model). Under
+        fluid isolation the engine serves the stream as a paced session."""
+        from repro.gpu.backend import TokenBackend
+        from repro.gpu.standalone import kubeshare_env_vars
+
         job = InferenceJob.from_demand("i", demand=0.5, duration=20.0)
         squeezer_done = {}
 
@@ -124,10 +129,94 @@ class TestInferenceJob:
             squeezer_done["t"] = ctx.env.now
 
         ctx1 = standalone_context(env, [gpu])
-        ctx2 = standalone_context(env, [gpu])
+        if isolation is None:
+            ctx2 = standalone_context(env, [gpu])
+        else:
+            ctx2 = standalone_context(
+                env,
+                [gpu],
+                env_vars=kubeshare_env_vars(0.0, 1.0, 1.0, isolation),
+                backend=TokenBackend(env),
+            )
         env.process(squeezer(ctx1))
         p = env.process(job.workload()(ctx2))
         env.run(until=p)
         # fair sharing with the hog slows the server early on, but it must
         # still finish well before 2x its nominal duration
         assert env.now < 30.0
+
+
+class TestPacedInferenceServer:
+    """Under fluid isolation a server launches every request before its
+    last batch as one paced launch; the batch loop serves the last batch."""
+
+    DEMAND = 0.3
+    LIMIT = 0.36
+
+    def context(self, env, gpu, isolation="fluid"):
+        from repro.gpu.backend import TokenBackend
+        from repro.gpu.standalone import kubeshare_env_vars
+
+        backend = TokenBackend(env)  # non-zero handoff overhead
+        ctx = standalone_context(
+            env,
+            [gpu],
+            env_vars=kubeshare_env_vars(self.DEMAND, self.LIMIT, 1.0, isolation),
+            backend=backend,
+        )
+        return ctx, backend
+
+    def test_lone_server_finishes_at_batch_loop_time(self, env, gpu):
+        job = InferenceJob.from_demand("i", demand=self.DEMAND, duration=40.0, batch_requests=50)
+        ctx, backend = self.context(env, gpu)
+        stats = run_workload(env, gpu, job.workload(), ctx)
+        n, batch, rate = job.requests, job.batch_requests, job.request_rate
+        last = n % batch or batch
+        work = job.request_work * (1.0 + backend.handoff_overhead / backend.quota)
+        # The batch loop's lone finish: the last batch is due when its
+        # first request arrives, and runs at the limit.
+        assert stats.finished_at == pytest.approx((n - last) / rate + last * work / self.LIMIT, abs=1e-9)
+        assert stats.steps_done == n
+        assert stats.work_done == pytest.approx(job.total_work)
+
+    def test_server_resumes_at_start_and_twice_more(self, env, gpu):
+        from repro.sim import environment
+
+        job = InferenceJob.from_demand("i", demand=self.DEMAND, duration=40.0, batch_requests=50)
+        ctx, _ = self.context(env, gpu)
+        proc = env.process(job.workload()(ctx))
+        resumes = []
+
+        class Recorder:
+            def dispatch(self, event, callbacks):
+                for callback in callbacks:
+                    if getattr(callback, "__self__", None) is proc:
+                        resumes.append(env.now)
+                    callback(event)
+
+        environment.set_profile_hook(Recorder())
+        try:
+            env.run(until=proc)
+        finally:
+            environment.set_profile_hook(None)
+        # start, end of the paced body, end of the last batch (the batch
+        # loop resumes about twice per batch: 32 times here)
+        assert len(resumes) <= 3
+        assert resumes[0] == 0.0 and resumes[-1] == env.now
+
+    def test_token_server_launches_once_per_batch(self, env, gpu, monkeypatch):
+        from repro.gpu.cuda import CudaAPI
+
+        launches = []
+        launch = CudaAPI.cu_launch_kernel
+
+        def counting(api, cu, work, demand=None, pace=0.0):
+            launches.append(pace)
+            return launch(api, cu, work, demand, pace)
+
+        monkeypatch.setattr(CudaAPI, "cu_launch_kernel", counting)
+        job = InferenceJob.from_demand("i", demand=self.DEMAND, duration=4.0, batch_requests=10)
+        ctx, _ = self.context(env, gpu, isolation="token")
+        stats = run_workload(env, gpu, job.workload(), ctx)
+        assert stats.steps_done == job.requests == 80
+        assert launches == [0.0] * 8

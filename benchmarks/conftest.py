@@ -14,6 +14,7 @@ import pytest
 
 from repro.analysis.resets import reset_all
 from repro.obs.artifact import export_all
+from tests.conftest import _stored_values_read_only  # noqa: F401 - autouse: armed for every bench
 
 
 def emit(text: str) -> None:

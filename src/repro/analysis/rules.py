@@ -570,9 +570,18 @@ def _check_lost_update(ctx: FileContext) -> Iterator[Finding]:
         if handles_conflict:
             continue
         reads: Dict[str, int] = {}
-        for sub in ast.walk(fn):
-            if not (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)):
-                continue
+        # Source order: ast.walk is breadth-first, so a `get` nested deeper
+        # than a later `update` (under `.clone()`, inside an `if`) would
+        # otherwise be visited after it.
+        calls = sorted(
+            (
+                sub
+                for sub in ast.walk(fn)
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+            ),
+            key=lambda call: (call.lineno, call.col_offset),
+        )
+        for sub in calls:
             receiver = _dotted(sub.func.value)
             if receiver is None or "api" not in _segments(receiver):
                 continue

@@ -103,10 +103,7 @@ class SharingSystem:
 
     # -- completion tracking -----------------------------------------------------
     def job_phase(self, handle: JobHandle) -> Optional[PodPhase]:
-        # The poll loop only reads status.phase, so it probes the stored
-        # object read-only instead of cloning a Pod per handle per poll
-        # tick; outage (503) semantics are those of get().
-        obj = self.api.peek(handle.kind, handle.name, handle.namespace)
+        obj = self.api.get(handle.kind, handle.name, handle.namespace)
         return obj.status.phase if obj is not None else None
 
     def wait_all(

@@ -11,6 +11,14 @@ latencies are modelled explicitly where they matter for the evaluation (the
 container runtime and the controller reconcile loops), which keeps every
 run deterministic.
 
+Stored objects are shared read-only, as in client-go's informer cache: a
+committed value never changes, and every read (``get``, ``list``, watch
+delivery, ``delete``'s return value) hands out the stored object itself. A
+write stores one copy that the server makes: ``create`` and ``update`` copy
+the caller's object, and ``patch`` copies the stored one for *mutate*. A
+caller that wants to change what it read uses ``patch``, or takes
+``.clone()`` before mutating and passes the copy to ``update``.
+
 Watch usage pattern (inside a simulation process)::
 
     stream = api.watch("Pod", replay=True)
@@ -78,35 +86,22 @@ def _clone(obj: Any) -> Any:
 
 
 def _stored(ev: WatchEvent) -> Any:
-    """The stored object an event is about, uncloned: the new value of a
-    PUT, the previous value of a DELETE (the tombstone carries ``None``)."""
+    """The stored object an event is about: the new value of a PUT, the
+    previous value of a DELETE (the tombstone carries ``None``)."""
     if ev.type is WatchEventType.DELETE:
         return ev.prev.value if ev.prev is not None else None
     return ev.kv.value
 
 
 def translate_event(ev: WatchEvent) -> Tuple[WatchEventType, Any]:
-    """Translate a raw etcd event into ``(type, cloned object)``.
+    """Translate a raw etcd event into ``(type, stored object)``.
 
-    For DELETE events the previous stored value is returned (the tombstone
-    itself carries ``None``).
-
-    Copy-on-write fan-out: one watch event is delivered to every matching
-    subscriber, so the translated clone is cached on the event itself —
-    N watchers share one clone instead of paying for N. Consumers must
-    treat delivered objects as **read-only** (every mutation path in this
-    codebase goes through ``api.patch`` on a freshly ``get``-cloned
-    object, which is also what optimistic concurrency requires).
+    The object is the stored value itself, shared read-only by every
+    watcher: the new value of a PUT, and for a DELETE the last stored
+    value, which keeps its own resource version (the tombstone itself
+    carries ``None``).
     """
-    payload = _stored(ev)
-    if payload is None:
-        return (ev.type, None)
-    obj = ev.translated
-    if obj is None:
-        obj = _clone(payload)
-        obj.metadata.resource_version = ev.kv.mod_revision
-        ev.translated = obj
-    return (ev.type, obj)
+    return (ev.type, _stored(ev))
 
 
 class NodeLease:
@@ -284,9 +279,10 @@ class APIServer:
         """Install an admission plugin (an object with ``admit(obj)``).
 
         ``admit`` runs synchronously inside :meth:`create` before the
-        etcd write; it may mutate the object (the server clones after
-        admission) or raise to refuse the create. Idempotent per plugin:
-        re-registering an already-installed instance is a no-op.
+        etcd write, on the server's copy of the caller's object: it may
+        mutate that copy, which is what gets stored, or raise to refuse
+        the create. Idempotent per plugin: re-registering an
+        already-installed instance is a no-op.
         """
         if plugin not in self._admission:
             self._admission.append(plugin)
@@ -307,57 +303,36 @@ class APIServer:
         return self._key(obj.kind, obj.metadata.namespace, obj.metadata.name)
 
     # -- CRUD ----------------------------------------------------------------
-    def create(self, obj: Any, fencing: Optional[Any] = None) -> Any:
-        """Persist a new object. Returns the stored copy."""
+    def _check_write(self, kind: str, fencing: Optional[Any]) -> None:
         self._gate()
         self._check_fencing(fencing)
-        self._check_kind(obj.kind)
-        for plugin in self._admission:
-            plugin.admit(obj)
+        self._check_kind(kind)
+
+    def create(self, obj: Any, fencing: Optional[Any] = None) -> Any:
+        """Persist a copy of *obj* as a new object; returns the stored copy."""
+        self._check_write(obj.kind, fencing)
         stored = _clone(obj)
+        for plugin in self._admission:
+            plugin.admit(stored)
         stored.metadata.creation_time = self.env.now
         key = self._obj_key(stored)
+        stored.metadata.resource_version = self.etcd.revision + 1
         try:
-            kv = self.etcd.put_if(key, stored, mod_revision=0)
+            self.etcd.put_if(key, stored, mod_revision=0)
         except CasFailure:
             raise AlreadyExists(key) from None
-        # The KV holds a reference to `stored`; record the final RV on it.
-        stored.metadata.resource_version = kv.mod_revision
         if obs.enabled():
             obs.api_write(
                 "create", stored.kind, stored.metadata.namespace, stored.metadata.name
             )
             if stored.kind == "SharePod":
                 obs.sharepod_created(stored)
-        return _clone(stored)
+        return stored
 
     def get(
         self, kind: str, name: str, namespace: str = DEFAULT_NAMESPACE
     ) -> Optional[Any]:
-        """Fetch one object, or ``None`` if absent."""
-        self._gate()
-        self._check_kind(kind)
-        kv = self.etcd.get(self._key(kind, namespace, name))
-        if kv is None:
-            return None
-        obj = _clone(kv.value)
-        obj.metadata.resource_version = kv.mod_revision
-        return obj
-
-    def peek(
-        self, kind: str, name: str, namespace: str = DEFAULT_NAMESPACE
-    ) -> Optional[Any]:
-        """Fetch one object **without cloning** — strictly read-only.
-
-        The returned object is the etcd-stored value itself; callers must
-        not mutate it (every mutation path goes through ``get`` + patch /
-        ``update``, as optimistic concurrency requires anyway). Outage
-        gating and kind checking match :meth:`get` exactly, so a poll
-        loop can probe a phase field through the same failure model
-        without paying a defensive deep copy per poll tick. The stored
-        object already carries its final resource version (create/update
-        stamp it on the stored reference).
-        """
+        """The stored object, read-only, or ``None`` if absent."""
         self._gate()
         self._check_kind(kind)
         kv = self.etcd.get(self._key(kind, namespace, name))
@@ -369,37 +344,41 @@ class APIServer:
         namespace: Optional[str] = None,
         selector: Optional[LabelSelector] = None,
     ) -> List[Any]:
-        """All objects of *kind*, optionally namespace/selector filtered."""
+        """All stored objects of *kind*, optionally namespace/selector
+        filtered; read-only."""
         self._gate()
         self._check_kind(kind)
         prefix = f"/registry/{kind}/" + (f"{namespace}/" if namespace else "")
-        out = []
-        for kv in self.etcd.range(prefix):
-            obj = _clone(kv.value)
-            obj.metadata.resource_version = kv.mod_revision
-            if selector is None or selector.matches(obj.metadata.labels):
-                out.append(obj)
-        return out
+        objs = [kv.value for kv in self.etcd.range(prefix)]
+        if selector is None:
+            return objs
+        return [obj for obj in objs if selector.matches(obj.metadata.labels)]
 
     def update(self, obj: Any, fencing: Optional[Any] = None) -> Any:
-        """Write back an object read earlier; optimistic-concurrency checked."""
-        self._gate()
-        self._check_fencing(fencing)
-        self._check_kind(obj.kind)
-        key = self._obj_key(obj)
-        stored = _clone(obj)
+        """Write back an object read earlier; optimistic-concurrency checked.
+
+        Stores a copy of *obj* and returns that copy."""
+        self._check_write(obj.kind, fencing)
+        return self._put(_clone(obj))
+
+    def _put(self, stored: Any) -> Any:
+        """Commit *stored*, a copy that no caller holds, if its key is still
+        at the revision *stored* was read at. The new resource version is
+        stamped before the commit, so the stored value never changes."""
+        key = self._obj_key(stored)
+        read_at = stored.metadata.resource_version
+        stored.metadata.resource_version = self.etcd.revision + 1
         try:
-            kv = self.etcd.put_if(key, stored, mod_revision=obj.metadata.resource_version)
+            self.etcd.put_if(key, stored, mod_revision=read_at)
         except CasFailure as err:
             if self.etcd.get(key) is None:
                 raise NotFound(key) from None
             raise Conflict(str(err)) from None
-        stored.metadata.resource_version = kv.mod_revision
         if obs.enabled():
             obs.api_write(
                 "update", stored.kind, stored.metadata.namespace, stored.metadata.name
             )
-        return _clone(stored)
+        return stored
 
     def patch(
         self,
@@ -412,20 +391,21 @@ class APIServer:
     ) -> Any:
         """Read-modify-write with automatic conflict retry.
 
-        The re-read on every attempt is what makes the retry safe: a
-        conflicting writer's changes are picked up before *mutate* runs
+        *mutate* runs on a copy of the stored object, and that copy is
+        stored. The re-read on every attempt is what makes the retry safe:
+        a conflicting writer's changes are picked up before *mutate* runs
         again, so no concurrent update is silently overwritten. Fencing
         rejections are not retried — a stale epoch cannot become fresh.
         """
         for _ in range(retries):
-            obj = self.get(kind, name, namespace)
-            if obj is None:
+            current = self.get(kind, name, namespace)
+            if current is None:
                 raise NotFound(self._key(kind, namespace, name))
+            obj = _clone(current)
             mutate(obj)
+            self._check_write(kind, fencing)
             try:
-                return self.update(obj, fencing=fencing)
-            except FencingConflict:
-                raise
+                return self._put(obj)
             except Conflict:
                 continue
         raise Conflict(f"patch of {kind}/{namespace}/{name} kept conflicting")
@@ -438,15 +418,13 @@ class APIServer:
         fencing: Optional[Any] = None,
     ) -> Any:
         """Remove an object; returns the last stored value."""
-        self._gate()
-        self._check_fencing(fencing)
-        self._check_kind(kind)
+        self._check_write(kind, fencing)
         prev = self.etcd.delete(self._key(kind, namespace, name))
         if prev is None:
             raise NotFound(self._key(kind, namespace, name))
         if obs.enabled():
             obs.api_write("delete", kind, namespace, name)
-        return _clone(prev.value)
+        return prev.value
 
     def try_delete(
         self,
@@ -480,7 +458,7 @@ class APIServer:
         *node_name* is a Pod watch's ``spec.nodeName`` field selector (a
         kubelet's): only events whose stored Pod (for a DELETE, the Pod
         removed) is bound to that node are delivered. It is checked at the
-        source, uncloned, so other nodes' Pods wake this subscriber never.
+        source, so other nodes' Pods wake this subscriber never.
         """
         self._check_kind(kind)
         prefix = f"/registry/{kind}/" + (f"{namespace}/" if namespace else "")

@@ -24,7 +24,45 @@ from .objects import Pod, PodPhase
 from .runtime import ContainerRuntime, RuntimeLatency
 from .scheduler import KubeScheduler
 
-__all__ = ["ClusterConfig", "WorkerNode", "Cluster"]
+__all__ = ["ClusterConfig", "WorkerNode", "Cluster", "wait_for_phase", "wait_all_terminal"]
+
+_TERMINAL = (PodPhase.SUCCEEDED, PodPhase.FAILED)
+
+
+def wait_for_phase(
+    api: APIServer,
+    kind: str,
+    name: str,
+    phases: Sequence[PodPhase],
+    namespace: str = "default",
+    poll: float = 0.05,
+) -> Generator:
+    """Process helper: poll every *poll* seconds until the named *kind*
+    object reaches one of *phases*; returns it, or ``None`` once it is gone."""
+    while True:
+        obj = api.get(kind, name, namespace)
+        if obj is None or obj.status.phase in phases:
+            return obj
+        yield api.env.timeout(poll)
+
+
+def wait_all_terminal(
+    api: APIServer,
+    kind: str,
+    names: Sequence[str],
+    namespace: str = "default",
+    poll: float = 0.25,
+) -> Generator:
+    """Process helper: poll every *poll* seconds until every named *kind*
+    object finished (or is gone)."""
+    pending = set(names)
+    while pending:
+        for name in sorted(pending):
+            obj = api.get(kind, name, namespace)
+            if obj is None or obj.status.phase in _TERMINAL:
+                pending.discard(name)
+        if pending:
+            yield api.env.timeout(poll)
 
 
 @dataclass
@@ -255,28 +293,10 @@ class Cluster:
 
         Returns the pod (or ``None`` if it was deleted).
         """
-        # Probe the phase read-only per tick and clone only the pod
-        # actually returned to the caller.
-        while True:
-            pod = self.api.peek("Pod", name, namespace)
-            if pod is None:
-                return None
-            if pod.status.phase in phases:
-                return self.api.get("Pod", name, namespace)
-            yield self.env.timeout(poll)
+        return wait_for_phase(self.api, "Pod", name, phases, namespace, poll)
 
     def wait_all_terminal(
         self, names: Sequence[str], namespace: str = "default", poll: float = 0.25
     ) -> Generator:
         """Process helper: wait until every named pod finished (or is gone)."""
-        terminal = (PodPhase.SUCCEEDED, PodPhase.FAILED)
-        pending = set(names)
-        while pending:
-            done = set()
-            for name in sorted(pending):
-                pod = self.api.peek("Pod", name, namespace)
-                if pod is None or pod.status.phase in terminal:
-                    done.add(name)
-            pending -= done
-            if pending:
-                yield self.env.timeout(poll)
+        return wait_all_terminal(self.api, "Pod", names, namespace, poll)

@@ -10,7 +10,6 @@ backs the §4.6 compatibility claim — a higher-level controller can manage
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional
 
@@ -90,10 +89,10 @@ class ReplicaSetController(Controller):
 
     @staticmethod
     def _native_pod(rs: ReplicaSet, name: str) -> Pod:
-        spec = copy.copy(rs.template)
-        spec.containers = [copy.deepcopy(c) for c in rs.template.containers]
-        pod = Pod(metadata=ObjectMeta(name=name, namespace=rs.metadata.namespace))
-        pod.spec = spec
+        pod = Pod(
+            metadata=ObjectMeta(name=name, namespace=rs.metadata.namespace),
+            spec=rs.template.clone(),
+        )
         pod.metadata.labels = dict(rs.template_labels)
         pod.metadata.owner_references = [rs.metadata.key]
         return pod

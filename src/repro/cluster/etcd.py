@@ -11,7 +11,7 @@ Reproduces the subset of etcd semantics Kubernetes relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -39,10 +39,6 @@ class WatchEvent:
     kv: KeyValue
     #: The previous value for PUTs that overwrite, and for DELETEs.
     prev: Optional[KeyValue] = None
-    #: Copy-on-write fan-out slot: the one translated clone shared by all
-    #: watchers of this event (see ``apiserver.translate_event``). Never
-    #: part of equality/repr; ``None`` until the first translation.
-    translated: Optional[Any] = field(default=None, compare=False, repr=False)
 
 
 class CasFailure(Exception):

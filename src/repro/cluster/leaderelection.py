@@ -316,6 +316,7 @@ class LeaderElector:
                 or lease.spec.holder == self.identity
                 or self._expired(lease)
             ):
+                lease = lease.clone()
                 lease.spec.holder = self.identity
                 lease.spec.epoch += 1
                 lease.spec.lease_duration = self.lease_duration
@@ -353,6 +354,7 @@ class LeaderElector:
                 or lease.spec.epoch != self.token.epoch
             ):
                 return False
+            lease = lease.clone()
             lease.spec.renew_time = now
             self.api.update(lease)
             self._last_renew = now

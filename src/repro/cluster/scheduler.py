@@ -153,11 +153,8 @@ class KubeScheduler:
             key = yield self.queue.get()
             self.queue.checkout(key)
             namespace, name = key.split("/", 1)
-            # The scheduling attempt only reads the pod (phase, bound
-            # flag, spec) and binds by name, so the read-only peek skips
-            # the defensive clone the public get() performs.
             try:
-                pod = self.api.peek("Pod", name, namespace)
+                pod = self.api.get("Pod", name, namespace)
             except ServiceUnavailable:
                 self.queue.done(key)
                 yield self.env.timeout(0.05)

@@ -20,7 +20,6 @@ SharePod that KubeShare-Sched (or the user) has assigned a GPUID, it:
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Dict, Generator, List, Optional
 
@@ -411,8 +410,7 @@ class KubeShareDevMgr(Controller):
     ) -> None:
         """Explicit binding: launch the workload pod on the vGPU's node with
         the device attached and the device library installed."""
-        pod_spec = copy.copy(sp.spec.pod_spec)
-        pod_spec.containers = [copy.deepcopy(c) for c in sp.spec.pod_spec.containers]
+        pod_spec = sp.spec.pod_spec.clone()
         pod_spec.node_name = vgpu.node_name
         container = pod_spec.containers[0]
         # sharePods never request integer GPUs through the device plugin.

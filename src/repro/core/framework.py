@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
-from ..cluster.cluster import Cluster
+from ..cluster.cluster import Cluster, wait_all_terminal, wait_for_phase
 from ..cluster.objects import ContainerSpec, ObjectMeta, PodPhase, PodSpec
 from ..sim import Environment
 from .devmgr import KubeShareDevMgr
@@ -20,8 +20,6 @@ from .sharepod import SharePod, SharePodSpec
 from .vgpu import VGPUPool
 
 __all__ = ["SharePodClient", "KubeShare"]
-
-_TERMINAL = (PodPhase.SUCCEEDED, PodPhase.FAILED)
 
 
 class SharePodClient:
@@ -106,29 +104,12 @@ class SharePodClient:
         namespace: str = "default",
         poll: float = 0.05,
     ) -> Generator:
-        # Probe the phase read-only per tick and clone only the SharePod
-        # actually returned to the caller.
-        while True:
-            sp = self.api.peek("SharePod", name, namespace)
-            if sp is None:
-                return None
-            if sp.status.phase in phases:
-                return self.api.get("SharePod", name, namespace)
-            yield self.env.timeout(poll)
+        return wait_for_phase(self.api, "SharePod", name, phases, namespace, poll)
 
     def wait_all_terminal(
         self, names: Sequence[str], namespace: str = "default", poll: float = 0.25
     ) -> Generator:
-        pending = set(names)
-        while pending:
-            done = set()
-            for name in sorted(pending):
-                sp = self.api.peek("SharePod", name, namespace)
-                if sp is None or sp.status.phase in _TERMINAL:
-                    done.add(name)
-            pending -= done
-            if pending:
-                yield self.env.timeout(poll)
+        return wait_all_terminal(self.api, "SharePod", names, namespace, poll)
 
 
 class KubeShare(SharePodClient):

@@ -173,6 +173,7 @@ class GlobalRegistry:
             raise StaleGeneration(
                 f"record {namespace}/{name} is terminal ({record.status.phase})"
             )
+        record = record.clone()
         record.spec.generation += 1
         record.spec.cluster = new_cluster
         record.status.phase = "Placed"

@@ -177,7 +177,7 @@ class EventRecorder:
         for ev in self._dirty:
             try:
                 try:
-                    self.api.create(ev.clone())
+                    self.api.create(ev)
                 except AlreadyExists:
                     count, last = ev.count, ev.last_time
 

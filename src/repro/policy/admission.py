@@ -74,7 +74,8 @@ class QuotaAdmission:
         """Check (and possibly annotate) *obj* before it is persisted.
 
         Raises :class:`AdmissionDenied` to refuse the create; mutating
-        *obj* here is safe because the apiserver clones after admission.
+        *obj* here is safe because it is the apiserver's own copy of the
+        caller's object.
         """
         if getattr(obj, "kind", None) != "SharePod":
             return

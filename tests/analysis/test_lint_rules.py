@@ -160,6 +160,22 @@ class TestRPR004LostUpdate:
                 api.update(obj)
         """) == ["RPR004"]
 
+    def test_get_clone_then_update_flagged(self):
+        assert rule_ids("""
+            def promote(api, name):
+                obj = api.get("Pod", name).clone()
+                obj.status.phase = "Running"
+                api.update(obj)
+        """) == ["RPR004"]
+
+    def test_get_in_branch_then_update_flagged(self):
+        assert rule_ids("""
+            def promote(api, name, fresh):
+                if fresh:
+                    obj = api.get("Pod", name)
+                api.update(obj)
+        """) == ["RPR004"]
+
     def test_conflict_handler_clean(self):
         assert rule_ids("""
             def promote(api, name):

@@ -36,12 +36,30 @@ class TestCrud:
         with pytest.raises(AlreadyExists):
             api.create(make_pod("p1"))
 
-    def test_get_returns_clone(self, api):
-        api.create(make_pod("p1", labels={"k": "v"}))
-        a = api.get("Pod", "p1")
-        a.metadata.labels["k"] = "mutated"
-        b = api.get("Pod", "p1")
-        assert b.metadata.labels["k"] == "v"
+    def test_reads_share_the_stored_object(self, api):
+        stream = api.watch("Pod")
+        stored = api.create(make_pod("p1"))
+        assert api.get("Pod", "p1") is stored
+        assert api.list("Pod")[0] is stored
+        assert api.delete("Pod", "p1") is stored
+        # Both watch events, the PUT and the DELETE, deliver it too.
+        delivered = [translate_event(ev) for ev in stream.events.items]
+        assert [etype for etype, _ in delivered] == [
+            WatchEventType.PUT,
+            WatchEventType.DELETE,
+        ]
+        assert all(obj is stored for _, obj in delivered)
+
+    def test_caller_mutation_after_write_leaves_store_unchanged(self, api):
+        pod = make_pod("p1", labels={"k": "v"})
+        api.create(pod)
+        pod.metadata.labels["k"] = "after-create"
+        assert api.get("Pod", "p1").metadata.labels["k"] == "v"
+        obj = api.get("Pod", "p1").clone()
+        obj.metadata.labels["k"] = "updated"
+        api.update(obj)
+        obj.metadata.labels["k"] = "after-update"
+        assert api.get("Pod", "p1").metadata.labels["k"] == "updated"
 
     def test_get_missing_returns_none(self, api):
         assert api.get("Pod", "ghost") is None
@@ -73,7 +91,7 @@ class TestCrud:
 
     def test_update_bumps_resource_version(self, api):
         api.create(make_pod("p1"))
-        obj = api.get("Pod", "p1")
+        obj = api.get("Pod", "p1").clone()
         obj.status.phase = PodPhase.RUNNING
         updated = api.update(obj)
         assert updated.metadata.resource_version > obj.metadata.resource_version
@@ -81,8 +99,8 @@ class TestCrud:
 
     def test_update_with_stale_rv_conflicts(self, api):
         api.create(make_pod("p1"))
-        stale = api.get("Pod", "p1")
-        fresh = api.get("Pod", "p1")
+        stale = api.get("Pod", "p1").clone()
+        fresh = api.get("Pod", "p1").clone()
         fresh.status.message = "first"
         api.update(fresh)
         stale.status.message = "second"

@@ -113,9 +113,9 @@ class TestStealAfterExpiry:
         carries a stale resourceVersion and surfaces Conflict."""
         a = make_elector(env, api, "a").start()
         env.run(until=0.5)
-        stale = api.get("Lease", "test-lease", LEASE_NAMESPACE)
+        stale = api.get("Lease", "test-lease", LEASE_NAMESPACE).clone()
         # Another writer renews first (resourceVersion moves on).
-        fresh = api.get("Lease", "test-lease", LEASE_NAMESPACE)
+        fresh = api.get("Lease", "test-lease", LEASE_NAMESPACE).clone()
         fresh.spec.renew_time = env.now
         api.update(fresh)  # noqa: RPR004 - deliberately racing two writers to assert CAS
         stale.spec.holder = "z"
@@ -149,7 +149,7 @@ class TestFencedWrites:
     def test_current_epoch_writes_pass(self, env, api):
         token = self._leased_token(env, api)
         client = FencedAPIServer(api, token)
-        pod = client.create(Pod(metadata=ObjectMeta(name="p1")))
+        pod = client.create(Pod(metadata=ObjectMeta(name="p1"))).clone()
         pod.metadata.labels["x"] = "1"
         client.update(pod)
         client.patch("Pod", "p1", lambda p: p.metadata.labels.update(y="2"))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.resets import reset_all
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.etcd import Etcd
 from repro.sim import Environment
 
 
@@ -15,6 +16,28 @@ def _fresh_process_state():
     :func:`repro.analysis.resets.register_reset`; nothing is hand-listed
     here, so new global state can never be silently forgotten."""
     reset_all()
+
+
+@pytest.fixture(autouse=True)
+def _stored_values_read_only(monkeypatch):
+    """Fail if any value committed to an :class:`Etcd` changes afterwards.
+
+    The apiserver shares stored objects with every reader, so a caller
+    that mutates what it read corrupts the store. Each committed value is
+    fingerprinted with ``repr`` at commit (``==`` cannot serve: a
+    ``LabelSelector`` compares by identity) and checked again at teardown.
+    """
+    committed = []
+    commit = Etcd._commit
+
+    def fingerprinting_commit(self, key, value, blind):
+        committed.append((key, value, repr(value)))
+        return commit(self, key, value, blind)
+
+    monkeypatch.setattr(Etcd, "_commit", fingerprinting_commit)
+    yield
+    changed = sorted({key for key, value, seen in committed if repr(value) != seen})
+    assert not changed, f"stored values mutated after commit: {changed}"
 
 
 @pytest.fixture

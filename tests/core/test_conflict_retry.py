@@ -44,8 +44,8 @@ class TestConflictSurfaces:
     def test_second_writer_with_same_resource_version_conflicts(self, api):
         api.create(make_sp())
         # Two controllers read the same revision...
-        first = api.get("SharePod", "sp1")
-        second = api.get("SharePod", "sp1")
+        first = api.get("SharePod", "sp1").clone()
+        second = api.get("SharePod", "sp1").clone()
         first.spec.gpu_id = "vgpu-aaa"
         api.update(first)
         # ...the slower writer's CAS must fail, not clobber.
@@ -56,14 +56,14 @@ class TestConflictSurfaces:
 
     def test_update_after_reread_succeeds(self, api):
         api.create(make_sp())
-        loser = api.get("SharePod", "sp1")
-        winner = api.get("SharePod", "sp1")
+        loser = api.get("SharePod", "sp1").clone()
+        winner = api.get("SharePod", "sp1").clone()
         winner.spec.gpu_id = "vgpu-aaa"
         api.update(winner)
         with pytest.raises(Conflict):
             api.update(loser)
         # The retry protocol: re-read, re-apply, re-write.
-        fresh = api.get("SharePod", "sp1")
+        fresh = api.get("SharePod", "sp1").clone()
         fresh.status.phase = PodPhase.RUNNING
         api.update(fresh)
         stored = api.get("SharePod", "sp1")
@@ -83,7 +83,7 @@ class TestPatchRereads:
             # on the first attempt only (simulated interleaving).
             if not interfered:
                 interfered.append(True)
-                other = api.get("SharePod", "sp1")
+                other = api.get("SharePod", "sp1").clone()
                 other.spec.gpu_id = "vgpu-aaa"
                 api.update(other)
             sp.status.phase = PodPhase.RUNNING
@@ -100,7 +100,7 @@ class TestPatchRereads:
         api.create(make_sp())
 
         def always_interfere(sp):
-            other = api.get("SharePod", "sp1")
+            other = api.get("SharePod", "sp1").clone()
             other.metadata.labels["tick"] = str(
                 int(other.metadata.labels.get("tick", "0")) + 1
             )
@@ -121,7 +121,7 @@ class TestPatchRereads:
             seen.append(sp.spec.gpu_id)
             if not interfered:
                 interfered.append(True)
-                other = api.get("SharePod", "sp1")
+                other = api.get("SharePod", "sp1").clone()
                 other.spec.gpu_id = "vgpu-ccc"
                 api.update(other)
             sp.status.message = "bound"

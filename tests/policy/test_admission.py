@@ -71,6 +71,16 @@ class TestQueueMode:
         b = ks.get("b", namespace="t1")
         assert ANN_QUEUED in b.metadata.annotations
 
+    def test_parking_leaves_the_callers_object_alone(self, stack):
+        """Admission annotates the server's copy, not the submitted object."""
+        cluster, ks = stack
+        ks.policy_layer.create_namespace("t1", gpu_quota=0.5, on_exceeded="queue")
+        submit(ks, "a", request=0.5, namespace="t1")
+        b = ks.make_sharepod("b", gpu_request=0.5, gpu_limit=1.0, gpu_mem=0.2, namespace="t1")
+        stored = ks.submit(b)
+        assert ANN_QUEUED in stored.metadata.annotations
+        assert ANN_QUEUED not in b.metadata.annotations
+
     def test_scheduler_skips_parked_sharepods(self, stack):
         cluster, ks = stack
         ks.policy_layer.create_namespace("t1", gpu_quota=0.5, on_exceeded="queue")

@@ -18,11 +18,11 @@ pytestmark = pytest.mark.benchmark(group="fig11")
 
 @pytest.mark.parametrize("n", [10, 50, 100, 400])
 def test_fig11_schedule_time(n, benchmark):
-    pool, sharepods = fig11.make_population(n)
+    gpuids, sharepods = fig11.make_population(n)
     request = RequestView(util=0.2, mem=0.2)
 
     def schedule_once():
-        devices = build_device_views(pool, sharepods)
+        devices = build_device_views(gpuids, sharepods)
         return schedule_request(request, devices)
 
     decision = benchmark(schedule_once)

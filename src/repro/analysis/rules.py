@@ -554,11 +554,14 @@ def _check_lost_update(ctx: FileContext) -> Iterator[Finding]:
                         ctx, node, "RPR004", f"blind `{receiver}.put(...)` (no CAS)"
                     )
     # (b) get→update on an api handle with no Conflict handling in scope.
+    # Each function is one scope: a nested def gets its own pass, so its
+    # calls and handlers neither pair with nor excuse the enclosing ones.
     for fn in ast.walk(ctx.tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        body = list(_walk_scope(fn))
         handles_conflict = False
-        for sub in ast.walk(fn):
+        for sub in body:
             if isinstance(sub, ast.ExceptHandler) and sub.type is not None:
                 types = (
                     sub.type.elts if isinstance(sub.type, ast.Tuple) else [sub.type]
@@ -570,13 +573,12 @@ def _check_lost_update(ctx: FileContext) -> Iterator[Finding]:
         if handles_conflict:
             continue
         reads: Dict[str, int] = {}
-        # Source order: ast.walk is breadth-first, so a `get` nested deeper
-        # than a later `update` (under `.clone()`, inside an `if`) would
-        # otherwise be visited after it.
+        # Source order: the walk would visit a `get` nested deeper than a
+        # later `update` (under `.clone()`, inside an `if`) after it.
         calls = sorted(
             (
                 sub
-                for sub in ast.walk(fn)
+                for sub in body
                 if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
             ),
             key=lambda call: (call.lineno, call.col_offset),

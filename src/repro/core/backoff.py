@@ -33,6 +33,16 @@ from typing import Dict, Optional
 __all__ = ["DecorrelatedJitter", "expo_backoff"]
 
 
+def _capped_expo(base: float, cap: float, n: int) -> float:
+    """``min(cap, base * 2 ** (n - 1))`` for any failure count *n*.
+
+    The exponent is clamped first: ``2.0 ** 1024`` raises
+    ``OverflowError``, and at 1023 doublings the schedule is long past
+    any cap.
+    """
+    return min(cap, base * 2.0 ** min(n - 1, 1023))
+
+
 def expo_backoff(count: int, base: float = 0.5, cap: float = 8.0) -> float:
     """Deterministic exponential backoff for the *count*-th failure.
 
@@ -42,7 +52,7 @@ def expo_backoff(count: int, base: float = 0.5, cap: float = 8.0) -> float:
     """
     if count < 1:
         return base
-    return min(cap, base * (2.0 ** (count - 1)))
+    return _capped_expo(base, cap, count)
 
 
 class DecorrelatedJitter:
@@ -81,7 +91,10 @@ class DecorrelatedJitter:
         if n is None:
             n = self._counts.get(key, 0) + 1
             self._counts[key] = n
-        expo = self.base * (2.0 ** (n - 1))
+        # An expo past the cap draws from [expo, ...] only to be cut to
+        # the cap below, so capping it first changes no delay and keeps
+        # one RNG draw per call.
+        expo = _capped_expo(self.base, self.cap, n)
         prev = self._prev.get(key, self.base)
         delay = min(self.cap, self._rng.uniform(expo, max(expo, prev * 3.0)))
         self._prev[key] = delay

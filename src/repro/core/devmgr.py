@@ -84,7 +84,6 @@ class KubeShareDevMgr(Controller):
         self,
         env: Environment,
         api: APIServer,
-        pool: VGPUPool,
         policy: Optional[PoolPolicy] = None,
         isolation: str = "token",
         op_latency: float = 0.06,
@@ -92,7 +91,9 @@ class KubeShareDevMgr(Controller):
         if isolation not in ("token", "fluid"):
             raise ValueError(f"unknown isolation mode {isolation!r}")
         super().__init__(env, api, name="kubeshare-devmgr")
-        self.pool = pool
+        #: this instance's vGPUs; :meth:`rebuild_state` refills it from
+        #: the placeholder pods after a failover.
+        self.pool = VGPUPool()
         self.policy = policy or OnDemandPolicy()
         self.isolation = isolation
         #: API-roundtrip cost of binding a container to its vGPU and
@@ -740,11 +741,13 @@ class KubeShareDevMgr(Controller):
         )
 
     # -- reservation prewarm -------------------------------------------------------------------
-    def prewarm(self, count: int, namespace: str = "default") -> List[str]:
+    def prewarm(self, count: int) -> List[str]:
         """Pre-create *count* idle vGPUs (reservation mode bootstrap).
 
         Returns the new GPUIDs; they materialize asynchronously as their
-        placeholder pods get scheduled.
+        placeholder pods get scheduled. The placeholders live in the
+        default namespace, as :meth:`_create_vgpu`'s do: every later
+        lookup and teardown of a placeholder looks there.
         """
         gpuids: List[str] = []
         for _ in range(count):
@@ -756,7 +759,7 @@ class KubeShareDevMgr(Controller):
             placeholder = Pod(
                 metadata=ObjectMeta(
                     name=vgpu.placeholder_pod,
-                    namespace=namespace,
+                    namespace="default",
                     labels={"app": "kubeshare-vgpu"},
                 ),
                 spec=PodSpec(

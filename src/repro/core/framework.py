@@ -3,7 +3,11 @@
 Installs the SharePod CRD and starts the two custom controllers
 (KubeShare-Sched + KubeShare-DevMgr) against an existing
 :class:`~repro.cluster.cluster.Cluster`, following the operator pattern —
-nothing in the cluster's own control plane is modified (§4.6).
+nothing in the cluster's own control plane is modified (§4.6). The two
+controllers share no state but the apiserver: DevMgr keeps its own vGPU
+pool and records each vGPU as a placeholder pod, and the scheduler reads
+the pool from those pods. The leader-elected wiring
+(:class:`repro.core.ha.HAKubeShare`) runs the same two controllers.
 """
 
 from __future__ import annotations
@@ -126,10 +130,9 @@ class KubeShare(SharePodClient):
         self.env = cluster.env
         self.api = cluster.api
         self.api.register_crd("SharePod")
-        self.pool = VGPUPool()
-        self.sched = KubeShareSched(self.env, self.api, self.pool)
+        self.sched = KubeShareSched(self.env, self.api)
         self.devmgr = KubeShareDevMgr(
-            self.env, self.api, self.pool, policy=policy, isolation=isolation
+            self.env, self.api, policy=policy, isolation=isolation
         )
         #: multi-tenant policy layer (quotas/priorities/reaper), installed
         #: when *contention* is a :class:`repro.policy.layer.PolicyConfig`
@@ -145,6 +148,11 @@ class KubeShare(SharePodClient):
             self.devmgr.requeue_base = cfg.requeue_base
             self.devmgr.requeue_cap = cfg.requeue_cap
         self._started = False
+
+    @property
+    def pool(self) -> VGPUPool:
+        """KubeShare-DevMgr's vGPU pool."""
+        return self.devmgr.pool
 
     def start(self) -> "KubeShare":
         """Start both controllers (the cluster must be started separately)."""

@@ -5,14 +5,17 @@ Runs N replicas each of KubeShare-Sched and KubeShare-DevMgr as
 one replica per controller is active at a time; a standby is promoted
 within the group's failover bound when the leader crashes or goes silent.
 
-Differences from the single-instance :class:`~repro.core.framework.KubeShare`:
+The controllers are the ones the single-instance
+:class:`~repro.core.framework.KubeShare` runs, and they share state only
+through the apiserver there too. What the HA wiring adds:
 
-* there is no shared in-process ``VGPUPool``. Each promoted DevMgr leader
-  rebuilds its own pool from the apiserver
-  (:meth:`~repro.core.devmgr.KubeShareDevMgr.rebuild_state`), and the
-  scheduler derives its device views from the deterministically named
-  placeholder pods on every pass — etcd is the only state handoff between
-  reigns, exactly as in production Kubernetes;
+* a failover hands over no in-process state. Each promoted DevMgr leader
+  starts with an empty pool and rebuilds it from the deterministically
+  named placeholder pods
+  (:meth:`~repro.core.devmgr.KubeShareDevMgr.rebuild_state`), and a
+  promoted scheduler's device-view index reads the same pods when it is
+  built — etcd is the only state handoff between reigns, exactly as in
+  production Kubernetes;
 * every controller write goes through a
   :class:`~repro.cluster.leaderelection.FencedAPIServer`, so a deposed
   leader (GC pause, partition) cannot double-allocate a vGPU: its writes
@@ -67,8 +70,7 @@ class HAKubeShare(SharePodClient):
         policy_layer = self.policy_layer
 
         def sched_factory(api: FencedAPIServer) -> KubeShareSched:
-            # pool=None: device views derive from the apiserver each pass.
-            sched = KubeShareSched(env, api, pool=None)
+            sched = KubeShareSched(env, api)
             if policy_layer is not None:
                 # The engine is stateless; every leader consults the same
                 # planner through its own fenced API handle.
@@ -77,9 +79,7 @@ class HAKubeShare(SharePodClient):
 
         def devmgr_factory(api: FencedAPIServer) -> KubeShareDevMgr:
             # A private pool per reign; rebuild_state() fills it by relist.
-            devmgr = KubeShareDevMgr(
-                env, api, VGPUPool(), policy=policy, isolation=isolation
-            )
+            devmgr = KubeShareDevMgr(env, api, policy=policy, isolation=isolation)
             if contention_cfg is not None:
                 devmgr.requeue_base = contention_cfg.requeue_base
                 devmgr.requeue_cap = contention_cfg.requeue_cap

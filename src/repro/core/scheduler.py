@@ -5,7 +5,8 @@ implementation of the paper's Algorithm 1 as a pure function over
 immutable device views, so it can be unit-tested, property-tested and
 micro-benchmarked (Figure 11) in isolation. :class:`KubeShareSched` wraps
 it in a controller that watches pending SharePods, derives the device
-views from the vGPU pool plus the current SharePod population, and writes
+views from the vGPUs KubeShare-DevMgr holds (its placeholder pods, read
+through the apiserver) plus the current SharePod population, and writes
 the chosen GPUID back into the SharePodSpec for KubeShare-DevMgr to act
 on.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from ..cluster.apiserver import APIServer, NotFound
 from ..cluster.controller import Controller
@@ -38,7 +39,7 @@ from ..obs import runtime as obs
 from ..policy.objects import ANN_QUEUED, ANN_REQUEUE_AFTER
 from ..sim import Environment
 from .sharepod import SharePod
-from .vgpu import VGPUPool, new_gpuid
+from .vgpu import new_gpuid
 
 __all__ = [
     "DeviceView",
@@ -302,13 +303,12 @@ def schedule_request(
 
 
 def build_device_views(
-    pool: VGPUPool, sharepods: List[SharePod]
+    gpuids: Iterable[str], sharepods: List[SharePod]
 ) -> List[DeviceView]:
-    """Derive Algorithm 1's device list from the vGPU pool plus the live
-    SharePod population (requests, memory, locality labels)."""
-    views: Dict[str, DeviceView] = {
-        v.gpuid: DeviceView(gpuid=v.gpuid) for v in pool.list()
-    }
+    """Derive Algorithm 1's device list from the pool's GPUIDs plus the
+    live SharePod population (requests, memory, locality labels): one
+    view per GPUID in the pool or held by a live SharePod."""
+    views: Dict[str, DeviceView] = {g: DeviceView(gpuid=g) for g in gpuids}
     for sp in sharepods:
         gpuid = sp.spec.gpu_id
         if gpuid is None or sp.status.phase in _TERMINAL:
@@ -330,7 +330,14 @@ def build_device_views(
 
 
 class KubeShareSched(Controller):
-    """The scheduling controller: pending SharePods → GPUID assignments."""
+    """The scheduling controller: pending SharePods → GPUID assignments.
+
+    It shares no state with KubeShare-DevMgr but the apiserver, in the
+    single-instance and the HA wiring alike: the vGPUs it may place on
+    are the placeholder pods DevMgr created, kept by its
+    :class:`~repro.core.viewindex.DeviceViewIndex`. A promoted HA
+    scheduler therefore needs no state handoff.
+    """
 
     kind = "SharePod"
     #: reconciles run concurrently, as goroutines would in the Go
@@ -342,15 +349,10 @@ class KubeShareSched(Controller):
         self,
         env: Environment,
         api: APIServer,
-        pool: Optional[VGPUPool] = None,
         defer_delay: float = 0.25,
         op_latency: float = 0.08,
     ) -> None:
         super().__init__(env, api, name="kubeshare-sched")
-        #: shared in-process pool (classic single-instance wiring), or
-        #: ``None`` to derive the device view from the apiserver on every
-        #: pass (HA wiring — a promoted scheduler needs no state handoff).
-        self.pool = pool
         self.defer_delay = defer_delay
         #: API-roundtrip cost of one scheduling pass (list SharePods +
         #: query vGPU info + patch), calibrated — see EXPERIMENTS.md.
@@ -372,7 +374,7 @@ class KubeShareSched(Controller):
         if self._index is None:
             from .viewindex import DeviceViewIndex  # deferred: import cycle
 
-            self._index = DeviceViewIndex(self.api, self.pool)
+            self._index = DeviceViewIndex(self.api)
         return self._index
 
     def stop(self) -> None:
@@ -419,15 +421,16 @@ class KubeShareSched(Controller):
         # hot-path: Algorithm 1's inputs come from the commit-invalidated
         # DeviceViewIndex, not a relist. The sharePod being scheduled
         # needs no exclusion from the cached population: its gpu_id is
-        # None (checked above), so it contributes nothing to the views or
-        # the assigned-GPUID set either way. The index reads etcd past
-        # the apiserver's outage gate; no sim time has passed since the
-        # gated get above, so one gate call here keeps the pass gated
-        # exactly like a relist.
+        # None (checked above), so it contributes nothing to the views
+        # either way. The index reads etcd past the apiserver's outage
+        # gate; no sim time has passed since the gated get above, so one
+        # gate call here keeps the pass gated exactly like a relist.
         self.api._gate()
         index = self._get_index()
         devices = index.device_views()
-        pool = index.pool_view()
+        # One view per vGPU in the pool or held by a live sharePod (not
+        # yet materialized), counted before Algorithm 1 appends a new one.
+        vgpus = len(devices)
         population = index.sharepod_count()
 
         audit = obs.decision_audit()
@@ -461,8 +464,7 @@ class KubeShareSched(Controller):
                 return
             # A new vGPU needs a free physical GPU; if the cluster is fully
             # acquired, defer and retry when something frees up.
-            in_flight = len({g for g in index.assigned_gpuids() if g not in pool})
-            if len(pool) + in_flight >= max(index.gpu_capacity(), 1):
+            if vgpus >= max(index.gpu_capacity(), 1):
                 # Defer without blocking the worker; capacity-free events
                 # also requeue us (see filter()).
                 if self.contention is not None:

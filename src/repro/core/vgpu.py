@@ -102,12 +102,6 @@ class VGPUPool:
 
     def __init__(self) -> None:
         self._by_gpuid: Dict[str, VGPU] = {}
-        #: membership version — bumped on add/remove. Pool mutations bypass
-        #: etcd (DevMgr owns the pool in-process), so derived caches (the
-        #: scheduler's device-view index) compare this instead of listening
-        #: on a write stream. Only *membership* matters to Algorithm 1's
-        #: views: per-vGPU fields (phase, uuid, attached) never feed them.
-        self.version = 0
 
     def __contains__(self, gpuid: str) -> bool:
         return gpuid in self._by_gpuid
@@ -122,14 +116,10 @@ class VGPUPool:
         if vgpu.gpuid in self._by_gpuid:
             raise ValueError(f"vGPU {vgpu.gpuid} already in pool")
         self._by_gpuid[vgpu.gpuid] = vgpu
-        self.version += 1
         return vgpu
 
     def remove(self, gpuid: str) -> Optional[VGPU]:
-        removed = self._by_gpuid.pop(gpuid, None)
-        if removed is not None:
-            self.version += 1
-        return removed
+        return self._by_gpuid.pop(gpuid, None)
 
     def list(self) -> List[VGPU]:
         return sorted(self._by_gpuid.values(), key=lambda v: v.gpuid)

@@ -1,31 +1,38 @@
 """Cached, invalidation-driven device views for Algorithm 1.
 
-Every scheduling pass needs the device list, the vGPU pool view, the
-SharePod population and the cluster's GPU capacity. Deriving them from a
-relist of every SharePod, Pod and Node **per reconcile** is O(pods) work
-per decision, which would dominate the control-plane profile at cluster
-scale. :class:`DeviceViewIndex` memoizes those derived structures and
+Every scheduling pass needs the device list, the SharePod population and
+the cluster's GPU capacity. Deriving them from a relist of every
+SharePod, Pod and Node **per reconcile** is O(pods) work per decision,
+which would dominate the control-plane profile at cluster scale.
+:class:`DeviceViewIndex` memoizes those derived structures and
 invalidates them with synchronous etcd commit listeners (see
 :meth:`repro.cluster.etcd.Etcd.add_listener`), so a pass over an unchanged
 cluster costs O(devices) copying instead of O(pods log pods) rebuilding.
 
+The scheduler holds no vGPU pool of its own, in either wiring: KubeShare-
+DevMgr records every vGPU it holds as a ``vgpu-holder-<GPUID>``
+placeholder pod, and the index keeps the set of those GPUIDs. It fills
+the set from one snapshot when it is built (a promoted HA scheduler
+starts from etcd) and keeps it current from the Pod commit listener: a
+placeholder create adds its GPUID, a placeholder delete removes it, and
+every other Pod commit returns after a name check.
+
 Equivalence argument (why cached views can never diverge from a relist;
 ``tests/core/test_viewindex.py`` checks every read against a brute-force
-relist at each Algorithm 1 pass of three scenarios):
+relist at each Algorithm 1 pass of four scenarios):
 
 * Listeners run *inside* the etcd commit — before any watcher, any reader,
   or the writer itself can observe the new revision. There is no window in
   which the store has changed but the index believes its cache is fresh.
+* Only placeholder *membership* feeds the views, and only a create (a
+  PUT with no previous value) or a delete changes it; a placeholder's
+  status and binding writes leave the views as they were.
 * No simulation time passes inside a scheduling pass between the (gated)
   SharePod ``get`` and the device-view construction, so the cache rebuilt
   at the same ``env.now`` reads exactly the state a relist would read.
 * The SharePod currently being scheduled needs no special exclusion: its
   ``gpu_id`` is ``None`` (checked by the caller), so it contributes
-  nothing to :func:`~repro.core.scheduler.build_device_views` or to the
-  assigned-GPUID set either way.
-* The in-process :class:`~repro.core.vgpu.VGPUPool` (single-instance
-  wiring) is mutated without etcd writes; membership changes are detected
-  via ``pool.version`` instead. Only membership feeds the views.
+  nothing to :func:`~repro.core.scheduler.build_device_views` either way.
 
 Cache rebuilds read through :meth:`Etcd.snapshot` — the untracked range
 read — because they are not part of any read-modify-write cycle (the
@@ -39,13 +46,12 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from ..cluster.apiserver import APIServer
-from ..cluster.objects import GPU_RESOURCE, PodPhase
+from ..cluster.etcd import WatchEventType
+from ..cluster.objects import GPU_RESOURCE
 from .scheduler import DeviceView, build_device_views
-from .vgpu import PLACEHOLDER_PREFIX, VGPU, VGPUPool, placeholder_gpuid
+from .vgpu import PLACEHOLDER_PREFIX, placeholder_gpuid
 
 __all__ = ["DeviceViewIndex"]
-
-_TERMINAL = (PodPhase.SUCCEEDED, PodPhase.FAILED)
 
 _SHAREPOD_PREFIX = "/registry/SharePod/"
 _POD_PREFIX = "/registry/Pod/"
@@ -60,18 +66,20 @@ class DeviceViewIndex:
     on the shared etcd).
     """
 
-    def __init__(self, api: APIServer, pool: Optional[VGPUPool] = None) -> None:
+    def __init__(self, api: APIServer) -> None:
         self.api = api
-        self.pool = pool
         self._etcd = api.etcd
         # Cached derivations (None = dirty).
         self._base: Optional[List[DeviceView]] = None
-        self._assigned: Optional[Set[str]] = None
         self._sharepod_count = 0
-        self._ha_pool: Optional[VGPUPool] = None
         self._capacity: Optional[int] = None
-        self._pool_version = -1
         self._closed = False
+        #: GPUIDs of the placeholder pods: the vGPU pool as etcd records it.
+        self._pool: Set[str] = {
+            placeholder_gpuid(kv.value.name)
+            for kv in self._etcd.snapshot(_POD_PREFIX)
+            if kv.value.name.startswith(PLACEHOLDER_PREFIX)
+        }
         self._etcd.add_listener(_SHAREPOD_PREFIX, self._on_sharepod)
         self._etcd.add_listener(_POD_PREFIX, self._on_pod)
         self._etcd.add_listener(_NODE_PREFIX, self._on_node)
@@ -79,13 +87,18 @@ class DeviceViewIndex:
     # -- invalidation (synchronous, inside the etcd commit) ---------------
     def _on_sharepod(self, _event) -> None:
         self._base = None
-        self._assigned = None
 
-    def _on_pod(self, _event) -> None:
-        if self.pool is None:
-            # HA wiring: the pool view is derived from placeholder pods.
-            self._ha_pool = None
-            self._base = None
+    def _on_pod(self, event) -> None:
+        name = event.kv.key.rpartition("/")[2]
+        if not name.startswith(PLACEHOLDER_PREFIX):
+            return
+        if event.type is WatchEventType.DELETE:
+            self._pool.discard(placeholder_gpuid(name))
+        elif event.prev is None:
+            self._pool.add(placeholder_gpuid(name))
+        else:
+            return  # a status or binding write: membership unchanged
+        self._base = None
 
     def _on_node(self, _event) -> None:
         self._capacity = None
@@ -98,45 +111,14 @@ class DeviceViewIndex:
             self._etcd.remove_listener(self._on_node)
 
     # -- cached reads ------------------------------------------------------
-    def pool_view(self) -> VGPUPool:
-        """The scheduler's device pool (shared in-process, or HA-derived)."""
-        if self.pool is not None:
-            return self.pool
-        if self._ha_pool is None:
-            view = VGPUPool()
-            for kv in self._etcd.snapshot(_POD_PREFIX):
-                pod = kv.value
-                if pod.name.startswith(PLACEHOLDER_PREFIX):
-                    vgpu = VGPU(
-                        gpuid=placeholder_gpuid(pod.name),
-                        created_at=pod.metadata.creation_time,
-                    )
-                    vgpu.placeholder_pod = pod.name
-                    vgpu.node_name = pod.spec.node_name
-                    view.add(vgpu)
-            self._ha_pool = view
-        return self._ha_pool
-
-    def _refresh(self) -> None:
-        pool = self.pool_view()
-        if self.pool is not None and self.pool.version != self._pool_version:
-            self._pool_version = self.pool.version
-            self._base = None
-        if self._base is not None and self._assigned is not None:
-            return
-        sharepods = [kv.value for kv in self._etcd.snapshot(_SHAREPOD_PREFIX)]
-        self._sharepod_count = len(sharepods)
-        self._base = build_device_views(pool, sharepods)
-        self._assigned = {
-            sp.spec.gpu_id
-            for sp in sharepods
-            if sp.spec.gpu_id is not None and sp.status.phase not in _TERMINAL
-        }
-
     def device_views(self) -> List[DeviceView]:
         """Fresh, mutable Algorithm 1 device list (identical — field for
-        field and in order — to ``build_device_views(pool, relist())``)."""
-        self._refresh()
+        field and in order — to ``build_device_views(placeholder GPUIDs,
+        relist())``)."""
+        if self._base is None:
+            sharepods = [kv.value for kv in self._etcd.snapshot(_SHAREPOD_PREFIX)]
+            self._sharepod_count = len(sharepods)
+            self._base = build_device_views(self._pool, sharepods)
         return [
             DeviceView(
                 gpuid=d.gpuid,
@@ -149,11 +131,6 @@ class DeviceViewIndex:
             )
             for d in self._base
         ]
-
-    def assigned_gpuids(self) -> Set[str]:
-        """GPUIDs held by live (non-terminal) SharePods."""
-        self._refresh()
-        return self._assigned
 
     def sharepod_count(self) -> int:
         """SharePod population size as of the last refresh."""

@@ -21,7 +21,6 @@ import numpy as np
 from ..cluster.objects import ObjectMeta
 from ..core.scheduler import RequestView, build_device_views, schedule_request
 from ..core.sharepod import SharePod, SharePodSpec
-from ..core.vgpu import VGPU, VGPUPhase, VGPUPool
 from ..metrics.reporting import ascii_table
 
 __all__ = ["Fig11Point", "make_population", "run", "main", "DEFAULT_SIZES"]
@@ -39,18 +38,14 @@ class Fig11Point:
 def make_population(n: int, seed: int = 3, gpus: int = 0) -> tuple:
     """Build *n* scheduled SharePods spread over a realistic vGPU pool.
 
-    ``gpus`` caps the pool size (0 = grow as needed, ~3 sharePods/vGPU).
+    Returns the pool's GPUIDs and the SharePods. ``gpus`` caps the pool
+    size (0 = grow as needed, ~3 sharePods/vGPU).
     """
     rng = np.random.default_rng(seed)
-    pool = VGPUPool()
     sharepods: List[SharePod] = []
     per_gpu = 3
     n_vgpus = max(1, (n + per_gpu - 1) // per_gpu if gpus == 0 else gpus)
-    vgpus = []
-    for i in range(n_vgpus):
-        v = VGPU(gpuid=f"vgpu-pop-{i:04d}", phase=VGPUPhase.ACTIVE, uuid=f"GPU-{i}")
-        pool.add(v)
-        vgpus.append(v)
+    gpuids = [f"vgpu-pop-{i:04d}" for i in range(n_vgpus)]
     labels = ["teamA", "teamB", None, None, None]
     for i in range(n):
         request = float(rng.uniform(0.1, 0.3))
@@ -60,12 +55,12 @@ def make_population(n: int, seed: int = 3, gpus: int = 0) -> tuple:
                 gpu_request=request,
                 gpu_limit=min(1.0, request + 0.2),
                 gpu_mem=float(rng.uniform(0.1, 0.3)),
-                gpu_id=vgpus[i % n_vgpus].gpuid,
+                gpu_id=gpuids[i % n_vgpus],
                 sched_anti_affinity=labels[int(rng.integers(0, len(labels)))],
             ),
         )
         sharepods.append(sp)
-    return pool, sharepods
+    return gpuids, sharepods
 
 
 def run(
@@ -74,11 +69,11 @@ def run(
     points = []
     request = RequestView(util=0.2, mem=0.2)
     for n in sizes:
-        pool, sharepods = make_population(n, seed=seed)
+        gpuids, sharepods = make_population(n, seed=seed)
         samples = []
         for _ in range(repeats):
             t0 = time.perf_counter()  # noqa: RPR001 - the experiment measures host wall time of the algorithm
-            devices = build_device_views(pool, sharepods)
+            devices = build_device_views(gpuids, sharepods)
             schedule_request(request, devices)
             samples.append(time.perf_counter() - t0)  # noqa: RPR001 - host timing is the measurement
         arr = np.asarray(samples)

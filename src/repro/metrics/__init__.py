@@ -8,7 +8,6 @@ from .analysis import (
     throughput_jobs_per_minute,
 )
 from .collector import DEFAULT_LATENCY_BOUNDARIES, Histogram, MetricsRegistry, TimeSeries
-from .export import results_to_json, rows_to_csv, series_to_csv, write_text
 from .reporting import ascii_table, banner, format_percent, format_series
 
 __all__ = [
@@ -25,8 +24,4 @@ __all__ = [
     "format_series",
     "format_percent",
     "banner",
-    "rows_to_csv",
-    "series_to_csv",
-    "results_to_json",
-    "write_text",
 ]

@@ -84,8 +84,7 @@ class ObsHub:
         #: leadership group name -> open reign span.
         self._reigns: Dict[str, Any] = {}
         self._clusters: List[Any] = []
-        self._groups: List[Any] = []
-        self._controllers: List[Any] = []
+        self._kubeshares: List[Any] = []
         self._sampler_proc = None
         #: per-cluster last-seen etcd revision (keyed by attach order —
         #: a single scalar would corrupt the rate series the moment a
@@ -115,10 +114,7 @@ class ObsHub:
     def attach_kubeshare(self, ks) -> "ObsHub":
         """Register KubeShare's controllers (single-instance or HA) for
         work-queue / informer-lag sampling."""
-        if hasattr(ks, "sched_group"):
-            self._groups.extend([ks.sched_group, ks.devmgr_group])
-        else:
-            self._controllers.extend([ks.sched, ks.devmgr])
+        self._kubeshares.append(ks)
         return self
 
     def start_sampler(self) -> "ObsHub":
@@ -148,12 +144,14 @@ class ObsHub:
         return self
 
     def _live_controllers(self) -> List[Any]:
-        out = list(self._controllers)
-        for group in self._groups:
-            active = group.active_controller
-            if active is not None:
-                out.append(active)
-        return out
+        # An HA wiring's controllers are its active leaders, None
+        # mid-failover.
+        return [
+            ctl
+            for ks in self._kubeshares
+            for ctl in (ks.sched, ks.devmgr)
+            if ctl is not None
+        ]
 
     def _sample(self):
         from .promfmt import metric

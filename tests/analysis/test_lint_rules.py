@@ -176,6 +176,38 @@ class TestRPR004LostUpdate:
                 api.update(obj)
         """) == ["RPR004"]
 
+    def test_get_then_update_in_nested_function_flagged_once(self):
+        out = findings("""
+            def make_promoter(api):
+                def promote(name):
+                    obj = api.get("Pod", name)
+                    api.update(obj)
+                return promote
+        """)
+        assert [(f.rule_id, f.line) for f in out] == [("RPR004", 5)]
+
+    def test_get_does_not_pair_with_nested_functions_update(self):
+        assert rule_ids("""
+            def promote(api, name):
+                obj = api.get("Pod", name)
+                def write(fresh):
+                    api.update(fresh)
+                return obj, write
+        """) == []
+
+    def test_nested_functions_conflict_handler_does_not_cover_enclosing(self):
+        assert rule_ids("""
+            def promote(api, name):
+                obj = api.get("Pod", name)
+                api.update(obj)
+                def retry(fresh):
+                    try:
+                        api.patch("Pod", name, fresh)
+                    except Conflict:
+                        pass
+                return retry
+        """) == ["RPR004"]
+
     def test_conflict_handler_clean(self):
         assert rule_ids("""
             def promote(api, name):

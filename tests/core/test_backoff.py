@@ -25,6 +25,11 @@ class TestExpoBackoff:
         assert expo_backoff(0, base=0.5, cap=8.0) == 0.5
         assert expo_backoff(-3, base=0.5, cap=8.0) == 0.5
 
+    def test_long_failure_streak_stays_at_cap(self):
+        # 2.0 ** 1024 overflows a float.
+        assert expo_backoff(1025, base=0.5, cap=8.0) == 8.0
+        assert expo_backoff(10_000, base=0.5, cap=8.0) == 8.0
+
 
 class TestDecorrelatedJitter:
     def test_stream_is_deterministic_per_name(self):
@@ -69,6 +74,27 @@ class TestDecorrelatedJitter:
         first_cold = policy.next("cold")
         # A fresh key starts from the base schedule, not the hot key's.
         assert first_cold <= 3 * 0.1 + 1e-12
+
+    def test_long_failure_streak_stays_at_cap(self):
+        policy = DecorrelatedJitter("long", 0.005, 2.0)
+        assert policy.next("k", 1025) == 2.0
+        assert policy.next("k", 10_000) == 2.0
+
+    def test_delays_and_draws_match_the_unclamped_schedule(self):
+        import random
+
+        # The schedule before the exponent was clamped, valid for n <= 1024.
+        ref = random.Random(7)
+        prev = 0.005
+        expected = []
+        for n in range(1, 1025):
+            expo = 0.005 * (2.0 ** (n - 1))
+            prev = min(2.0, ref.uniform(expo, max(expo, prev * 3.0)))
+            expected.append(prev)
+        rng = random.Random(7)
+        policy = DecorrelatedJitter("ref", 0.005, 2.0, rng=rng)
+        assert [policy.next("k", n) for n in range(1, 1025)] == expected
+        assert rng.getstate() == ref.getstate()
 
     def test_explicit_rng_overrides_seed(self):
         import random

@@ -8,7 +8,6 @@ from repro.core import HybridPolicy, KubeShare
 from repro.core.devmgr import PLACEHOLDER_PREFIX
 from repro.core.scheduler import build_device_views
 from repro.core.sharepod import SharePod, SharePodSpec
-from repro.core.vgpu import VGPU, VGPUPhase, VGPUPool
 from repro.cluster.objects import ObjectMeta
 
 TERMINAL = (PodPhase.SUCCEEDED, PodPhase.FAILED)
@@ -28,8 +27,6 @@ def train(work):
 
 class TestBuildDeviceViews:
     def test_derives_labels_and_residuals(self):
-        pool = VGPUPool()
-        pool.add(VGPU(gpuid="g1", phase=VGPUPhase.ACTIVE, uuid="GPU-1"))
         sp = SharePod(
             metadata=ObjectMeta(name="s1"),
             spec=SharePodSpec(
@@ -38,7 +35,7 @@ class TestBuildDeviceViews:
                 sched_exclusion="tenant",
             ),
         )
-        views = build_device_views(pool, [sp])
+        views = build_device_views(["g1"], [sp])
         assert len(views) == 1
         v = views[0]
         assert v.util == pytest.approx(0.6)
@@ -49,25 +46,22 @@ class TestBuildDeviceViews:
         assert not v.idle
 
     def test_terminal_sharepods_do_not_count(self):
-        pool = VGPUPool()
-        pool.add(VGPU(gpuid="g1", phase=VGPUPhase.IDLE, uuid="GPU-1"))
         sp = SharePod(
             metadata=ObjectMeta(name="done"),
             spec=SharePodSpec(gpu_request=0.9, gpu_limit=1.0, gpu_mem=0.9, gpu_id="g1"),
         )
         sp.status.phase = PodPhase.SUCCEEDED
-        views = build_device_views(pool, [sp])
+        views = build_device_views(["g1"], [sp])
         assert views[0].idle
         assert views[0].util == pytest.approx(1.0)
 
     def test_assigned_but_unmaterialized_gpuid_gets_a_view(self):
-        pool = VGPUPool()  # empty: DevMgr has not created the vGPU yet
-        sp = SharePod(
+        sp = SharePod(  # DevMgr has not created the vGPU yet: empty pool
             metadata=ObjectMeta(name="inflight"),
             spec=SharePodSpec(gpu_request=0.5, gpu_limit=1.0, gpu_mem=0.5,
                               gpu_id="vgpu-new"),
         )
-        views = build_device_views(pool, [sp])
+        views = build_device_views([], [sp])
         assert [v.gpuid for v in views] == ["vgpu-new"]
         assert views[0].util == pytest.approx(0.5)
 
@@ -76,7 +70,7 @@ class TestBuildDeviceViews:
             metadata=ObjectMeta(name="pending"),
             spec=SharePodSpec(gpu_request=0.5, gpu_limit=1.0, gpu_mem=0.5),
         )
-        assert build_device_views(VGPUPool(), [sp]) == []
+        assert build_device_views([], [sp]) == []
 
 
 class TestDevMgrLifecycle:

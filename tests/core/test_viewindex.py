@@ -2,59 +2,38 @@
 
 The scheduler reads Algorithm 1's inputs from the commit-invalidated
 :class:`~repro.core.viewindex.DeviceViewIndex` instead of relisting the
-apiserver per pass. Here every pass of three canonical scenarios is
-checked against a relist written in this file: the device views, the
-pool view (in HA mode rebuilt from placeholder pods), the SharePod
-population, the assigned GPUIDs and the Ready-node GPU capacity. A
-missed invalidation shows up as a pass whose cached reads differ.
+apiserver per pass. Here every pass of four canonical scenarios is
+checked against a relist written in this file: the device views over the
+placeholder pods' GPUIDs, the SharePod population and the Ready-node GPU
+capacity. A missed invalidation shows up as a pass whose cached reads
+differ. Two unit tests cover what no scenario pass shows: a placeholder
+create invalidates the views, and an index built after placeholders
+exist (a promoted HA scheduler's) starts from them.
 """
 
 import pytest
 
-from repro.cluster.objects import GPU_RESOURCE, PodPhase
+from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.objects import GPU_RESOURCE, ContainerSpec, ObjectMeta, Pod, PodSpec
+from repro.core import KubeShare, viewindex
 from repro.core.scheduler import build_device_views
-from repro.core.vgpu import PLACEHOLDER_PREFIX, VGPU, VGPUPool, placeholder_gpuid
+from repro.core.vgpu import PLACEHOLDER_PREFIX, placeholder_gpuid
 from repro.core.viewindex import DeviceViewIndex
 from repro.perf import scenarios
-
-_TERMINAL = (PodPhase.SUCCEEDED, PodPhase.FAILED)
-
-
-def relist_pool(api, pool):
-    """The shared in-process pool, or one rebuilt from placeholder pods."""
-    if pool is not None:
-        return pool
-    view = VGPUPool()
-    for pod in api.list("Pod"):
-        if pod.name.startswith(PLACEHOLDER_PREFIX):
-            vgpu = VGPU(
-                gpuid=placeholder_gpuid(pod.name),
-                created_at=pod.metadata.creation_time,
-                node_name=pod.spec.node_name,
-                placeholder_pod=pod.name,
-            )
-            view.add(vgpu)
-    return view
-
-
-def _pool_rows(pool):
-    return [(v.gpuid, v.node_name, v.placeholder_pod, v.created_at) for v in pool.list()]
 
 
 def relist_mismatches(index, views):
     """Every read of *index* that differs from a relist, by name."""
     api = index.api
     sharepods = api.list("SharePod")
-    pool = relist_pool(api, index.pool)
+    pool = {
+        placeholder_gpuid(pod.name)
+        for pod in api.list("Pod")
+        if pod.name.startswith(PLACEHOLDER_PREFIX)
+    }
     expected = {
         "device_views": build_device_views(pool, sharepods),
-        "pool_view": _pool_rows(pool),
         "sharepod_count": len(sharepods),
-        "assigned_gpuids": {
-            sp.spec.gpu_id
-            for sp in sharepods
-            if sp.spec.gpu_id is not None and sp.status.phase not in _TERMINAL
-        },
         "gpu_capacity": int(
             sum(
                 n.status.capacity.get(GPU_RESOURCE, 0.0)
@@ -65,9 +44,7 @@ def relist_mismatches(index, views):
     }
     actual = {
         "device_views": views,
-        "pool_view": _pool_rows(index.pool_view()),
         "sharepod_count": index.sharepod_count(),
-        "assigned_gpuids": index.assigned_gpuids(),
         "gpu_capacity": index.gpu_capacity(),
     }
     return [name for name in expected if actual[name] != expected[name]]
@@ -86,7 +63,7 @@ def passes(monkeypatch):
 
     def checked(self):
         views = device_views(self)
-        log.append((self.api.env.now, self.pool is None, relist_mismatches(self, views)))
+        log.append((self.api.env.now, relist_mismatches(self, views)))
         return views
 
     monkeypatch.setattr(DeviceViewIndex, "device_views", checked)
@@ -94,16 +71,67 @@ def passes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "run, n_passes, ha",
+    "run, n_passes",
     [
-        (lambda: scenarios.chaos(11), 8, False),
-        (lambda: scenarios.failover(13), 12, True),
-        (lambda: scenarios.fig8(seed=7), 120, False),
+        (lambda: scenarios.chaos(11), 8),
+        (lambda: scenarios.failover(13), 12),
+        (lambda: scenarios.fig8(seed=7), 120),
+        # On-demand release deletes placeholders while the index is warm.
+        (lambda: scenarios.trace_replay(), 105),
     ],
-    ids=["chaos", "failover", "fig8"],
+    ids=["chaos", "failover", "fig8", "trace_replay"],
 )
-def test_index_matches_relist_at_every_pass(passes, run, n_passes, ha):
+def test_index_matches_relist_at_every_pass(passes, run, n_passes):
     run()
     assert len(passes) == n_passes
-    assert {is_ha for _, is_ha, _ in passes} == {ha}
-    assert [(t, bad) for t, _, bad in passes if bad] == []
+    assert [(t, bad) for t, bad in passes if bad] == []
+
+
+@pytest.fixture
+def stack(env):
+    cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=2)).start()
+    return cluster, KubeShare(cluster).start()
+
+
+def _idle_views(views):
+    return [(v.gpuid, v.idle, v.util, v.mem) for v in views]
+
+
+def test_prewarmed_vgpus_reach_the_next_pass(stack):
+    cluster, ks = stack
+    index = DeviceViewIndex(cluster.api)
+    assert index.device_views() == []
+    # No SharePod commit follows: only the placeholder creates can tell
+    # the warm index that the pool grew.
+    gpuids = ks.devmgr.prewarm(2)
+    views = index.device_views()
+    assert _idle_views(views) == [(g, True, 1.0, 1.0) for g in sorted(gpuids)]
+    assert relist_mismatches(index, views) == []
+
+
+def test_index_built_after_placeholders_starts_from_them(stack, monkeypatch):
+    cluster, ks = stack
+    env = cluster.env
+    gpuids = ks.devmgr.prewarm(2)
+    env.run(until=1.0)
+    # Built the way a promoted HA scheduler builds it: the pool already
+    # exists, and no placeholder create will arrive to announce it.
+    index = DeviceViewIndex(cluster.api)
+    views = index.device_views()
+    assert _idle_views(views) == [(g, True, 1.0, 1.0) for g in sorted(gpuids)]
+    assert relist_mismatches(index, views) == []
+
+    rebuilds = []
+
+    def counted(pool, sharepods):
+        rebuilds.append(env.now)
+        return build_device_views(pool, sharepods)
+
+    monkeypatch.setattr(viewindex, "build_device_views", counted)
+    # A native Pod's create and bind, and the placeholders' status writes.
+    native = PodSpec(containers=[ContainerSpec(requests={"cpu": 0.1})])
+    cluster.api.create(Pod(metadata=ObjectMeta(name="native"), spec=native))
+    env.run(until=2.0)
+    assert cluster.api.get("Pod", "native").spec.node_name is not None
+    assert index.device_views() == views
+    assert rebuilds == []

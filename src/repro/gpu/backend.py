@@ -27,7 +27,8 @@ The daemon runs no process of its own. Handoff, grant, quota expiry and
 the retry after a denial are timer callbacks, and a token's expiry timer
 lives exactly as long as the token: every other way a token ends
 (release, the holder unregistering, a daemon restart, a failed device)
-tombstones it.
+tombstones it. Every end but a release calls the token's ``on_end`` hook,
+where the holder's device library stops its kernel in flight.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Deque, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..obs import runtime as obs
 from ..sim import Environment, Event
@@ -72,6 +73,9 @@ class Token:
     granted_at: float
     quota: float
     valid: bool = True
+    #: the holder's hook, called with the token whenever the backend ends
+    #: it, except when the holder releases it.
+    on_end: Optional[Callable[["Token"], None]] = field(default=None, repr=False)
 
     def expires_at(self) -> float:
         return self.granted_at + self.quota
@@ -268,7 +272,7 @@ class TokenBackend:
         record = state.clients.get(token.client_id)
         if record is not None:
             self._end_hold(state, record)
-        self._end_token(state)
+        self._end_token(state, by_holder=True)
         self._maybe_grant(token.device_uuid)
 
     # -- failure & restart ------------------------------------------------------
@@ -327,12 +331,16 @@ class TokenBackend:
             record.push_interval(record.hold_start, self.env.now)
             record.hold_start = None
 
-    def _end_token(self, state: _DeviceState) -> None:
-        """Invalidate the device's token and tombstone its expiry timer."""
-        state.token.valid = False
+    def _end_token(self, state: _DeviceState, by_holder: bool = False) -> None:
+        """Invalidate the device's token and tombstone its expiry timer;
+        tell the holder, unless it gave the token back itself."""
+        token = state.token
+        token.valid = False
         state.token = None
         state.expiry.cancel()
         state.expiry = None
+        if token.on_end is not None and not by_holder:
+            token.on_end(token)
 
     def _pick(self, state: _DeviceState) -> Optional[int]:
         """Index into the queue of the request to grant next, or None."""

@@ -167,15 +167,12 @@ class CudaAPI:
         self.hooks.notify("cuMemFree", ctx, ptr)
 
     # -- compute API (intercepted by the device library) --------------------------
-    def cu_launch_kernel(
-        self, ctx: CudaContext, work: float, demand: Optional[float] = None, pace: float = 0.0
-    ) -> Generator:
+    def cu_launch_kernel(self, ctx: CudaContext, work: float, pace: float = 0.0) -> Generator:
         """Launch kernels totalling *work* seconds of full-device compute
-        and synchronize (``cuLaunchKernel`` + ``cuCtxSynchronize``).
-
-        *demand* caps the instantaneous appetite in (0, 1] — an inference
-        server handling a 30% load submits kernels only 30% of the time
-        even when the device is otherwise free. ``None`` saturates.
+        and synchronize (``cuLaunchKernel`` + ``cuCtxSynchronize``). The
+        launch saturates its share of the device while its work lasts;
+        under token isolation the device library runs it one engine
+        session per token hold.
 
         A positive *pace* launches a request stream instead: the work
         arrives at *pace* per second, and the device serves it as it
@@ -185,24 +182,18 @@ class CudaAPI:
         Returns a simulation generator — drive it with ``yield from`` (or
         wrap in ``env.process``).
         """
-        return self.hooks.call("cuLaunchKernel", self._launch, ctx, work, demand, pace)
+        return self.hooks.call("cuLaunchKernel", self._launch, ctx, work, pace)
 
-    def cu_launch_grid(
-        self, ctx: CudaContext, work: float, demand: Optional[float] = None, pace: float = 0.0
-    ) -> Generator:
+    def cu_launch_grid(self, ctx: CudaContext, work: float, pace: float = 0.0) -> Generator:
         """Legacy launch entry point (``cuLaunchGrid``); same path."""
-        return self.hooks.call("cuLaunchGrid", self._launch, ctx, work, demand, pace)
+        return self.hooks.call("cuLaunchGrid", self._launch, ctx, work, pace)
 
-    def _launch(
-        self, ctx: CudaContext, work: float, demand: Optional[float] = None, pace: float = 0.0
-    ) -> Generator:
+    def _launch(self, ctx: CudaContext, work: float, pace: float = 0.0) -> Generator:
         self._check_ctx(ctx)
         if work < 0:
             raise CudaError(f"negative kernel work {work}")
-        if demand is not None and not 0.0 < demand <= 1.0:
-            raise CudaError(f"demand must be in (0,1], got {demand}")
         if not pace:
-            yield from ctx.session.run(work, demand)
+            yield from ctx.session.run(work)
         elif 0.0 < pace < math.inf:
             yield from ctx.session.run_paced(work, pace)
         else:

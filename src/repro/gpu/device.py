@@ -38,6 +38,7 @@ the arrivals its appetite is ``p``; when the allocation leaves it below
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Generator, List, Optional
 
 from ..sim import Environment, Event
@@ -98,6 +99,8 @@ class ComputeSession:
         self.rate = 0.0
         #: integral of granted rate over time (for usage accounting).
         self.granted_integral = 0.0
+        #: work of the run in flight (or the last), less any GPUDevice.cut.
+        self.work = 0.0
         self._last_update = device.env.now
         self.closed = False
         # The slice in flight while run() executes, owned by the device
@@ -156,7 +159,7 @@ class ComputeSession:
         device = self.device
         env = device.env
         self.demand = 1.0 if demand is None else float(demand)
-        self._remaining = float(work)
+        self.work = self._remaining = float(work)
         device._recompute()
         try:
             while self._remaining > 1e-12:
@@ -395,8 +398,9 @@ class GPUDevice:
             if not callbacks:
                 holder.cancel()
 
-    def _retime(self, now: float) -> None:
-        """Re-slice every armed session after an allocation change.
+    def _retime(self, now: float, sessions: Optional[List[ComputeSession]] = None) -> None:
+        """Re-slice every armed session (or just *sessions*) after an
+        allocation change.
 
         In arming order, each session's slice so far is billed at its old
         rate and a new slice starts at the current rate, with the same
@@ -410,7 +414,7 @@ class GPUDevice:
         """
         failed = self.failed
         wake = None
-        for s in self._armed:
+        for s in self._armed if sessions is None else sessions:
             if s._due == now:
                 continue
             s._remaining -= (now - s._started) * s._slice_rate
@@ -428,6 +432,23 @@ class GPUDevice:
                 timer = self._slice(s, now)
                 if timer is not None:
                     timer.callbacks.append(s._resume)
+
+    def cut(self, s: ComputeSession, grain: float) -> None:
+        """End *s*'s run at the first multiple of *grain* of work from its
+        start at or after the work done by now (at once for a zero
+        *grain*), re-timing it in place; ``s.work`` drops to that end. A
+        no-op unless *s* runs and would finish later by more than float
+        residue, so a finish timer due now is never moved."""
+        now = self.env.now
+        if s not in self._armed or s._due == now:
+            return
+        done = s.work - (s._remaining - (now - s._started) * s._slice_rate)
+        end = math.ceil(done / grain) * grain if grain else done
+        cut = s.work - end
+        if cut > 1e-12:
+            s.work = end
+            s._remaining -= cut
+            self._retime(now, [s])
 
     # -- failure & recovery -----------------------------------------------------
     def fail(self, reason: str = "uncorrectable ECC error") -> None:

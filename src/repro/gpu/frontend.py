@@ -11,9 +11,11 @@ KubeShare-DevMgr installs this library in every sharePod container and
   call until the container holds a valid token from the per-node backend
   (token isolation), or registering an elastic (request, limit) share with
   the device engine (fluid isolation, the calibrated steady-state model
-  used for cluster-scale experiments; see DESIGN.md). Fluid isolation also
-  takes *paced* launches, a request stream the engine serves as it
-  arrives; token isolation rejects them.
+  used for cluster-scale experiments; see DESIGN.md). A token hold runs
+  a launch as one engine session, which a token ended early stops at the
+  next kernel boundary. Fluid isolation also takes *paced* launches, a
+  request stream the engine serves as it arrives; token isolation
+  rejects them.
 
 The library is configured entirely through environment variables injected
 by KubeShare-DevMgr, mirroring how the real library receives its pod
@@ -33,7 +35,7 @@ configuration:
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Dict, Generator
 
 from ..obs import runtime as obs
 from .backend import Token, TokenBackend, TokenBackendUnavailable
@@ -60,9 +62,10 @@ ENV_LIMIT = "KUBESHARE_GPU_LIMIT"
 ENV_MEM = "KUBESHARE_GPU_MEM"
 ENV_ISOLATION = "KUBESHARE_ISOLATION"
 
-#: Largest slice of kernel work submitted per launch while holding a token.
-#: Real DL workloads launch many short kernels; this keeps holds aligned
-#: with quota expiry without modelling each kernel individually.
+#: Kernel length in seconds of work: the most in-flight work a holder
+#: finishes after the backend ends its token early. Real DL workloads
+#: launch many short kernels, and the library gates each one, so a
+#: revoked holder stops at the next boundary from its session's start.
 MAX_KERNEL_CHUNK = 0.020
 
 #: How long a token holder may sit idle (no kernels pending) before the
@@ -199,29 +202,23 @@ class VGPUDeviceLibrary:
         return next_fn(ctx, ptr, ptr.nbytes - from_swap)
 
     # -- compute gate -------------------------------------------------------------
-    def _hook_launch(
-        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float] = None, pace: float = 0.0
-    ) -> Generator:
+    def _hook_launch(self, next_fn, ctx: CudaContext, work: float, pace: float = 0.0) -> Generator:
         if self.mem_overcommit:
-            return self._swap_aware_launch(next_fn, ctx, work, demand, pace)
+            return self._swap_aware_launch(next_fn, ctx, work, pace)
         if self.isolation == "fluid":
-            return self._fluid_launch(next_fn, ctx, work, demand, pace)
-        return self._token_launch(next_fn, ctx, work, demand, pace)
+            return self._fluid_launch(next_fn, ctx, work, pace)
+        return self._token_launch(next_fn, ctx, work, pace)
 
-    def _swap_aware_launch(
-        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float], pace: float
-    ) -> Generator:
+    def _swap_aware_launch(self, next_fn, ctx: CudaContext, work: float, pace: float) -> Generator:
         # Swap our pages back in (DMA, concurrent with others' compute)
         # before entering the normal isolation path.
         yield from self.swap.ensure_resident(ctx.device, ctx.owner)
         if self.isolation == "fluid":
-            yield from self._fluid_launch(next_fn, ctx, work, demand, pace)
+            yield from self._fluid_launch(next_fn, ctx, work, pace)
         else:
-            yield from self._token_launch(next_fn, ctx, work, demand, pace)
+            yield from self._token_launch(next_fn, ctx, work, pace)
 
-    def _fluid_launch(
-        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float], pace: float
-    ) -> Generator:
+    def _fluid_launch(self, next_fn, ctx: CudaContext, work: float, pace: float) -> Generator:
         # The elastic share is enforced by the device engine; the token
         # protocol's handoff cost is folded in as extra work so fluid runs
         # stay calibrated against token runs (Figure 7's overhead curve).
@@ -229,11 +226,9 @@ class VGPUDeviceLibrary:
         # up still ends when its last request arrives.
         backend = self.backend
         scale = 1.0 + backend.handoff_overhead / backend.quota
-        yield from next_fn(ctx, work * scale, demand, pace * scale)
+        yield from next_fn(ctx, work * scale, pace * scale)
 
-    def _token_launch(
-        self, next_fn, ctx: CudaContext, work: float, demand: Optional[float], pace: float
-    ) -> Generator:
+    def _token_launch(self, next_fn, ctx: CudaContext, work: float, pace: float) -> Generator:
         if pace:
             # Tokens meter bursts of kernels; a stream must come batch by
             # batch (a job misrouted here would silently change its model).
@@ -241,8 +236,6 @@ class VGPUDeviceLibrary:
         backend = self.backend
         env = self.container.env
         dev = ctx.device.uuid
-        self._ensure_registered(backend, dev)
-        appetite = 1.0 if demand is None else float(demand)
         remaining = float(work)
         self._launches_active[dev] = self._launches_active.get(dev, 0) + 1
         try:
@@ -253,22 +246,13 @@ class VGPUDeviceLibrary:
                         with obs.token_wait_ctx(self.container.pod_name, dev):
                             token = yield from self._acquire(backend, dev)
                         self._tokens[dev] = token
-                    chunk = min(remaining, token.remaining(env.now), MAX_KERNEL_CHUNK)
+                    # One session per hold, unless _token_ended cuts it.
+                    chunk = min(remaining, token.remaining(env.now))
                     if chunk <= 1e-12:
                         self._tokens.pop(dev, None)
                         continue
-                    yield from next_fn(ctx, chunk, None)
-                    remaining -= chunk
-                    if appetite < 1.0 and remaining > 1e-12:
-                        # An application below saturation idles between kernel
-                        # bursts (no client request pending). Revoke the token
-                        # so the idle gap is usable by other containers and
-                        # does not count as our usage.
-                        gap = chunk * (1.0 - appetite) / appetite
-                        token = self._tokens.pop(dev, None)
-                        if token is not None and token.valid:
-                            backend.release(token)
-                        yield env.timeout(gap)
+                    yield from next_fn(ctx, chunk)
+                    remaining -= ctx.session.work
         finally:
             self._launches_active[dev] -= 1
             if self._launches_active[dev] == 0 and not self._idle_watch.get(dev):
@@ -292,6 +276,15 @@ class VGPUDeviceLibrary:
         self._tokens.pop(dev, None)
         self.backend.release(token)
 
+    def _token_ended(self, token: Token) -> None:
+        """The token's ``on_end`` hook: cut our kernels on its device at
+        the next kernel boundary if it ended early, else at once (a no-op
+        unless a revoked holder's kernel slowed ours past the expiry)."""
+        early = self.container.env.now < token.expires_at()
+        for ctx in self.api.contexts:
+            if ctx.device.uuid == token.device_uuid:
+                ctx.device.cut(ctx.session, MAX_KERNEL_CHUNK if early else 0.0)
+
     def _ensure_registered(self, backend: TokenBackend, dev: str) -> None:
         if (
             dev not in self._registered_devices
@@ -314,6 +307,7 @@ class VGPUDeviceLibrary:
             except TokenBackendUnavailable:
                 yield env.timeout(max(backend.handoff_overhead, 1e-3))
                 continue
+            token.on_end = self._token_ended
             return token
 
     # -- teardown ------------------------------------------------------------------

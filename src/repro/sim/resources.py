@@ -341,7 +341,9 @@ class Store:
                     idx += 1
             got = False
             idx = 0
-            while idx < len(self._get_queue):
+            # Every _do_get fails on an empty store and changes nothing,
+            # so the scan ends when the items run out.
+            while self.items and idx < len(self._get_queue):
                 get = self._get_queue[idx]
                 if self._do_get(get):
                     self._get_queue.pop(idx)

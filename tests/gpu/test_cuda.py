@@ -129,16 +129,6 @@ class TestLaunch:
         with pytest.raises(CudaError):
             env.run()
 
-    def test_bad_demand_rejected(self, env, api):
-        ctx = api.cu_ctx_create()
-
-        def proc():
-            yield from api.cu_launch_kernel(ctx, 1.0, demand=1.5)
-
-        env.process(proc())
-        with pytest.raises(CudaError):
-            env.run()
-
     @pytest.mark.parametrize("pace", [-1.0, float("nan"), float("inf")])
     def test_bad_pace_rejected(self, env, api, pace):
         ctx = api.cu_ctx_create()

@@ -195,6 +195,50 @@ class TestComputeEngine:
         assert done["t"] == pytest.approx(5.0)
 
 
+class TestCut:
+    """``GPUDevice.cut``: a run ends at the next multiple of the grain of
+    work from its start, or at once for a zero grain, re-timed in place."""
+
+    def run_with_cut(self, work, at, grain, rate=1.0):
+        """Run *work* on a fresh device and cut it at *at* (not at all
+        for a None *grain*); returns (finish, work done, events)."""
+        env = Environment()
+        gpu = GPUDevice(env, uuid="GPU-c", node_name="n0")
+        s = gpu.open_session("job", limit=rate)
+        done = []
+
+        def proc():
+            yield from s.run(work)
+            done.append(env.now)
+
+        env.process(proc())
+        if grain is not None:
+            env.timeout(at).callbacks.append(lambda _e: gpu.cut(s, grain))
+        else:
+            env.timeout(at)
+        env.run()
+        return done[0], s.work, env.events_processed
+
+    def test_run_ends_at_next_grain_boundary(self):
+        # 0.25 of work done at t=0.5 (rate 0.5): the next boundary is 0.3
+        end, work, events = self.run_with_cut(1.0, at=0.5, grain=0.1, rate=0.5)
+        assert work == pytest.approx(0.3)
+        assert end == pytest.approx(0.6)
+        assert events == self.run_with_cut(1.0, at=0.5, grain=None)[2]
+
+    def test_zero_grain_ends_run_at_once(self):
+        assert self.run_with_cut(1.0, at=0.25, grain=0.0)[:2] == (0.25, 0.25)
+
+    @pytest.mark.parametrize("at, grain", [(0.95, 0.5), (1.0, 0.1), (2.0, 0.1)])
+    def test_no_op_when_the_run_ends_there_anyway(self, at, grain):
+        """A boundary at or past the finish, a finish timer due now (the
+        cut's timer is queued first), and no run in flight all leave the
+        run and its events as they were."""
+        uncut = self.run_with_cut(1.0, at, grain=None)
+        assert uncut[:2] == (1.0, 1.0)
+        assert self.run_with_cut(1.0, at, grain) == uncut
+
+
 class TestUtilizationAccounting:
     def test_busy_time_integrates_rates(self, env, gpu):
         s = gpu.open_session("job", limit=0.5)

@@ -76,6 +76,25 @@ History of deliberate changes:
   11.940016534545087 -> 11.940016534545085 (the last job's finish
   moved by one ulp). ``chaos`` and ``failover``, token isolation, kept
   every digest and count.
+* ``chaos`` and ``failover`` event counts, and both obs-snapshot
+  digests: a token hold is one engine session. Under token isolation the
+  device library runs a launch as one session to the end of the quota or
+  of the launch, instead of cutting it into 20 ms sessions inside one
+  hold, each a process resume and a finish timer. Events: chaos 18,352
+  -> 11,614, failover 15,140 -> 9,889; obs on, chaos 18,524 -> 11,786
+  and failover 15,282 -> 10,031. The obs snapshots moved in
+  ``repro_sim_events_total`` and in float tails only (relative at most
+  about 1e-12), where a sum of 20 ms chunks and one session's time
+  round differently: the quota-occupancy series, the token-wait
+  windows and quantiles, and span start and end times. Counters,
+  events, decisions and histogram bucket counts are identical. All four
+  summary digests, both Chrome-trace digests, and every ``fig8`` and
+  ``trace_replay`` value held. Fig 6, not pinned here, moved for the
+  same cause: its job A ran 330 s of work as 16,501 chunks, whose
+  ``remaining -= chunk`` subtractions left 5.016e-11 s of work at
+  t = 724.958 s with 1.1e-13 s of token left, so A queued again for the
+  residue and finished at 725.061 s; as 3,300 sessions it leaves none
+  and finishes at 724.958 s (6,580 grants instead of 6,581).
 """
 
 import functools
@@ -92,12 +111,12 @@ GOLDENS = {
     "chaos": (
         lambda: scenarios.chaos(11),
         "3e18d3ce7e94bc3c2582524f18bb0bf0ff1ea19402b01314d5268ad0bdf39c57",
-        18_352,
+        11_614,
     ),
     "failover": (
         lambda: scenarios.failover(13),
         "3e9519439c478d5e731beb080cb664bc734848972cfe878449e36e3eafeeec98",
-        15_140,
+        9_889,
     ),
     "trace_replay": (
         scenarios.trace_replay,
@@ -118,15 +137,15 @@ OBS_LABEL = "golden"
 OBS_GOLDENS = {
     "chaos": (
         lambda: scenarios.chaos(11, obs_label=OBS_LABEL, race=True),
-        "ea49f598434680162e5bac464d2d3599015c0ffb3548f67fce7bdd399755ef30",
+        "f94ee1a3115add6e2d65f5eb5627f55d2ed566bb095997385d59a747d7ce708b",
         "49a06de51882ae26e80437005afc7a59253857809291b3afc4074a5cfc65eae1",
-        18_524,
+        11_786,
     ),
     "failover": (
         lambda: scenarios.failover(13, obs_label=OBS_LABEL, race=True),
-        "c6f8a95399e768708b94b1eef75f16972c0d80a8a512ede8436aed4adb0fc8b6",
+        "a1bff8e534b93d5424f3097fe752650a2a138197d7968ce4c6a9cdd287889359",
         "31fccc1da4eb9c9b19f4a4356256ac4ee71cd06f45cf91806261f78cde0dc465",
-        15_282,
+        10_031,
     ),
 }
 

@@ -265,6 +265,31 @@ class TestStore:
         env.run()
         assert times == [5.0]
 
+    def test_put_is_offered_to_parked_getters_until_taken(self, env):
+        """One item, 16 parked getters: the first takes it and the scan
+        stops, instead of offering the empty store to the other 15."""
+        store = Store(env)
+        got = []
+
+        def getter(i):
+            got.append((i, (yield store.get())))
+
+        for i in range(16):
+            env.process(getter(i))
+        env.run()
+        offers = []
+        do_get = store._do_get
+
+        def counting(get):
+            offers.append(get)
+            return do_get(get)
+
+        store._do_get = counting
+        store.put("x")
+        env.run()
+        assert got == [(0, "x")]
+        assert len(offers) == 1
+
     def test_items_visible(self, env):
         store = Store(env)
 

@@ -210,9 +210,9 @@ class TestPacedInferenceServer:
         launches = []
         launch = CudaAPI.cu_launch_kernel
 
-        def counting(api, cu, work, demand=None, pace=0.0):
+        def counting(api, cu, work, pace=0.0):
             launches.append(pace)
-            return launch(api, cu, work, demand, pace)
+            return launch(api, cu, work, pace)
 
         monkeypatch.setattr(CudaAPI, "cu_launch_kernel", counting)
         job = InferenceJob.from_demand("i", demand=self.DEMAND, duration=4.0, batch_requests=10)

@@ -27,6 +27,7 @@ Interpretation notes (documented deviations from the pseudo-code):
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Iterable, List, Optional, Set, Tuple
@@ -46,6 +47,7 @@ __all__ = [
     "RequestView",
     "Decision",
     "schedule_request",
+    "device_view",
     "build_device_views",
     "KubeShareSched",
 ]
@@ -302,21 +304,12 @@ def schedule_request(
     return Decision(gpuid=target.gpuid, is_new=is_new)
 
 
-def build_device_views(
-    gpuids: Iterable[str], sharepods: List[SharePod]
-) -> List[DeviceView]:
-    """Derive Algorithm 1's device list from the pool's GPUIDs plus the
-    live SharePod population (requests, memory, locality labels): one
-    view per GPUID in the pool or held by a live SharePod."""
-    views: Dict[str, DeviceView] = {g: DeviceView(gpuid=g) for g in gpuids}
+def device_view(gpuid: str, sharepods: Iterable[SharePod]) -> DeviceView:
+    """One vGPU's view: *sharepods*, the live SharePods assigned to
+    *gpuid*, subtracted in the order given (SharePod-key order keeps the
+    floats equal to a relist's)."""
+    view = DeviceView(gpuid=gpuid)
     for sp in sharepods:
-        gpuid = sp.spec.gpu_id
-        if gpuid is None or sp.status.phase in _TERMINAL:
-            continue
-        view = views.get(gpuid)
-        if view is None:
-            # Assigned but not yet materialized in the pool.
-            view = views[gpuid] = DeviceView(gpuid=gpuid)
         view.idle = False
         view.util -= sp.spec.gpu_request
         view.mem -= sp.spec.gpu_mem
@@ -326,7 +319,22 @@ def build_device_views(
             view.anti_aff.add(sp.spec.sched_anti_affinity)
         if sp.spec.sched_exclusion is not None:
             view.excl = sp.spec.sched_exclusion
-    return sorted(views.values(), key=lambda d: d.gpuid)
+    return view
+
+
+def build_device_views(
+    gpuids: Iterable[str], sharepods: List[SharePod]
+) -> List[DeviceView]:
+    """Derive Algorithm 1's device list from the pool's GPUIDs plus the
+    live SharePod population (requests, memory, locality labels): one
+    view per GPUID in the pool or held by a live SharePod."""
+    members: Dict[str, List[SharePod]] = {g: [] for g in gpuids}
+    for sp in sharepods:
+        gpuid = sp.spec.gpu_id
+        if gpuid is not None and sp.status.phase not in _TERMINAL:
+            # A GPUID not in the pool is assigned but not yet materialized.
+            members.setdefault(gpuid, []).append(sp)
+    return [device_view(g, members[g]) for g in sorted(members)]
 
 
 class KubeShareSched(Controller):
@@ -367,6 +375,12 @@ class KubeShareSched(Controller):
         self.contention = None
         #: lazily built cached device-view index.
         self._index = None
+        #: informer-cache insertion rank of every cached sharePod key (the
+        #: handler sees each cache insert and pop), and the cached keys
+        #: still waiting for a GPUID: what a capacity-freed wake requeues.
+        self._rank: Dict[str, int] = {}
+        self._ranks = itertools.count()
+        self._waiting: Set[str] = set()
 
     # -- lifecycle -----------------------------------------------------------
     def _get_index(self):
@@ -387,13 +401,22 @@ class KubeShareSched(Controller):
 
     # -- event routing -------------------------------------------------------
     def filter(self, etype: WatchEventType, obj: SharePod) -> bool:
-        if etype is WatchEventType.DELETE or obj.status.phase in _TERMINAL:
-            # Capacity freed: wake every still-unscheduled sharePod.
-            for sp in self.informer.list():
-                if sp.spec.gpu_id is None and sp.status.phase not in _TERMINAL:
-                    self.queue.add(sp.metadata.key)
-            return False
-        return obj.spec.gpu_id is None
+        key = obj.metadata.key
+        self._waiting.discard(key)
+        if etype is WatchEventType.DELETE:
+            self._rank.pop(key, None)
+        else:
+            self._rank.setdefault(key, next(self._ranks))
+            if obj.status.phase not in _TERMINAL:
+                if obj.spec.gpu_id is not None:
+                    return False
+                self._waiting.add(key)
+                return True
+        # Capacity freed: wake every still-unscheduled sharePod, in the
+        # informer cache's order.
+        for waiting in sorted(self._waiting, key=self._rank.__getitem__):
+            self.queue.add(waiting)
+        return False
 
     # -- reconcile --------------------------------------------------------------
     def reconcile(self, key: str) -> Generator:  # hot-path

@@ -1,13 +1,14 @@
-"""Cached, invalidation-driven device views for Algorithm 1.
+"""Delta-updated device views for Algorithm 1.
 
 Every scheduling pass needs the device list, the SharePod population and
 the cluster's GPU capacity. Deriving them from a relist of every
 SharePod, Pod and Node **per reconcile** is O(pods) work per decision,
-which would dominate the control-plane profile at cluster scale.
-:class:`DeviceViewIndex` memoizes those derived structures and
-invalidates them with synchronous etcd commit listeners (see
-:meth:`repro.cluster.etcd.Etcd.add_listener`), so a pass over an unchanged
-cluster costs O(devices) copying instead of O(pods log pods) rebuilding.
+and in a running cluster the SharePods include every one that has ever
+terminated. :class:`DeviceViewIndex` keeps those derived structures and
+updates them from synchronous etcd commit listeners (see
+:meth:`repro.cluster.etcd.Etcd.add_listener`), so a pass costs the
+O(devices) copy plus the recompute of the vGPUs that changed since the
+last pass, whatever the cluster's history.
 
 The scheduler holds no vGPU pool of its own, in either wiring: KubeShare-
 DevMgr records every vGPU it holds as a ``vgpu-holder-<GPUID>``
@@ -17,38 +18,59 @@ starts from etcd) and keeps it current from the Pod commit listener: a
 placeholder create adds its GPUID, a placeholder delete removes it, and
 every other Pod commit returns after a name check.
 
-Equivalence argument (why cached views can never diverge from a relist;
-``tests/core/test_viewindex.py`` checks every read against a brute-force
-relist at each Algorithm 1 pass of four scenarios):
+SharePods feed the views through per-GPUID member maps. A map holds the
+live, assigned SharePods of one GPUID: assigned a GPUID and not
+terminal. The SharePod commit listener does O(1) work: it moves the
+committed key to the map of its new GPUID, or out of every map, and
+marks the GPUIDs it touched dirty. The placeholder listener marks its
+GPUID dirty the same way. :meth:`DeviceViewIndex.device_views`
+recomputes only the dirty GPUIDs, each with
+:func:`~repro.core.scheduler.device_view` over its members in
+SharePod-key order; :func:`~repro.core.scheduler.build_device_views`
+serves only the initial fill.
+
+Equivalence argument (why the delta-updated views can never diverge
+from a relist; ``tests/core/test_viewindex.py`` checks every read
+against a brute-force relist at each Algorithm 1 pass of five scenarios):
 
 * Listeners run *inside* the etcd commit — before any watcher, any reader,
   or the writer itself can observe the new revision. There is no window in
-  which the store has changed but the index believes its cache is fresh.
-* Only placeholder *membership* feeds the views, and only a create (a
-  PUT with no previous value) or a delete changes it; a placeholder's
-  status and binding writes leave the views as they were.
+  which the store has changed but the index has not applied the change.
+* A relist's view of one GPUID depends only on that GPUID's live
+  SharePods, subtracted in key order (the order of a relist), and on
+  whether the GPUID is in the pool. A commit changes those inputs only
+  for the GPUIDs it moves a SharePod out of or into, or whose
+  placeholder it creates or deletes, and exactly those are marked
+  dirty. A dirty GPUID is recomputed by the same per-view code in the
+  same key order, so every float is bit-identical to the relist's.
+* A SharePod that turns terminal or is deleted leaves its member map in
+  the same commit, so terminated SharePods are in no aggregate; a
+  non-pool GPUID whose last member leaves loses its view, as in a
+  relist.
 * No simulation time passes inside a scheduling pass between the (gated)
-  SharePod ``get`` and the device-view construction, so the cache rebuilt
-  at the same ``env.now`` reads exactly the state a relist would read.
+  SharePod ``get`` and the device-view read, so the index read at the
+  same ``env.now`` holds exactly the state a relist would read.
 * The SharePod currently being scheduled needs no special exclusion: its
-  ``gpu_id`` is ``None`` (checked by the caller), so it contributes
-  nothing to :func:`~repro.core.scheduler.build_device_views` either way.
+  ``gpu_id`` is ``None`` (checked by the caller), so it is in no member
+  map.
 
-Cache rebuilds read through :meth:`Etcd.snapshot` — the untracked range
-read — because they are not part of any read-modify-write cycle (the
-scheduler's eventual ``patch`` still does its own tracked ``get``);
-see the snapshot docstring for why tracking them would only add noise
-to the race detector.
+The initial fill reads through :meth:`Etcd.snapshot` — the untracked
+range read — because it is not part of any read-modify-write cycle (the
+scheduler's eventual ``patch`` still does its own tracked ``get``); see
+the snapshot docstring for why tracking it would only add noise to the
+race detector.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from bisect import bisect_left, insort
+from typing import Dict, List, Optional, Set
 
 from ..cluster.apiserver import APIServer
 from ..cluster.etcd import WatchEventType
-from ..cluster.objects import GPU_RESOURCE
-from .scheduler import DeviceView, build_device_views
+from ..cluster.objects import GPU_RESOURCE, PodPhase
+from .scheduler import DeviceView, build_device_views, device_view
+from .sharepod import SharePod
 from .vgpu import PLACEHOLDER_PREFIX, placeholder_gpuid
 
 __all__ = ["DeviceViewIndex"]
@@ -56,10 +78,18 @@ __all__ = ["DeviceViewIndex"]
 _SHAREPOD_PREFIX = "/registry/SharePod/"
 _POD_PREFIX = "/registry/Pod/"
 _NODE_PREFIX = "/registry/Node/"
+_TERMINAL = (PodPhase.SUCCEEDED, PodPhase.FAILED)
+
+
+def _live_gpuid(sp: Optional[SharePod]) -> Optional[str]:
+    """The GPUID whose view *sp* counts in, if any."""
+    if sp is None or sp.status.phase in _TERMINAL:
+        return None
+    return sp.spec.gpu_id
 
 
 class DeviceViewIndex:
-    """Memoized inputs of one scheduler's Algorithm 1 passes.
+    """Delta-updated inputs of one scheduler's Algorithm 1 passes.
 
     One index per scheduler instance; call :meth:`close` when the
     scheduler stops (a deposed HA leader must not leave listeners behind
@@ -69,9 +99,6 @@ class DeviceViewIndex:
     def __init__(self, api: APIServer) -> None:
         self.api = api
         self._etcd = api.etcd
-        # Cached derivations (None = dirty).
-        self._base: Optional[List[DeviceView]] = None
-        self._sharepod_count = 0
         self._capacity: Optional[int] = None
         self._closed = False
         #: GPUIDs of the placeholder pods: the vGPU pool as etcd records it.
@@ -80,25 +107,65 @@ class DeviceViewIndex:
             for kv in self._etcd.snapshot(_POD_PREFIX)
             if kv.value.name.startswith(PLACEHOLDER_PREFIX)
         }
+        #: GPUID -> {SharePod key: SharePod} of its live, assigned SharePods.
+        self._members: Dict[str, Dict[str, SharePod]] = {}
+        #: GPUIDs whose view is stale.
+        self._dirty: Set[str] = set()
+        sharepods = self._etcd.snapshot(_SHAREPOD_PREFIX)
+        self._sharepod_count = len(sharepods)
+        for kv in sharepods:
+            self._move(kv.key, None, kv.value)
+        self._dirty.clear()
+        #: GPUID -> its current view, and the GPUIDs in sorted order.
+        self._views: Dict[str, DeviceView] = {
+            d.gpuid: d
+            for d in build_device_views(self._pool, [kv.value for kv in sharepods])
+        }
+        self._order: List[str] = list(self._views)
         self._etcd.add_listener(_SHAREPOD_PREFIX, self._on_sharepod)
         self._etcd.add_listener(_POD_PREFIX, self._on_pod)
         self._etcd.add_listener(_NODE_PREFIX, self._on_node)
 
-    # -- invalidation (synchronous, inside the etcd commit) ---------------
-    def _on_sharepod(self, _event) -> None:
-        self._base = None
+    # -- delta updates (synchronous, inside the etcd commit) ----------------
+    def _move(self, key: str, prev: Optional[SharePod], sp: Optional[SharePod]) -> None:
+        """Move *key* from the member map that holds *prev*, its previous
+        value, to the one of *sp*; ``None`` or a terminal or unassigned
+        SharePod belongs in no map."""
+        old, new = _live_gpuid(prev), _live_gpuid(sp)
+        if old is not None and old != new:
+            members = self._members[old]
+            del members[key]
+            if not members:
+                del self._members[old]
+            self._dirty.add(old)
+        if new is not None:
+            self._members.setdefault(new, {})[key] = sp
+            self._dirty.add(new)
+
+    def _on_sharepod(self, event) -> None:
+        # The index has applied every earlier commit, so the previous
+        # value names the member map that holds the key.
+        if event.prev is None:
+            self._sharepod_count += 1
+            prev = None
+        else:
+            prev = event.prev.value
+            if event.type is WatchEventType.DELETE:
+                self._sharepod_count -= 1
+        self._move(event.kv.key, prev, event.kv.value)
 
     def _on_pod(self, event) -> None:
         name = event.kv.key.rpartition("/")[2]
         if not name.startswith(PLACEHOLDER_PREFIX):
             return
+        gpuid = placeholder_gpuid(name)
         if event.type is WatchEventType.DELETE:
-            self._pool.discard(placeholder_gpuid(name))
+            self._pool.discard(gpuid)
         elif event.prev is None:
-            self._pool.add(placeholder_gpuid(name))
+            self._pool.add(gpuid)
         else:
             return  # a status or binding write: membership unchanged
-        self._base = None
+        self._dirty.add(gpuid)
 
     def _on_node(self, _event) -> None:
         self._capacity = None
@@ -110,15 +177,24 @@ class DeviceViewIndex:
             self._etcd.remove_listener(self._on_pod)
             self._etcd.remove_listener(self._on_node)
 
-    # -- cached reads ------------------------------------------------------
+    # -- reads -------------------------------------------------------------
     def device_views(self) -> List[DeviceView]:
         """Fresh, mutable Algorithm 1 device list (identical — field for
         field and in order — to ``build_device_views(placeholder GPUIDs,
         relist())``)."""
-        if self._base is None:
-            sharepods = [kv.value for kv in self._etcd.snapshot(_SHAREPOD_PREFIX)]
-            self._sharepod_count = len(sharepods)
-            self._base = build_device_views(self._pool, sharepods)
+        views = self._views
+        for gpuid in sorted(self._dirty):
+            members = self._members.get(gpuid)
+            if members is None and gpuid not in self._pool:
+                if views.pop(gpuid, None) is not None:
+                    del self._order[bisect_left(self._order, gpuid)]
+                continue
+            if gpuid not in views:
+                insort(self._order, gpuid)
+            views[gpuid] = device_view(
+                gpuid, [members[k] for k in sorted(members)] if members else ()
+            )
+        self._dirty.clear()
         return [
             DeviceView(
                 gpuid=d.gpuid,
@@ -129,11 +205,11 @@ class DeviceViewIndex:
                 excl=d.excl,
                 idle=d.idle,
             )
-            for d in self._base
+            for d in map(views.__getitem__, self._order)
         ]
 
     def sharepod_count(self) -> int:
-        """SharePod population size as of the last refresh."""
+        """SharePod population size: every SharePod in etcd."""
         return self._sharepod_count
 
     def gpu_capacity(self) -> int:

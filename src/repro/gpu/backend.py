@@ -174,8 +174,7 @@ class TokenBackend:
         self.window = window
         self.handoff_overhead = handoff_overhead
         self._devices: Dict[str, _DeviceState] = {}
-        #: bumped on every daemon restart; device libraries compare it to
-        #: the epoch they registered under and re-register on mismatch.
+        #: bumped on every daemon restart.
         self.epoch = 0
         self.restarts_total = 0
         #: device uuid -> failure reason, for devices declared lost.
@@ -197,6 +196,12 @@ class TokenBackend:
         record = ClientRecord(client_id, request, limit)
         state.clients[client_id] = record
         return record
+
+    def registered(self, device_uuid: str, client_id: str) -> bool:
+        """Whether *client_id* holds a record on the device (a restart
+        and :meth:`fail_device` drop every record)."""
+        state = self._devices.get(device_uuid)
+        return state is not None and client_id in state.clients
 
     def unregister(self, device_uuid: str, client_id: str) -> None:
         state = self._devices.get(device_uuid)
@@ -306,8 +311,8 @@ class TokenBackend:
     def restart(self) -> None:
         """Daemon restart: all client registrations, queues, and tokens are
         lost. Queued grants fail with :class:`TokenBackendUnavailable`
-        (handled, retryable); the epoch bump tells device libraries to
-        re-register before asking again."""
+        (handled, retryable); device libraries re-register before asking
+        again."""
         self.epoch += 1
         self.restarts_total += 1
         for device_uuid, state in self._devices.items():

@@ -116,9 +116,6 @@ class VGPUDeviceLibrary:
         #: device uuid -> currently held token.
         self._tokens: Dict[str, Token] = {}
         self._registered_devices: set[str] = set()
-        #: backend epoch each device was registered under; a mismatch means
-        #: the daemon restarted and we must re-register.
-        self._epochs: Dict[str, int] = {}
         self._installed = False
         #: in-flight launch calls per device (idle-revocation bookkeeping).
         self._launches_active: Dict[str, int] = {}
@@ -286,19 +283,19 @@ class VGPUDeviceLibrary:
                 ctx.device.cut(ctx.session, MAX_KERNEL_CHUNK if early else 0.0)
 
     def _ensure_registered(self, backend: TokenBackend, dev: str) -> None:
-        if (
-            dev not in self._registered_devices
-            or self._epochs.get(dev) != backend.epoch
+        # The backend drops our record on a daemon restart and on
+        # fail_device; re-register whenever it holds none.
+        if dev not in self._registered_devices or not backend.registered(
+            dev, self.client_id
         ):
             backend.register(dev, self.client_id, self.request, self.limit)
             self._registered_devices.add(dev)
-            self._epochs[dev] = backend.epoch
 
     def _acquire(self, backend: TokenBackend, dev: str) -> Generator:
         # Runs inline (``yield from``) in the launching process so that a
         # container kill tears the whole wait chain down in one tree — no
         # orphaned acquire process left to fail undefused. Retries across
-        # daemon restarts, re-registering under the new epoch.
+        # daemon restarts, re-registering with the restarted daemon.
         env = self.container.env
         while True:
             self._ensure_registered(backend, dev)

@@ -216,6 +216,30 @@ class TestTokenGating:
         env.run()
         assert backend.usage(gpu.uuid, "uid-bye") == 0.0
 
+    def test_idle_container_reregisters_after_device_revival(self, env, gpu):
+        # fail_device drops the device's client records without a daemon
+        # restart; the next launch after the revival must register anew.
+        backend = TokenBackend(env, quota=0.1)
+        api = make_ctx(env, gpu, backend=backend, name="s").cuda()
+        cu = api.cu_ctx_create()
+        finished = []
+
+        def proc():
+            yield from api.cu_launch_kernel(cu, 0.2)
+            yield env.timeout(0.5)
+            gpu.fail()
+            backend.fail_device(gpu.uuid)
+            yield env.timeout(0.5)
+            gpu.recover()
+            backend.revive_device(gpu.uuid)
+            yield from api.cu_launch_kernel(cu, 0.2)
+            finished.append(env.now)
+
+        env.process(proc())
+        env.run()
+        assert len(finished) == 1
+        assert backend.registered(gpu.uuid, "uid-s")
+
     def test_missing_backend_raises(self, env, gpu):
         ctx = standalone_context(
             env, [gpu], env_vars=kubeshare_env_vars(0.5, 1.0, 0.3, "token")

@@ -167,8 +167,9 @@ class WorkQueue:
     dirty and re-enqueued when processing finishes — so no event is lost
     to an in-flight reconcile.
 
-    Worker protocol: ``key = yield queue.get()``, then
+    Worker protocol: ``with queue.get() as req: key = yield req``, then
     ``queue.checkout(key)``, reconcile, and finally ``queue.done(key)``.
+    The ``with`` withdraws the get if the worker is killed while it waits.
     """
 
     def __init__(self, env: Environment) -> None:
@@ -335,7 +336,11 @@ class Controller:
     # -- worker loop -------------------------------------------------------------
     def _worker(self) -> Generator:
         while True:
-            key = yield self.queue.get()
+            # Waiting inside `with` withdraws the get when stop() kills
+            # this worker; a bare `yield` would leave it queued to take,
+            # after a restart, a key that no live worker then reconciles.
+            with self.queue.get() as request:
+                key = yield request
             self.queue.checkout(key)
             self.reconciles_total += 1
             if self.first_reconcile_at is None:

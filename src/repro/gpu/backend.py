@@ -175,7 +175,6 @@ class TokenBackend:
         self.handoff_overhead = handoff_overhead
         self._devices: Dict[str, _DeviceState] = {}
         #: bumped on every daemon restart.
-        self.epoch = 0
         self.restarts_total = 0
         #: device uuid -> failure reason, for devices declared lost.
         self._dead: Dict[str, str] = {}
@@ -313,7 +312,6 @@ class TokenBackend:
         lost. Queued grants fail with :class:`TokenBackendUnavailable`
         (handled, retryable); device libraries re-register before asking
         again."""
-        self.epoch += 1
         self.restarts_total += 1
         for device_uuid, state in self._devices.items():
             if state.token is not None:

@@ -44,7 +44,7 @@ from .. import sim
 
 __all__ = ["WallProfiler"]
 
-#: module prefix of the kernel's own classes (``Condition``, the stop marker).
+#: module prefix of the kernel's own classes (``AllOf``, the stop marker).
 _KERNEL_MODULES = sim.__name__ + "."
 
 #: keep folded stacks readable: at most this many span frames per stack.

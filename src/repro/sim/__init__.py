@@ -7,6 +7,13 @@ time and resumes them. All higher layers of this project — the Kubernetes
 control plane, the GPU devices, the KubeShare controllers — run as
 processes on this kernel, giving fully deterministic, seedable runs.
 
+The kernel keeps only the primitives the program calls: one binary heap
+of ``(time, priority, seq)`` entries (:mod:`~repro.sim.calqueue`),
+cancellable events and timeouts, processes that can be interrupted or
+killed, :class:`AllOf`, and two FIFO queues — :class:`Resource` for the
+container runtime's setup slots and the unbounded :class:`Store` for
+watch streams and work queues.
+
 Example
 -------
 >>> from repro.sim import Environment
@@ -21,47 +28,21 @@ Example
 """
 
 from .environment import EmptySchedule, Environment
-from .events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Interrupt,
-    PENDING,
-    StopProcess,
-    Timeout,
-)
+from .events import AllOf, ConditionValue, Event, Interrupt, PENDING, Timeout
 from .process import Process, ProcessGenerator
-from .resources import (
-    Container,
-    FilterStore,
-    PriorityItem,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from .resources import Resource, Store
 
 __all__ = [
     "Environment",
     "EmptySchedule",
     "Event",
     "Timeout",
-    "Condition",
     "ConditionValue",
     "AllOf",
-    "AnyOf",
     "Interrupt",
-    "StopProcess",
     "PENDING",
     "Process",
     "ProcessGenerator",
     "Resource",
-    "PriorityResource",
-    "Container",
     "Store",
-    "FilterStore",
-    "PriorityStore",
-    "PriorityItem",
 ]

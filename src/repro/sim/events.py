@@ -31,11 +31,8 @@ __all__ = [
     "Timeout",
     "Initialize",
     "ConditionValue",
-    "Condition",
     "AllOf",
-    "AnyOf",
     "Interrupt",
-    "StopProcess",
 ]
 
 
@@ -65,19 +62,6 @@ class Interrupt(Exception):
 
     @property
     def cause(self) -> Any:
-        return self.args[0]
-
-
-class StopProcess(Exception):
-    """Raised by :meth:`Environment.exit` to return a value from a process.
-
-    Plain ``return value`` inside the generator works as well (and is the
-    idiomatic spelling); this exception exists for parity with older
-    coroutine styles.
-    """
-
-    @property
-    def value(self) -> Any:
         return self.args[0]
 
 
@@ -171,23 +155,6 @@ class Event:
         self.env.schedule(self, NORMAL)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of *event* onto this event and schedule it."""
-        if event._value is PENDING:
-            raise RuntimeError(f"{event!r} has not yet been triggered")
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self, NORMAL)
-
-    # -- composition ---------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_event, [self, other])
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -226,7 +193,7 @@ class Initialize(Event):
 
 
 class ConditionValue:
-    """Result of a :class:`Condition`: an ordered event → value mapping."""
+    """Result of an :class:`AllOf`: an ordered event → value mapping."""
 
     __slots__ = ("events",)
 
@@ -267,19 +234,17 @@ class ConditionValue:
         return f"<ConditionValue {self.todict()}>"
 
 
-class Condition(Event):
-    """Event that fires when *evaluate* is satisfied over child events."""
+class AllOf(Event):
+    """Fires once all *events* have fired, with a :class:`ConditionValue`.
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    The first failing sub-event fails it with that sub-event's exception.
+    An empty *events* fires at once.
+    """
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    __slots__ = ("_events", "_count")
+
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
         self._count = 0
 
@@ -287,8 +252,7 @@ class Condition(Event):
             if event.env is not env:
                 raise ValueError("events belong to different environments")
 
-        # Immediately satisfied (e.g. empty AllOf)?
-        if self._evaluate(self._events, 0) and not self._events:
+        if not self._events:
             self.succeed(ConditionValue())
             return
 
@@ -300,9 +264,9 @@ class Condition(Event):
 
     def _populate_value(self, value: ConditionValue) -> None:
         for event in self._events:
-            if isinstance(event, Condition):
+            if isinstance(event, AllOf):
                 event._populate_value(value)
-            elif event.callbacks is None and event not in value.events:
+            elif event not in value.events:
                 value.events.append(event)
 
     def _check(self, event: Event) -> None:
@@ -314,23 +278,22 @@ class Condition(Event):
             event.defused = True
             self._detach()
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
+        elif self._count == len(self._events):
+            # Every sub-event has been processed: nothing to detach from.
             value = ConditionValue()
             self._populate_value(value)
-            self._detach()
             self.succeed(value)
 
     def _detach(self) -> None:
         """Unsubscribe from sub-events that have not fired yet.
 
-        Without this an AnyOf that fired leaves its ``_check`` hanging off
-        every still-pending sub-event (a long timer, a pending token
-        grant), pinning the whole condition graph until those eventually
-        fire — long chaos runs accumulate garbage and every later dispatch
-        walks dead callbacks. The check is removed the way
+        Without this an AllOf failed by one sub-event leaves its
+        ``_check`` hanging off every still-pending sub-event (a long
+        timer, a pending token grant), pinning the whole condition graph
+        until those eventually fire. The check is removed the way
         ``Process._detach_from_target`` does it.
 
-        Behavior-neutral (a satisfied condition's ``_check`` returns
+        Behavior-neutral (a settled condition's ``_check`` returns
         immediately): detaching only saves memory and dispatch work.
         """
         check = self._check
@@ -341,29 +304,3 @@ class Condition(Event):
                     callbacks.remove(check)
                 except ValueError:  # already fired, or never subscribed
                     pass
-
-    @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_event(events: list[Event], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Fires once all *events* have fired (``&`` over a collection)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Fires once any of *events* has fired (``|`` over a collection)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_event, events)

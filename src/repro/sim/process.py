@@ -5,7 +5,7 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from .events import Event, Initialize, Interrupt, PENDING, StopProcess, URGENT
+from .events import Event, Initialize, Interrupt, PENDING, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
@@ -126,12 +126,6 @@ class Process(Event):
                     else:  # pragma: no cover - defensive
                         next_event = self._generator.throw(RuntimeError(exc))
             except StopIteration as stop:
-                self._target = None
-                self._ok = True
-                self._value = stop.value
-                env.schedule(self)
-                break
-            except StopProcess as stop:
                 self._target = None
                 self._ok = True
                 self._value = stop.value

@@ -8,8 +8,7 @@ module batch-generates them with numpy (one vectorized draw per flow, not
 one RNG call per request) and feeds them to the kernel through
 :class:`FlowScheduler`, which pre-schedules every arrival up front as a
 bare Timeout with a direct callback. No process, no generator resume per
-arrival; the calendar queue parks far-future arrivals in its overflow
-heap and touches each exactly once per bucket window.
+arrival; each arrival is one entry in the kernel's event heap.
 
 The samplers draw from a caller-supplied seeded generator, so identical
 seeds produce byte-identical run summaries.

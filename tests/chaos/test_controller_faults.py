@@ -11,7 +11,9 @@ from repro.chaos import ChaosEngine, FaultKind
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.leaderelection import ReplicaState
 from repro.core import HAKubeShare
+from repro.cluster.objects import PodPhase
 from repro.sim import Environment
+from repro.workloads import TrainingJob
 
 
 def build(seed=3):
@@ -75,6 +77,35 @@ class TestControllerFaults:
         # Deposed while frozen; resumed, noticed, and stood down.
         assert replica.state is ReplicaState.STANDBY
         assert len(ks.sched_group.promotions) == 2
+
+    def test_short_pause_loses_no_sharepod(self):
+        """A leader paused for less than its lease resumes leading with
+        restarted workers; every SharePod submitted afterwards runs."""
+        env = Environment()
+        cluster = Cluster(env, ClusterConfig(nodes=2, gpus_per_node=2)).start()
+        ks = HAKubeShare(cluster, replicas=2).start()
+        engine = ChaosEngine(cluster, kubeshare=ks, seed=3)
+        engine.register_controllers(ks.sched_group, ks.devmgr_group)
+        engine.controller_pause(at=5.0, duration=0.5, target="kubeshare-sched")
+        engine.start()
+        names = [f"sp{i}" for i in range(8)]
+
+        def submit():
+            yield env.timeout(7.0)
+            for name in names:
+                job = TrainingJob(name, steps=10_000, step_work=0.05)
+                ks.submit(ks.make_sharepod(
+                    name, gpu_request=0.4, gpu_limit=0.5, gpu_mem=0.3,
+                    workload=job.workload(),
+                ))
+
+        env.process(submit())
+        env.run(until=40.0)
+        [(_, _, victim, outcome)] = engine.log
+        assert outcome == "paused for 0.50s"
+        assert ks.sched_group.leader is ks.sched_group.replica(victim)
+        assert len(ks.sched_group.promotions) == 1
+        assert {ks.get(n).status.phase for n in names} == {PodPhase.RUNNING}
 
     def test_untargeted_faults_prefer_leaders(self):
         env, ks, engine = build()

@@ -135,12 +135,12 @@ class TestFaultEffects:
 
     def test_backend_restart_bumps_epoch(self, env):
         cluster = build(env)
-        epochs_before = [n.backend.epoch for n in cluster.nodes]
+        restarts_before = [n.backend.restarts_total for n in cluster.nodes]
         eng = ChaosEngine(cluster, seed=0).backend_restart(at=1.0, target="node00")
         eng.start()
         env.run(until=2.0)
-        assert cluster.node("node00").backend.epoch == epochs_before[0] + 1
-        assert cluster.node("node01").backend.epoch == epochs_before[1]
+        assert cluster.node("node00").backend.restarts_total == restarts_before[0] + 1
+        assert cluster.node("node01").backend.restarts_total == restarts_before[1]
 
     def test_container_crash_fails_the_pod(self, env):
         cluster = build(env)

@@ -380,3 +380,20 @@ class TestStopMidPass:
             "ok",
         ]
         assert api.get("Pod", "p1").status.message == "seen"
+
+
+class TestStopWhileParked:
+    """A worker killed while it waits on the work queue gives up its get."""
+
+    def test_restart_reconciles_every_key_added_after_it(self, env, api):
+        ctl = SleepyController(env, api).start()
+        env.run(until=0.5)  # the worker is parked on an empty queue
+        ctl.stop()
+        ctl.start()
+        api.create(Pod(metadata=ObjectMeta(name="p1")))
+        api.create(Pod(metadata=ObjectMeta(name="p2")))
+        env.run(until=5)
+        # A get left queued by the killed worker would take p1 and hand
+        # it to nobody, leaving it pending so every later add is dropped.
+        assert ctl.completed == [(1.5, "default/p1"), (2.5, "default/p2")]
+        assert len(ctl.queue) == 0

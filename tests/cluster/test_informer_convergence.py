@@ -102,7 +102,8 @@ class TestOutageResync:
 
     def test_permanent_outage_never_resyncs(self, env, api):
         """The federation's dead-cluster form: ``down_until`` is inf, so no
-        timer may be armed at it (the calendar queue cannot hold inf)."""
+        timer may be armed at it (it would never fire, and a bare
+        ``env.run()`` would move the clock to inf to pop it)."""
         dead = Noop(env, api).start()
         api2 = APIServer(env)
         dying = Noop(env, api2).start()

@@ -107,14 +107,14 @@ class TestAttribution:
         daemon = Daemon()
         env.timeout(1.0).callbacks.append(daemon.fire)
         env.timeout(2.0).callbacks.append(partial(daemon.fire_for, "GPU-0"))
-        done = env.any_of([env.timeout(3.0)])
+        done = env.all_of([env.timeout(3.0)])
         prof = WallProfiler(env).install()
         env.run(until=done)
         prof.uninstall()
         assert set(prof.samples) == {
             ("Daemon", "fire"),
             ("Daemon", "fire_for"),
-            ("kernel", "AnyOf"),
+            ("kernel", "AllOf"),
             ("kernel", "_StopSimulation"),
         }
         assert {name for name, _ in prof.by_subsystem()} == {"Daemon", "kernel"}

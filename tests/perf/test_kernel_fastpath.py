@@ -1,5 +1,5 @@
 """Unit tests for the sim-kernel fast paths: tombstones, the shared stop
-sentinel, and condition detach."""
+sentinel, and AllOf detach."""
 
 import pytest
 
@@ -73,19 +73,6 @@ def test_stop_sentinel_is_safe_to_share_across_environments():
     e2.run(until=4.0)
     e1.run(until=6.0)  # reused in the same environment too
     assert (e1.now, e2.now) == (6.0, 4.0)
-
-
-def test_anyof_detaches_from_unfired_subevents_on_fast_path():
-    env = Environment()
-    late_timer = env.timeout(100.0)
-    cond = env.any_of([env.timeout(1.0), late_timer])
-    env.run(until=2.0)
-    assert cond.callbacks is None  # condition fired and was processed
-    # _check is unsubscribed from the still-pending timer so the dead
-    # condition is not pinned until t=100.
-    assert cond._check not in late_timer.callbacks
-    env.run()
-    assert env.now == 100.0
 
 
 def test_allof_detach_does_not_lose_failures():

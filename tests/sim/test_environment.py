@@ -97,15 +97,6 @@ class TestProcessSemantics:
         env.run()
         assert p.value == 99
 
-    def test_exit_legacy_style(self, env):
-        def proc(env):
-            yield env.timeout(1)
-            env.exit("bye")
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == "bye"
-
     def test_process_is_waitable(self, env):
         def worker(env):
             yield env.timeout(4)

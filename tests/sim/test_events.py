@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Environment,
     Interrupt,
     Timeout,
@@ -52,19 +51,6 @@ class TestEventStates:
         assert ev.triggered
         assert not ev.ok
         assert ev.value is exc
-
-    def test_trigger_copies_outcome(self, env):
-        src = env.event()
-        src.succeed("payload")
-        dst = env.event()
-        dst.trigger(src)
-        assert dst.triggered and dst.ok and dst.value == "payload"
-
-    def test_trigger_from_untriggered_raises(self, env):
-        src = env.event()
-        dst = env.event()
-        with pytest.raises(RuntimeError):
-            dst.trigger(src)
 
     def test_processed_after_run(self, env):
         ev = env.event()
@@ -122,36 +108,6 @@ class TestConditions:
         env.run()
         assert p.value == (5.0, ["a", "b"])
 
-    def test_any_of_fires_on_first(self, env):
-        def proc(env):
-            t1 = env.timeout(2, value="fast")
-            t2 = env.timeout(5, value="slow")
-            result = yield env.any_of([t1, t2])
-            return (env.now, list(result.values()))
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value[0] == 2.0
-        assert p.value[1] == ["fast"]
-
-    def test_and_operator(self, env):
-        def proc(env):
-            yield env.timeout(1) & env.timeout(3)
-            return env.now
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == 3.0
-
-    def test_or_operator(self, env):
-        def proc(env):
-            yield env.timeout(1) | env.timeout(3)
-            return env.now
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == 1.0
-
     def test_empty_all_of_fires_immediately(self, env):
         def proc(env):
             yield env.all_of([])
@@ -191,7 +147,7 @@ class TestConditions:
     def test_cross_environment_events_rejected(self, env):
         other = Environment()
         with pytest.raises(ValueError):
-            AnyOf(env, [env.timeout(1), other.timeout(1)])
+            AllOf(env, [env.timeout(1), other.timeout(1)])
 
 
 class TestInterrupt:

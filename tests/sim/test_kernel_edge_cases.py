@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import (
-    AnyOf,
+    AllOf,
     ConditionValue,
     Environment,
     Interrupt,
@@ -21,31 +21,19 @@ class TestConditionEdgeCases:
             t1 = env.timeout(1, value="a")
             t2 = env.timeout(2, value="b")
             t3 = env.timeout(3, value="c")
-            result = yield (t1 & t2) & t3
+            result = yield env.all_of([env.all_of([t1, t2]), t3])
             return list(result.values())
 
         p = env.process(proc(env))
         env.run()
         assert p.value == ["a", "b", "c"]
 
-    def test_mixed_and_or(self, env):
-        def proc(env):
-            fast = env.timeout(1, value="fast")
-            slow = env.timeout(10, value="slow")
-            med = env.timeout(2, value="med")
-            yield (fast & med) | slow
-            return env.now
-
-        p = env.process(proc(env))
-        env.run(until=20)
-        assert p.value == 2.0
-
-    def test_anyof_with_already_processed_event(self, env):
+    def test_allof_with_already_processed_event(self, env):
         def proc(env):
             t = env.timeout(1)
             yield t
-            # t is processed; AnyOf should fire immediately
-            yield AnyOf(env, [t, env.timeout(100)])
+            # t is processed; AllOf should fire immediately
+            yield AllOf(env, [t])
             return env.now
 
         p = env.process(proc(env))

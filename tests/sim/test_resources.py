@@ -1,17 +1,13 @@
-"""Unit tests for Resource / Container / Store primitives."""
+"""Unit tests for the Resource and Store primitives."""
+
+from collections import deque
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import (
-    Container,
-    Environment,
-    FilterStore,
-    PriorityItem,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.sim import Environment, Resource, Store
 
 
 @pytest.fixture
@@ -103,8 +99,8 @@ class TestResource:
         def impatient(env, res):
             yield env.timeout(1)
             req = res.request()
-            result = yield req | env.timeout(2)
-            if req not in result:
+            yield env.timeout(2)
+            if not req.triggered:
                 req.cancel()
                 got_it.append("gave up")
             else:
@@ -122,93 +118,24 @@ class TestResource:
         env.run()
         assert got_it == ["gave up", 10.0]
 
+    def test_killed_waiter_gives_up_its_place(self, env):
+        res = Resource(env, capacity=1)
+        got = []
 
-class TestPriorityResource:
-    def test_low_priority_value_served_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder(env):
+        def user(tag, hold):
             with res.request() as req:
                 yield req
-                yield env.timeout(5)
+                got.append((env.now, tag))
+                yield env.timeout(hold)
 
-        def user(env, prio, tag):
-            yield env.timeout(1)
-            with res.request(priority=prio) as req:
-                yield req
-                order.append(tag)
-                yield env.timeout(1)
-
-        env.process(holder(env))
-        env.process(user(env, 5, "low"))
-        env.process(user(env, 1, "high"))
+        env.process(user("a", 5))
+        b = env.process(user("b", 1))
+        env.process(user("c", 1))
+        env.run(until=1)
+        b.kill()
         env.run()
-        assert order == ["high", "low"]
-
-
-class TestContainer:
-    def test_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=1, init=2)
-
-    def test_put_get_levels(self, env):
-        tank = Container(env, capacity=10, init=5)
-
-        def proc(env, tank):
-            yield tank.get(3)
-            assert tank.level == 2
-            yield tank.put(8)
-            assert tank.level == 10
-
-        env.process(proc(env, tank))
-        env.run()
-        assert tank.level == 10
-
-    def test_get_blocks_until_available(self, env):
-        tank = Container(env, capacity=10, init=0)
-        times = []
-
-        def consumer(env, tank):
-            yield tank.get(4)
-            times.append(env.now)
-
-        def producer(env, tank):
-            yield env.timeout(3)
-            yield tank.put(2)
-            yield env.timeout(3)
-            yield tank.put(2)
-
-        env.process(consumer(env, tank))
-        env.process(producer(env, tank))
-        env.run()
-        assert times == [6.0]
-
-    def test_put_blocks_at_capacity(self, env):
-        tank = Container(env, capacity=5, init=5)
-        times = []
-
-        def producer(env, tank):
-            yield tank.put(3)
-            times.append(env.now)
-
-        def consumer(env, tank):
-            yield env.timeout(2)
-            yield tank.get(3)
-
-        env.process(producer(env, tank))
-        env.process(consumer(env, tank))
-        env.run()
-        assert times == [2.0]
-
-    def test_invalid_amounts(self, env):
-        tank = Container(env, capacity=5)
-        with pytest.raises(ValueError):
-            tank.put(0)
-        with pytest.raises(ValueError):
-            tank.get(-1)
+        assert got == [(0.0, "a"), (5.0, "c")]
+        assert res.count == 0 and res.queue == []
 
 
 class TestStore:
@@ -218,7 +145,8 @@ class TestStore:
 
         def producer(env, store):
             for item in ["x", "y", "z"]:
-                yield store.put(item)
+                store.offer(item)
+                yield env.timeout(0)
 
         def consumer(env, store):
             for _ in range(3):
@@ -240,143 +168,101 @@ class TestStore:
 
         def producer(env, store):
             yield env.timeout(7)
-            yield store.put("late")
+            store.offer("late")
 
         env.process(consumer(env, store))
         env.process(producer(env, store))
         env.run()
         assert times == [7.0]
 
-    def test_bounded_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        times = []
-
-        def producer(env, store):
-            yield store.put(1)
-            yield store.put(2)
-            times.append(env.now)
-
-        def consumer(env, store):
-            yield env.timeout(5)
-            yield store.get()
-
-        env.process(producer(env, store))
-        env.process(consumer(env, store))
-        env.run()
-        assert times == [5.0]
-
     def test_put_is_offered_to_parked_getters_until_taken(self, env):
-        """One item, 16 parked getters: the first takes it and the scan
-        stops, instead of offering the empty store to the other 15."""
+        """One item, 16 parked getters: the first takes it, and the other
+        15 stay parked in arrival order."""
         store = Store(env)
         got = []
 
         def getter(i):
             got.append((i, (yield store.get())))
 
-        for i in range(16):
-            env.process(getter(i))
+        procs = [env.process(getter(i)) for i in range(16)]
         env.run()
-        offers = []
-        do_get = store._do_get
-
-        def counting(get):
-            offers.append(get)
-            return do_get(get)
-
-        store._do_get = counting
-        store.put("x")
+        store.offer("x")
         env.run()
         assert got == [(0, "x")]
-        assert len(offers) == 1
+        assert store.items == []
+        assert [p.is_alive for p in procs] == [False] + [True] * 15
+        store.offer("y")
+        env.run()
+        assert got == [(0, "x"), (1, "y")]
 
     def test_items_visible(self, env):
         store = Store(env)
-
-        def proc(env, store):
-            yield store.put("a")
-            yield store.put("b")
-
-        env.process(proc(env, store))
-        env.run()
+        store.offer("a")
+        store.offer("b")
         assert store.items == ["a", "b"]
 
 
-class TestFilterStore:
-    def test_filter_skips_non_matching(self, env):
-        store = FilterStore(env)
-        got = []
-
-        def producer(env, store):
-            for item in [1, 2, 3, 4]:
-                yield store.put(item)
-
-        def picky(env, store):
-            item = yield store.get(lambda x: x % 2 == 0)
-            got.append(item)
-
-        env.process(producer(env, store))
-        env.process(picky(env, store))
-        env.run()
-        assert got == [2]
-        assert store.items == [1, 3, 4]
-
-    def test_filter_waits_for_match(self, env):
-        store = FilterStore(env)
-        got = []
-
-        def picky(env, store):
-            item = yield store.get(lambda x: x == "wanted")
-            got.append((env.now, item))
-
-        def producer(env, store):
-            yield env.timeout(1)
-            yield store.put("other")
-            yield env.timeout(1)
-            yield store.put("wanted")
-
-        env.process(picky(env, store))
-        env.process(producer(env, store))
-        env.run()
-        assert got == [(2.0, "wanted")]
+#: One step of the model test: deposit an item, start a getter, or
+#: withdraw the n-th waiting getter by killing it inside its ``with``
+#: block or by cancelling its get.
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.just(("offer",)),
+        st.just(("get",)),
+        st.tuples(st.sampled_from(["kill", "cancel"]), st.integers(0, 15)),
+    ),
+    max_size=80,
+)
 
 
-class TestPriorityStore:
-    def test_items_pop_in_priority_order(self, env):
-        store = PriorityStore(env)
-        got = []
+class TestStoreModel:
+    @given(ops=_STORE_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_fifo_model(self, ops):
+        """Every item reaches exactly one live getter, in arrival order,
+        and a withdrawn get never takes an item."""
+        env = Environment()
+        store = Store(env)
+        items = count()
+        getters = count()
+        # The model: items nobody took, live waiting getters in arrival
+        # order, and the item each getter must end up with.
+        model_items = deque()
+        model_waiting = []
+        expected = {}
+        received = {}
+        procs = {}
+        requests = {}
 
-        def producer(env, store):
-            yield store.put(PriorityItem(3, "c"))
-            yield store.put(PriorityItem(1, "a"))
-            yield store.put(PriorityItem(2, "b"))
+        def getter(gid):
+            with store.get() as req:
+                requests[gid] = req
+                item = yield req
+            received[gid] = item
 
-        def consumer(env, store):
-            yield env.timeout(1)
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item.item)
-
-        env.process(producer(env, store))
-        env.process(consumer(env, store))
-        env.run()
-        assert got == ["a", "b", "c"]
-
-    def test_equal_priority_is_fifo(self, env):
-        store = PriorityStore(env)
-        got = []
-
-        def producer(env, store):
-            for tag in ["first", "second"]:
-                yield store.put(PriorityItem(1, tag))
-
-        def consumer(env, store):
-            yield env.timeout(1)
-            for _ in range(2):
-                item = yield store.get()
-                got.append(item.item)
-
-        env.process(producer(env, store))
-        env.process(consumer(env, store))
-        env.run()
-        assert got == ["first", "second"]
+        for op in ops:
+            if op[0] == "offer":
+                item = next(items)
+                store.offer(item)
+                if model_waiting:
+                    expected[model_waiting.pop(0)] = item
+                else:
+                    model_items.append(item)
+            elif op[0] == "get":
+                gid = next(getters)
+                procs[gid] = env.process(getter(gid))
+                if model_items:
+                    expected[gid] = model_items.popleft()
+                else:
+                    model_waiting.append(gid)
+            elif model_waiting:
+                gid = model_waiting.pop(op[1] % len(model_waiting))
+                if op[0] == "kill":
+                    procs[gid].kill()
+                else:
+                    requests[gid].cancel()
+            env.run()
+            assert received == expected
+            assert store.items == list(model_items)
+            assert [g.triggered for g in store._waiters] == [False] * len(model_waiting)
+            assert store._waiters == [requests[g] for g in model_waiting]

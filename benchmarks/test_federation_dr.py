@@ -21,7 +21,7 @@ import pytest
 from repro.analysis.race import install as race_install
 from repro.analysis.resets import reset_all
 from repro.chaos import ChaosEngine, FaultKind
-from repro.federation import ClusterHealth, Federation, FederationConfig
+from repro.federation import Federation, FederationConfig
 from repro.obs import ObsHub, disable as obs_disable, enable as obs_enable
 from repro.sim import Environment
 from repro.workloads.jobs import TrainingJob

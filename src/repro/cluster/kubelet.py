@@ -1,9 +1,11 @@
 """kubelet: the per-node agent.
 
-Watches the API server for pods bound to its node, performs device-plugin
-allocation for extended resources (Figure 2b), asks the container runtime
-to start the container, keeps the pod status current, and tears everything
-down when the pod is deleted. The watch carries the ``spec.nodeName``
+Watches the API server for pods bound to its node and runs each as one
+process, ``workload:<pod>``: it performs device-plugin allocation for
+extended resources (Figure 2b), has the container runtime start the
+container, runs the workload in it, keeps the pod status current, and
+gives the devices back when the workload exits. Deleting the pod stops
+that process wherever it is. The watch carries the ``spec.nodeName``
 field selector, as a real kubelet's does, so the apiserver delivers only
 this node's Pod events; other nodes' pods never wake this kubelet.
 
@@ -79,7 +81,6 @@ class Kubelet:
         #: name -> per-node daemon (e.g. the KubeShare token backend).
         self.node_services = dict(node_services or {})
         self.heartbeat_interval = heartbeat_interval
-        self._handled: set[str] = set()
         self._pod_procs: Dict[str, Any] = {}
         self._proc = None
         self.lease: Optional[NodeLease] = None
@@ -164,23 +165,70 @@ class Kubelet:
         while True:
             raw = yield stream.get()
             etype, pod = translate_event(raw)
+            uid = pod.metadata.uid
             if etype is WatchEventType.DELETE:
-                self.env.process(self._teardown(pod), name=f"teardown:{pod.name}")
-            elif (
-                pod.status.phase is PodPhase.PENDING
-                and pod.metadata.uid not in self._handled
-            ):
-                self._handled.add(pod.metadata.uid)
-                self._pod_procs[pod.metadata.uid] = self.env.process(
-                    self._start_pod(pod), name=f"startpod:{pod.name}"
+                # Stop the pod's process wherever it is: a running
+                # container stops gracefully; a start still in flight is
+                # killed, which gives back its setup slot. Either way the
+                # process's `finally` gives the devices back.
+                proc = self._pod_procs.pop(uid, None)
+                handle = self.runtime.containers.pop(uid, None)
+                if handle is not None:
+                    handle.stop()
+                elif proc is not None:
+                    proc.kill()
+            elif pod.status.phase is PodPhase.PENDING and uid not in self._pod_procs:
+                self._pod_procs[uid] = self.env.process(
+                    self._start_pod(pod), name=f"workload:{pod.name}"
                 )
 
-    # -- pod startup -----------------------------------------------------------
+    # -- the pod process -------------------------------------------------------
     def _start_pod(self, pod: Pod) -> Generator:
-        container = pod.spec.containers[0]
-        env_vars = dict(container.env)
+        """The pod process: allocate devices, start the container, run the
+        workload and report its exit. A deletion or a node crash stops it
+        wherever it is; the ``finally`` gives the devices back either way."""
+        env_vars = dict(pod.spec.containers[0].env)
+        try:
+            if not self._allocate(pod, env_vars):
+                return
+            ctx = ContainerContext(
+                env=self.env,
+                pod_name=pod.name,
+                pod_uid=pod.metadata.uid,
+                node_name=self.node_name,
+                env_vars=env_vars,
+                gpu_registry=self.gpu_registry,
+                node_services=self.node_services,
+            )
+            with obs.span(
+                "container.start",
+                f"kubelet:{self.node_name}",
+                trace_id=pod.metadata.key,
+                pod=pod.name,
+            ):
+                handle = yield from self.runtime.start_container(ctx)
 
-        # Device-plugin allocation for extended resources ("vendor/resource").
+            self._set_phase(pod, PodPhase.RUNNING, env=env_vars)
+            obs.event(
+                "Started",
+                f"container started on {self.node_name}",
+                involved_kind="Pod",
+                involved_name=pod.name,
+                involved_namespace=pod.metadata.namespace,
+                source=f"kubelet:{self.node_name}",
+            )
+            exited_ok = yield from self.runtime.run(handle, ctx, pod.spec.workload)
+            phase = PodPhase.SUCCEEDED if exited_ok else PodPhase.FAILED
+            message = "" if exited_ok else repr(handle.exit_value)
+            self._set_phase(pod, phase, message=message)
+        finally:
+            self.devices.release_pod(pod.metadata.uid)
+
+    def _allocate(self, pod: Pod, env_vars: Dict[str, str]) -> bool:
+        """Device-plugin allocation for extended resources ("vendor/resource"),
+        adding what the plugins inject to *env_vars*. On failure the pod
+        is reported Failed and this returns False."""
+        container = pod.spec.containers[0]
         extended = {
             name: qty
             for name, qty in container.requests.items()
@@ -213,7 +261,7 @@ class Kubelet:
                 source=f"kubelet:{self.node_name}",
             )
             self._set_phase(pod, PodPhase.FAILED, message=str(err))
-            return
+            return False
         if extended:
             obs.instant(
                 "deviceplugin.allocate",
@@ -221,38 +269,7 @@ class Kubelet:
                 trace_id=pod.metadata.key,
                 pod=pod.name,
             )
-
-        ctx = ContainerContext(
-            env=self.env,
-            pod_name=pod.name,
-            pod_uid=pod.metadata.uid,
-            node_name=self.node_name,
-            env_vars=env_vars,
-            gpu_registry=self.gpu_registry,
-            node_services=self.node_services,
-        )
-        with obs.span(
-            "container.start",
-            f"kubelet:{self.node_name}",
-            trace_id=pod.metadata.key,
-            pod=pod.name,
-        ):
-            handle = yield from self.runtime.start_container(ctx, pod.spec.workload)
-
-        self._set_phase(pod, PodPhase.RUNNING, env=env_vars)
-        obs.event(
-            "Started",
-            f"container started on {self.node_name}",
-            involved_kind="Pod",
-            involved_name=pod.name,
-            involved_namespace=pod.metadata.namespace,
-            source=f"kubelet:{self.node_name}",
-        )
-        exited_ok = yield handle.wait()
-        phase = PodPhase.SUCCEEDED if exited_ok else PodPhase.FAILED
-        message = "" if exited_ok else repr(handle.exit_value)
-        self._set_phase(pod, phase, message=message)
-        self.devices.release_pod(pod.metadata.uid)
+        return True
 
     def _set_phase(
         self,
@@ -274,16 +291,9 @@ class Kubelet:
         try:
             self.api.patch("Pod", pod.name, mutate, pod.metadata.namespace)
         except NotFound:
-            pass  # pod deleted concurrently; teardown handles cleanup
+            pass  # pod deleted concurrently; nothing left to report
         except (ServiceUnavailable, Conflict):
             pass  # apiserver outage / patch storm; state converges later
-
-    # -- pod teardown -------------------------------------------------------------
-    def _teardown(self, pod: Pod) -> Generator:
-        yield from self.runtime.stop_container(pod.metadata.uid)
-        self.devices.release_pod(pod.metadata.uid)
-        self._handled.discard(pod.metadata.uid)
-        self._pod_procs.pop(pod.metadata.uid, None)
 
     # -- node failure / recovery -----------------------------------------------
     def crash(self) -> None:
@@ -304,7 +314,7 @@ class Kubelet:
         if self.lease is not None:
             self.api.stop_node_lease(self.lease)
         for proc in self._pod_procs.values():
-            proc.kill()  # closes a start in flight, setup slot and all
+            proc.kill()  # closes a start or a workload, `finally` blocks and all
         self._pod_procs.clear()
 
     def restart(self) -> Generator:
@@ -314,7 +324,6 @@ class Kubelet:
         still shows RUNNING here is a casualty of the crash; report it
         failed so controllers can react.
         """
-        self._handled.clear()
         self._pod_procs.clear()
         self.start()
         yield self.env.timeout(0)

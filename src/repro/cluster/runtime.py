@@ -9,6 +9,9 @@ of image setup). We model start latency as::
 
 so concurrent creations queue for setup slots, reproducing the upward
 slope of pod-creation time with the number of concurrent requests.
+
+The runtime spawns no process: the container start and the workload both
+run inside the kubelet's pod process (``yield from``).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from ..sim import Environment, Interrupt, Resource
+from ..sim import Environment, Interrupt, Process, Resource
 
 __all__ = ["ContainerContext", "ContainerHandle", "ContainerRuntime", "RuntimeLatency"]
 
@@ -28,7 +31,6 @@ class RuntimeLatency:
     base: float = 0.4
     setup: float = 0.9
     setup_slots: int = 2
-    stop: float = 0.1
 
 
 @dataclass
@@ -80,38 +82,24 @@ class ContainerContext:
 
 
 class ContainerHandle:
-    """A started container: its workload process and exit state."""
+    """A started container: its exit state, and the pod process that
+    started it and runs its workload."""
 
-    def __init__(self, env: Environment, name: str) -> None:
-        self.env = env
+    def __init__(self, name: str, proc: Process) -> None:
         self.name = name
-        self.started_at = env.now
         self.finished_at: Optional[float] = None
         self.exit_ok: Optional[bool] = None
         self.exit_value: Any = None
-        self._proc = None
-        self.workload_proc = None
-        self._exit_event = env.event()
+        self._proc = proc
         self._kill_reason: Optional[str] = None
 
     @property
     def running(self) -> bool:
         return self.finished_at is None
 
-    def wait(self):
-        """Event that fires when the container exits."""
-        return self._exit_event
-
     def stop(self, reason: str = "deleted") -> None:
-        """Kill the workload (pod deletion).
-
-        The interrupt goes to the workload process itself, not just the
-        supervisor — interrupting only the supervisor would detach it and
-        leave the workload running orphaned after the container is gone.
-        """
-        if self.workload_proc is not None and self.workload_proc.is_alive:
-            self.workload_proc.interrupt(reason)
-        elif self._proc is not None and self._proc.is_alive:
+        """Stop the workload gracefully (pod deletion): it exits clean."""
+        if self.running:
             self._proc.interrupt(reason)
 
     def kill(self, reason: str = "container crashed") -> None:
@@ -123,9 +111,7 @@ class ContainerHandle:
         destroy, token release, backend unregister) still runs.
         """
         self._kill_reason = reason
-        if self.workload_proc is not None and self.workload_proc.is_alive:
-            self.workload_proc.interrupt(reason)
-        elif self._proc is not None and self._proc.is_alive:
+        if self.running:
             self._proc.interrupt(reason)
 
 
@@ -146,49 +132,40 @@ class ContainerRuntime:
         #: count of starts, for tests and metrics
         self.started_total = 0
 
-    def start_container(
-        self,
-        ctx: ContainerContext,
-        workload: Optional[Callable[[ContainerContext], Generator]],
-    ) -> Generator:
+    def start_container(self, ctx: ContainerContext) -> Generator:
         """Start a container; the generator's value is its
         :class:`ContainerHandle` once the container is up.
 
         The caller runs it inside its own process (``yield from``, as the
         kubelet does), so killing the caller abandons the start and gives
-        back its setup slot.
+        back its setup slot. That process then runs the workload with
+        :meth:`run`, and the handle's ``stop`` and ``kill`` interrupt it.
         """
         yield self.env.timeout(self.latency.base)
         with self._setup_slots.request() as slot:
             yield slot
             yield self.env.timeout(self.latency.setup)
 
-        handle = ContainerHandle(self.env, ctx.pod_name)
+        handle = ContainerHandle(ctx.pod_name, self.env.active_process)
         self.containers[ctx.pod_uid] = handle
         self.started_total += 1
-        handle._proc = self.env.process(
-            self._run_workload(handle, ctx, workload),
-            name=f"container:{ctx.pod_name}",
-        )
         return handle
 
-    def _run_workload(
+    def run(
         self,
         handle: ContainerHandle,
         ctx: ContainerContext,
         workload: Optional[Callable[[ContainerContext], Generator]],
     ) -> Generator:
+        """Run *workload* in the started container until it exits; run
+        with ``yield from`` in the process that started it. The value is
+        whether it exited ok; the handle keeps the exit state."""
         try:
             if workload is None:
                 # A long-running service: sleeps until the pod is deleted.
                 yield self.env.event()
             else:
-                proc = self.env.process(
-                    workload(ctx), name=f"workload:{ctx.pod_name}"
-                )
-                handle.workload_proc = proc
-                value = yield proc
-                handle.exit_value = value
+                handle.exit_value = yield from workload(ctx)
             handle.exit_ok = True
         except Interrupt:
             if handle._kill_reason is not None:
@@ -201,35 +178,20 @@ class ContainerRuntime:
             handle.exit_ok = False
             handle.exit_value = err
         handle.finished_at = self.env.now
-        handle._exit_event.succeed(handle.exit_ok)
-
-    def stop_container(self, pod_uid: str) -> Generator:
-        """Stop and remove a container (small fixed latency); run with
-        ``yield from``."""
-        handle = self.containers.pop(pod_uid, None)
-        if handle is not None:
-            handle.stop()
-            yield self.env.timeout(self.latency.stop)
-        return handle
+        return handle.exit_ok
 
     def crash(self, reason: str = "node crash") -> None:
-        """Hard-kill every container without any teardown protocol.
+        """Drop every container without any teardown protocol.
 
-        Models the node losing power: workload generators are *closed*
-        (their ``finally`` blocks still run, releasing simulated device
-        state, as a dying host releases hardware), never signalled. Every
-        container's exit state reports a failure.
+        Models the node losing power. The kubelet's crash has already
+        killed the pod processes (closing each workload generator, so
+        its ``finally`` blocks release simulated device state, as a dying
+        host releases hardware); every container still running reports a
+        failure.
         """
         for handle in self.containers.values():
-            handle._kill_reason = reason
-            if handle._proc is not None and handle._proc.is_alive:
-                handle._proc.kill()
-            if handle.workload_proc is not None and handle.workload_proc.is_alive:
-                handle.workload_proc.kill()
             if handle.finished_at is None:
                 handle.finished_at = self.env.now
                 handle.exit_ok = False
                 handle.exit_value = RuntimeError(reason)
-            if not handle._exit_event.triggered:
-                handle._exit_event.succeed(False)
         self.containers.clear()

@@ -23,7 +23,7 @@ Failure handling:
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
 from ..core.scheduler import RequestView, schedule_request
 from ..obs import runtime as obs
@@ -72,7 +72,10 @@ class GlobalPlacer:
     # -- worker ------------------------------------------------------------
     def _run(self) -> Generator:
         while True:
-            key = yield self.queue.get()
+            # Waiting inside `with` withdraws the get when stop() kills
+            # this worker, as Controller._worker does.
+            with self.queue.get() as request:
+                key = yield request
             self.queue.checkout(key)
             try:
                 yield from self._place(key)

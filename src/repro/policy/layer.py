@@ -23,7 +23,7 @@ the layer is installed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..cluster.apiserver import ServiceUnavailable, UnknownKind

@@ -26,7 +26,7 @@ sweep after failover), which makes it HA-group-compatible:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..cluster.apiserver import ServiceUnavailable, UnknownKind

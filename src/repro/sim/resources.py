@@ -12,7 +12,9 @@ while it still waits (and releases a granted :class:`Resource` slot).
 A process that waits inside ``with ... as req: yield req`` therefore
 gives up its place when it is killed, since :meth:`Process.kill` closes
 the generator; one that yields a bare request keeps its place, and the
-grant goes to nobody.
+grant goes to nobody. A :class:`Store` get granted in the same instant
+that its process is killed or interrupted, before the grant reached it,
+hands its item back, so the item is not lost either.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ class _Request(Event):
 
     def __enter__(self) -> "_Request":
         return self
-
-    def __exit__(self, exc_type, exc_value, tb) -> None:
-        self.cancel()
 
 
 class Request(_Request):
@@ -105,6 +104,25 @@ class Resource:
             req.succeed()
 
 
+class _Get(_Request):
+    """A get from a :class:`Store`."""
+
+    __slots__ = ()
+
+    def __exit__(self, exc_type, exc_value, tb) -> None:
+        if self._value is PENDING:
+            self.cancel()
+        elif exc_type is not None and self.callbacks is not None:
+            # Granted, but the process left at its `yield` before the
+            # grant was dispatched: nobody took the item, so hand it to
+            # the longest waiter, or back to the head of the items.
+            store = self.owner
+            if store._waiters:
+                store._waiters.pop(0).succeed(self._value)
+            else:
+                store.items.insert(0, self._value)
+
+
 class Store:
     """An unbounded FIFO of items: ``offer`` never blocks, ``get`` waits.
 
@@ -124,9 +142,9 @@ class Store:
         else:
             self.items.append(item)
 
-    def get(self) -> _Request:
+    def get(self) -> _Get:
         """An event that fires with the head item (at once if there is one)."""
-        get = _Request(self)
+        get = _Get(self)
         if self.items:
             get.succeed(self.items.pop(0))
         else:

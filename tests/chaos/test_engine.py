@@ -4,8 +4,16 @@ import pytest
 
 from repro.chaos import ChaosEngine, FaultKind
 from repro.cluster import Cluster, ClusterConfig, ServiceUnavailable
-from repro.cluster.objects import ContainerSpec, ObjectMeta, Pod, PodPhase, PodSpec
-from repro.sim import Environment
+from repro.cluster.objects import (
+    GPU_RESOURCE,
+    ContainerSpec,
+    ObjectMeta,
+    Pod,
+    PodPhase,
+    PodSpec,
+)
+from repro.sim import Environment, Process
+from repro.sim.environment import set_profile_hook
 
 
 def cpu_pod(name):
@@ -153,6 +161,51 @@ class TestFaultEffects:
         pod = cluster.api.get("Pod", "p1")
         assert pod.status.phase is PodPhase.FAILED
         assert "crashed" in (pod.status.message or "")
+
+    def test_container_crash_reaches_the_pod_process(self, env):
+        """The kill interrupts the pod's one process: the workload's
+        cleanup runs, and the same process writes Failed with the kill
+        reason and gives the GPU back."""
+        cluster = build(env, nodes=1)
+        node = cluster.nodes[0]
+        cleaned = []
+
+        def service(ctx):
+            try:
+                yield ctx.env.event()
+            finally:
+                cleaned.append(ctx.env.now)
+
+        pod = cpu_pod("p1")
+        pod.spec.containers[0].requests[GPU_RESOURCE] = 1
+        pod.spec.workload = service
+        cluster.submit(pod)
+        wait = env.process(cluster.wait_for_phase("p1", [PodPhase.RUNNING]))
+        env.run(until=wait)
+        assert node.device_manager.free_count(GPU_RESOURCE) == 1
+        names = set()
+
+        class Recorder:
+            def dispatch(self, event, callbacks):
+                for callback in callbacks:
+                    receiver = getattr(callback, "__self__", None)
+                    if isinstance(receiver, Process):
+                        names.add(receiver.name)
+                    callback(event)
+
+        crash_at = env.now + 0.5
+        ChaosEngine(cluster, seed=0).container_crash(at=crash_at).start()
+        set_profile_hook(Recorder())
+        try:
+            env.run(until=env.now + 3.0)
+        finally:
+            set_profile_hook(None)
+        pod = cluster.api.get("Pod", "p1")
+        assert pod.status.phase is PodPhase.FAILED
+        assert pod.status.message == repr(RuntimeError("container crashed (chaos)"))
+        assert pod.status.finish_time == cleaned[0] == crash_at
+        assert [n for n in sorted(names) if n.endswith(":p1")] == ["workload:p1"]
+        assert node.device_manager.free_count(GPU_RESOURCE) == 2
 
     def test_apiserver_outage_window(self, env):
         cluster = build(env)

@@ -397,3 +397,21 @@ class TestStopWhileParked:
         # it to nobody, leaving it pending so every later add is dropped.
         assert ctl.completed == [(1.5, "default/p1"), (2.5, "default/p2")]
         assert len(ctl.queue) == 0
+
+    def test_restart_keeps_a_key_handed_over_in_the_same_instant(self, env, api):
+        """A stop that lands after the queue handed a worker its key but
+        before the worker resumed gives the key back to the queue."""
+        ctl = SleepyController(env, api).start()
+        env.run(until=0.5)
+        api.create(Pod(metadata=ObjectMeta(name="p1")))
+        worker = ctl._procs[0]
+        while not worker.target.triggered:
+            env.step()
+        assert worker.target.value == "default/p1"
+        ctl.stop()
+        ctl.start()
+        api.patch("Pod", "p1", lambda p: p.metadata.labels.update(touched="yes"))
+        env.run(until=5)
+        assert ctl.entered == [(0.5, "default/p1")]
+        assert ctl.completed == [(1.5, "default/p1")]
+        assert len(ctl.queue) == 0

@@ -201,6 +201,9 @@ class TestRuntimeLatency:
 
 class TestStartInCaller:
     def test_pod_start_dispatches_no_runtime_process(self, env):
+        """The kubelet's pod process starts the container, runs the
+        workload and reports its exit, and deleting the pod stops it: no
+        other process runs on the pod's behalf."""
         cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=1)).start()
         names = set()
 
@@ -217,10 +220,45 @@ class TestStartInCaller:
         set_profile_hook(Recorder())
         try:
             env.run(until=done)
+            cluster.api.delete("Pod", "p1")
+            env.run(until=env.now + 1.0)
         finally:
             set_profile_hook(None)
-        assert "startpod:p1" in names and "workload:p1" in names
-        assert not [n for n in sorted(names) if n.startswith("runc:")]
+        assert "workload:p1" in names
+        assert [
+            n for n in sorted(names)
+            if n.split(":", 1)[0] in ("startpod", "container", "teardown", "runc")
+        ] == []
+        assert [n for n in sorted(names) if n.endswith(":p1")] == ["workload:p1"]
+
+
+class TestDeleteMidStart:
+    def test_pod_deleted_while_starting_never_runs(self, env):
+        """Deleting a pod inside its container start kills the pod
+        process: the start is abandoned with its setup slot, the
+        workload never runs, and the GPU is free for the next pod."""
+        cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=1)).start()
+        node = cluster.nodes[0]
+        slots = node.runtime._setup_slots
+        ran = []
+
+        def sleeper(ctx):
+            ran.append(ctx.env.now)
+            yield ctx.env.timeout(5.0)
+
+        cluster.submit(gpu_pod("p1", workload=sleeper))
+        env.run(until=0.5)  # inside the 1.3 s start, holding a setup slot
+        assert slots.count == 1
+        cluster.api.delete("Pod", "p1")
+        env.run(until=10.0)
+        assert ran == []
+        assert node.runtime.containers == {} and node.runtime.started_total == 0
+        assert slots.count == 0 and slots.queue == []
+        assert node.device_manager.free_count(GPU_RESOURCE) == 1
+        cluster.submit(gpu_pod("p2", workload=finish_quickly))
+        done = env.process(cluster.wait_for_phase("p2", [PodPhase.SUCCEEDED]))
+        env.run(until=done)
+        assert ran == [] and node.runtime.started_total == 1
 
 
 class TestCrashMidStart:

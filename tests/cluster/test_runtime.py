@@ -1,4 +1,8 @@
-"""Unit tests for the container runtime (start latency, stop, workloads)."""
+"""Unit tests for the container runtime (start latency, stop, workloads).
+
+The runtime spawns no process: each test runs a container start and its
+workload inside one process, the way the kubelet's pod process does.
+"""
 
 import pytest
 
@@ -24,40 +28,38 @@ def ctx_for(env, name="pod"):
     )
 
 
+def pod(runtime, ctx, workload=None, out=None):
+    """A pod process as the kubelet runs one: start the container, then
+    run *workload* in it; *out* collects the start time and exit."""
+    handle = yield from runtime.start_container(ctx)
+    if out is not None:
+        out["started"] = (ctx.env.now, handle)
+    ok = yield from runtime.run(handle, ctx, workload)
+    if out is not None:
+        out["exited"] = (ok, handle.exit_value, handle.finished_at)
+
+
 class TestStartLatency:
     def test_single_start_pays_base_plus_setup(self, env, runtime):
-        def starter():
-            handle = yield env.process(
-                runtime.start_container(ctx_for(env), None)
-            )
-            return (env.now, handle)
-
-        p = env.process(starter())
-        env.run(until=p)
-        started_at, handle = p.value
+        out = {}
+        env.process(pod(runtime, ctx_for(env), out=out))
+        env.run(until=10)
+        started_at, handle = out["started"]
         assert started_at == pytest.approx(1.5)
         assert handle.running
+        assert runtime.containers == {"uid-pod": handle}
 
     def test_concurrent_starts_serialize_on_setup_slots(self, env, runtime):
-        times = []
-
-        def starter(i):
-            yield env.process(
-                runtime.start_container(ctx_for(env, f"p{i}"), None)
-            )
-            times.append(env.now)
-
-        for i in range(3):
-            env.process(starter(i))
-        env.run()
+        outs = [{} for _ in range(3)]
+        for i, out in enumerate(outs):
+            env.process(pod(runtime, ctx_for(env, f"p{i}"), out=out))
+        env.run(until=10)
+        times = [out["started"][0] for out in outs]
         assert times == pytest.approx([1.5, 2.5, 3.5])
 
     def test_started_total_counts(self, env, runtime):
-        def starter():
-            yield env.process(runtime.start_container(ctx_for(env), None))
-
-        env.process(starter())
-        env.run()
+        env.process(pod(runtime, ctx_for(env)))
+        env.run(until=10)
         assert runtime.started_total == 1
 
 
@@ -67,14 +69,10 @@ class TestWorkloadExecution:
             yield ctx.env.timeout(2.0)
             return {"answer": 42}
 
-        def starter():
-            handle = yield env.process(runtime.start_container(ctx_for(env), wl))
-            ok = yield handle.wait()
-            return (ok, handle.exit_value, handle.finished_at)
-
-        p = env.process(starter())
-        env.run(until=p)
-        ok, value, finished = p.value
+        out = {}
+        env.process(pod(runtime, ctx_for(env), wl, out))
+        env.run()
+        ok, value, finished = out["exited"]
         assert ok and value == {"answer": 42}
         assert finished == pytest.approx(3.5)
 
@@ -83,46 +81,56 @@ class TestWorkloadExecution:
             yield ctx.env.timeout(0.1)
             raise RuntimeError("segfault")
 
-        def starter():
-            handle = yield env.process(runtime.start_container(ctx_for(env), wl))
-            ok = yield handle.wait()
-            return (ok, handle.exit_value)
-
-        p = env.process(starter())
-        env.run(until=p)
-        ok, value = p.value
+        out = {}
+        env.process(pod(runtime, ctx_for(env), wl, out))
+        env.run()
+        ok, value, _ = out["exited"]
         assert ok is False
         assert isinstance(value, RuntimeError)
 
     def test_stop_interrupts_service_workload(self, env, runtime):
-        def starter():
-            handle = yield env.process(
-                runtime.start_container(ctx_for(env, "svc"), None)
-            )
-            return handle
-
-        p = env.process(starter())
-        env.run(until=p)
-        handle = p.value
-
-        def stopper():
-            yield env.timeout(5.0)
-            yield env.process(runtime.stop_container("uid-svc"))
-
-        env.process(stopper())
+        out = {}
+        proc = env.process(pod(runtime, ctx_for(env, "svc"), out=out))
+        env.run(until=5.0)
+        handle = runtime.containers["uid-svc"]
+        handle.stop()
         env.run()
-        assert not handle.running
-        assert handle.exit_ok  # graceful stop
-        assert "uid-svc" not in runtime.containers
+        assert not handle.running and not proc.is_alive
+        assert out["exited"] == (True, "stopped", 5.0)  # graceful stop
+
+    def test_kill_fails_the_workload_and_runs_its_cleanup(self, env, runtime):
+        cleaned = []
+
+        def wl(ctx):
+            try:
+                yield ctx.env.timeout(10.0)
+            finally:
+                cleaned.append(ctx.env.now)
+
+        out = {}
+        env.process(pod(runtime, ctx_for(env), wl, out))
+        env.run(until=5.0)
+        runtime.containers["uid-pod"].kill("oom")
+        env.run()
+        ok, value, finished = out["exited"]
+        assert ok is False and repr(value) == "RuntimeError('oom')"
+        assert cleaned == [5.0] and finished == 5.0
 
     def test_stop_unknown_container_is_noop(self, env, runtime):
-        def stopper():
-            gone = yield env.process(runtime.stop_container("ghost"))
-            return gone
+        """Stopping a container that is gone or already exited does
+        nothing: there is no handle to stop, or no process to reach."""
 
-        p = env.process(stopper())
-        env.run(until=p)
-        assert p.value is None
+        def wl(ctx):
+            yield ctx.env.timeout(1.0)
+
+        env.process(pod(runtime, ctx_for(env), wl))
+        env.run()
+        assert runtime.containers.get("uid-ghost") is None
+        handle = runtime.containers["uid-pod"]
+        handle.stop()
+        handle.kill()
+        env.run()
+        assert handle.exit_ok and handle.finished_at == pytest.approx(2.5)
 
 
 class TestContainerContext:

@@ -108,6 +108,20 @@ class TestPlacement:
         assert fed.registry.get("job0").spec.cluster == "beta"
 
 
+    def test_restarted_placer_places_new_records(self):
+        """A placer stopped while it waits on its queue gives up its get,
+        so the restarted placer receives the next record."""
+        fed = Federation(Environment(), small_config()).start()
+        fed.env.run(until=1.0)
+        fed.placer.stop()
+        fed.placer.start()
+        submit_job(fed, "j1")
+        fed.env.run(until=20.0)
+        assert fed.registry.get("j1").spec.cluster == "alpha"
+        assert fed.completed_records() == ["j1"]
+        assert len(fed.placer.queue) == 0
+
+
 class TestStaticStability:
     def test_partitioned_cluster_keeps_serving_local_work(self):
         """A partition cuts the federation link only: jobs already running

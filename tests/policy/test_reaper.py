@@ -1,7 +1,5 @@
 """The lifetime reaper: TTL enforcement, terminated GC, orphan collection."""
 
-import pytest
-
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.objects import ObjectMeta, Pod
 from repro.core import KubeShare

@@ -202,14 +202,16 @@ class TestStore:
         assert store.items == ["a", "b"]
 
 
-#: One step of the model test: deposit an item, start a getter, or
+#: One step of the model test: deposit an item, start a getter,
 #: withdraw the n-th waiting getter by killing it inside its ``with``
-#: block or by cancelling its get.
+#: block or by cancelling its get, or hand the longest waiter an item,
+#: deposit n more, and kill it before its grant is dispatched.
 _STORE_OPS = st.lists(
     st.one_of(
         st.just(("offer",)),
         st.just(("get",)),
         st.tuples(st.sampled_from(["kill", "cancel"]), st.integers(0, 15)),
+        st.tuples(st.just("grant-kill"), st.integers(0, 3)),
     ),
     max_size=80,
 )
@@ -240,14 +242,33 @@ class TestStoreModel:
                 item = yield req
             received[gid] = item
 
+        def offer():
+            item = next(items)
+            store.offer(item)
+            if model_waiting:
+                expected[model_waiting.pop(0)] = item
+            else:
+                model_items.append(item)
+            return item
+
         for op in ops:
             if op[0] == "offer":
-                item = next(items)
-                store.offer(item)
+                offer()
+            elif op[0] == "grant-kill":
+                if not model_waiting:
+                    continue
+                victim = model_waiting[0]
+                item = offer()
+                del expected[victim]
+                for _ in range(op[1]):
+                    offer()
+                procs[victim].kill()
+                # Nobody took the item: it goes to the longest waiter
+                # left, or back to the head of the items.
                 if model_waiting:
                     expected[model_waiting.pop(0)] = item
                 else:
-                    model_items.append(item)
+                    model_items.appendleft(item)
             elif op[0] == "get":
                 gid = next(getters)
                 procs[gid] = env.process(getter(gid))

@@ -31,7 +31,7 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.objects import PodPhase
 from repro.chaos import ChaosEngine
 from repro.core import (
-    HAKubeShare,
+    KubeShare,
     PLACEHOLDER_PREFIX,
     placeholder_gpuid,
     reset_gpuid_counter,
@@ -76,7 +76,6 @@ def run_scenario(preemption: bool = True, crash: bool = False) -> dict:
         requeue_base=0.5,
         requeue_cap=4.0,
         preemption=preemption,
-        replicas=2,
         reaper=ReaperConfig(
             default_ttl=None,
             terminated_ttl=None,  # keep finished storm pods for the SLO math
@@ -84,7 +83,7 @@ def run_scenario(preemption: bool = True, crash: bool = False) -> dict:
             sweep_interval=1.0,
         ),
     )
-    ks = HAKubeShare(cluster, replicas=2, isolation="token", contention=cfg).start()
+    ks = KubeShare(cluster, isolation="token", contention=cfg, replicas=2).start()
     label = f"contention-{'crash' if crash else ('ha' if preemption else 'ctl')}"
     hub = ObsHub(env, label=label).attach_cluster(cluster).attach_kubeshare(ks)
     obs_enable(hub.start_sampler().start_slo())
@@ -206,9 +205,7 @@ def run_scenario(preemption: bool = True, crash: bool = False) -> dict:
     }
 
     scav = ks.get("scav")
-    reaper = (
-        pl.reaper_group.active_controller if pl.reaper_group is not None else pl.reaper
-    )
+    reaper = pl.reaper
     obs = hub.snapshot()
     obs_disable()
 

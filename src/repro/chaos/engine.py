@@ -441,11 +441,16 @@ class ChaosEngine:
         if not candidates:
             return None
         if prefer_busy:
-            busy = [n for n in candidates if n.runtime.containers]
-            if busy:
-                # Hit where it hurts: the node(s) hosting the most containers.
-                top = max(len(n.runtime.containers) for n in busy)
-                candidates = [n for n in busy if len(n.runtime.containers) == top]
+            # Hit where it hurts: the node(s) running the most containers.
+            # The runtime's table also keeps exited containers until their
+            # pods are deleted, so count only the running ones.
+            running = {
+                n.name: sum(h.running for h in n.runtime.containers.values())
+                for n in candidates
+            }
+            top = max(running.values())
+            if top:
+                candidates = [n for n in candidates if running[n.name] == top]
         return self.rng.choice(candidates)
 
     def _pick_gpu(self, target: Optional[str], failed: bool):

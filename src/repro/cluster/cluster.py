@@ -97,10 +97,10 @@ class ClusterConfig:
     node_monitor_interval: float = 0.5
     #: disable to study what happens with *no* recovery machinery.
     node_lifecycle: bool = True
-    #: >1 runs the lifecycle controller leader-elected with hot standbys
-    #: (see repro.cluster.leaderelection); 1 keeps the classic single
-    #: instance.
-    node_lifecycle_replicas: int = 1
+    #: N runs the lifecycle controller as N leader-elected replicas with
+    #: hot standbys (see repro.cluster.leaderelection); ``None`` runs one
+    #: unelected instance.
+    node_lifecycle_replicas: Optional[int] = None
     #: election parameters for HA control-plane controllers.
     controller_lease_duration: float = 3.0
     controller_renew_interval: float = 0.5
@@ -214,37 +214,28 @@ class Cluster:
             )
             for i in range(self.config.nodes)
         ]
-        self.node_lifecycle: Optional[NodeLifecycleController] = None
-        self.node_lifecycle_ha: Optional[HAControllerGroup] = None
+        self.node_lifecycle_group: Optional[HAControllerGroup] = None
         if self.config.node_lifecycle:
-            if self.config.node_lifecycle_replicas > 1:
-                cfg = self.config
+            cfg = self.config
 
-                def nlc_factory(api) -> NodeLifecycleController:
-                    return NodeLifecycleController(
-                        self.env,
-                        api,
-                        lease_duration=cfg.lease_duration,
-                        monitor_interval=cfg.node_monitor_interval,
-                    )
+            def nlc_factory(api) -> NodeLifecycleController:
+                return NodeLifecycleController(
+                    self.env,
+                    api,
+                    lease_duration=cfg.lease_duration,
+                    monitor_interval=cfg.node_monitor_interval,
+                )
 
-                self.node_lifecycle_ha = HAControllerGroup(
-                    self.env,
-                    self.api,
-                    "node-lifecycle",
-                    nlc_factory,
-                    replicas=cfg.node_lifecycle_replicas,
-                    lease_duration=cfg.controller_lease_duration,
-                    renew_interval=cfg.controller_renew_interval,
-                    retry_interval=cfg.controller_retry_interval,
-                )
-            else:
-                self.node_lifecycle = NodeLifecycleController(
-                    self.env,
-                    self.api,
-                    lease_duration=self.config.lease_duration,
-                    monitor_interval=self.config.node_monitor_interval,
-                )
+            self.node_lifecycle_group = HAControllerGroup(
+                self.env,
+                self.api,
+                "node-lifecycle",
+                nlc_factory,
+                replicas=cfg.node_lifecycle_replicas,
+                lease_duration=cfg.controller_lease_duration,
+                renew_interval=cfg.controller_renew_interval,
+                retry_interval=cfg.controller_retry_interval,
+            )
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -252,16 +243,21 @@ class Cluster:
         """Start scheduler and kubelets (registers Node objects)."""
         if not self._started:
             self.scheduler.start()
-            if self.node_lifecycle is not None:
-                self.node_lifecycle.start()
-            if self.node_lifecycle_ha is not None:
-                self.node_lifecycle_ha.start()
+            if self.node_lifecycle_group is not None:
+                self.node_lifecycle_group.start()
             for node in self.nodes:
                 node.kubelet.start()
             self._started = True
         return self
 
     # -- views -----------------------------------------------------------------
+    @property
+    def node_lifecycle(self) -> Optional[NodeLifecycleController]:
+        """The running node lifecycle controller (None when the machinery
+        is off, or mid-failover when it is leader-elected)."""
+        group = self.node_lifecycle_group
+        return group.active_controller if group is not None else None
+
     @property
     def gpus(self) -> List[GPUDevice]:
         return [g for node in self.nodes for g in node.gpus]

@@ -27,15 +27,13 @@ class Informer:
     The cache maps ``namespace/name`` to the latest observed object, which
     is what real informers provide to controllers (a read-only local view
     that avoids hammering the API server).
+
+    The watch attaches to etcd, and an apiserver outage gates requests,
+    not deliveries, so a running watch never breaks: the informer
+    re-attaches only when restarted (see :meth:`_run`).
     """
 
-    #: watch-reconnect backoff bounds (shared decorrelated jitter).
-    reconnect_delay: float = 0.1
-    max_reconnect_delay: float = 5.0
-
     def __init__(self, env: Environment, api: APIServer, kind: str) -> None:
-        from ..core.backoff import DecorrelatedJitter  # deferred: import cycle
-
         self.env = env
         self.api = api
         self.kind = kind
@@ -43,10 +41,6 @@ class Informer:
         self._handlers: List[Handler] = []
         self._proc = None
         self._stream = None
-        self._reconnect = DecorrelatedJitter(
-            f"informer:{kind}", self.reconnect_delay, self.max_reconnect_delay
-        )
-        self.reconnects_total = 0
         #: etcd mod_revision of the newest event this informer has seen —
         #: the gap to ``etcd.revision`` is the informer's observed lag.
         self.last_seen_revision: int = 0
@@ -70,44 +64,28 @@ class Informer:
         self._proc = None
 
     def _run(self) -> Generator:
+        self._stream = stream = self.api.watch(self.kind, replay=True)
+        if self.cache:
+            # Relist on restart (failover, pause/resume): the watch's
+            # replay snapshot re-PUTs every object that still exists, but
+            # deletions that happened while we were not watching would
+            # otherwise linger in the cache forever.
+            self._prune_vanished()
         while True:
-            self._stream = stream = self.api.watch(self.kind, replay=True)
-            attached_at = self.env.now
-            if self.cache:
-                # Relist-on-reconnect: the watch's replay snapshot re-PUTs
-                # every object that still exists, but deletions that happened
-                # while we were not watching would otherwise linger in the
-                # cache forever.
-                self._prune_vanished()
-            try:
-                while True:
-                    raw = yield stream.get()
-                    self.last_seen_revision = max(
-                        self.last_seen_revision, raw.kv.mod_revision
-                    )
-                    etype, obj = translate_event(raw)
-                    if obj is None:  # tombstone with no previous value
-                        continue
-                    key = obj.metadata.key
-                    if etype is WatchEventType.DELETE:
-                        self.cache.pop(key, None)
-                    else:
-                        self.cache[key] = obj
-                    for handler in self._handlers:
-                        handler(etype, obj)
-            except ServiceUnavailable:
-                # The watch session broke (apiserver-side failure surfaced
-                # through delivery): re-attach, but never in a tight loop —
-                # jittered backoff so a fleet of informers doesn't stampede
-                # the store the moment it comes back.
-                stream.close()
-                self._stream = None
-                self.reconnects_total += 1
-                if self.env.now - attached_at > self.max_reconnect_delay:
-                    # The session was healthy for a while: this is a fresh
-                    # failure, not a continuation of the last streak.
-                    self._reconnect.reset()
-                yield self.env.timeout(self._reconnect.next())
+            raw = yield stream.get()
+            self.last_seen_revision = max(
+                self.last_seen_revision, raw.kv.mod_revision
+            )
+            etype, obj = translate_event(raw)
+            if obj is None:  # tombstone with no previous value
+                continue
+            key = obj.metadata.key
+            if etype is WatchEventType.DELETE:
+                self.cache.pop(key, None)
+            else:
+                self.cache[key] = obj
+            for handler in self._handlers:
+                handler(etype, obj)
 
     def _prune_vanished(self) -> None:
         """Drop (and dispatch DELETE for) cached keys the store lost."""

@@ -29,6 +29,12 @@ plus the classic fencing-token argument:
    ``rebuild_state()``, relists from the apiserver to reconstruct its
    in-memory view before reconciling. No informer cache is trusted
    across a failover.
+
+:class:`HAControllerGroup` is the one place that decides how a
+control-plane controller runs: KubeShare's two controllers, the policy
+controllers and the node lifecycle controller are all built through it,
+alone (``replicas=None``: one instance, without any of this machinery)
+or leader-elected (``replicas=N``).
 """
 
 from __future__ import annotations
@@ -511,13 +517,20 @@ class ControllerReplica:
 
 
 class HAControllerGroup:
-    """N replicas of one controller; a lease keeps exactly one active.
+    """How one controller runs: alone, or as N leader-elected replicas.
 
+    With ``replicas=N`` a lease keeps exactly one of N replicas active.
     *factory* builds a fresh controller instance against the fenced
     apiserver client it is given; it is invoked once per promotion, so a
     reign never inherits in-memory state from a predecessor. Instances
     are retained in :attr:`controllers` after deposition so cumulative
     metrics survive failovers.
+
+    With ``replicas=None`` *factory* is called once, now, with the bare
+    apiserver, and :meth:`start` runs that instance: no lease, no
+    elector, no fencing, and :attr:`replicas` is empty. Building it at
+    construction lets a caller prepare it before :meth:`start` (a
+    reservation pool's prewarm).
     """
 
     def __init__(
@@ -525,13 +538,13 @@ class HAControllerGroup:
         env: Environment,
         api: APIServer,
         name: str,
-        factory: Callable[[FencedAPIServer], Any],
-        replicas: int = 2,
+        factory: Callable[[Any], Any],
+        replicas: Optional[int] = 2,
         lease_duration: float = 3.0,
         renew_interval: float = 0.5,
         retry_interval: float = 0.5,
     ) -> None:
-        if replicas < 1:
+        if replicas is not None and replicas < 1:
             raise ValueError("an HA controller group needs at least 1 replica")
         self.env = env
         self.api = api
@@ -540,11 +553,16 @@ class HAControllerGroup:
         self.lease_duration = lease_duration
         self.renew_interval = renew_interval
         self.retry_interval = retry_interval
-        self.replicas = [ControllerReplica(self, i) for i in range(replicas)]
+        self.replicas = [ControllerReplica(self, i) for i in range(replicas or 0)]
         #: (virtual time, identity, epoch) of every promotion, in order.
         self.promotions: List[Tuple[float, str, int]] = []
         #: every controller instance ever promoted (metrics outlive reigns).
         self.controllers: List[Any] = []
+        #: the unelected instance (``replicas=None``), else ``None``.
+        self._single: Optional[Any] = None
+        if replicas is None:
+            self._single = factory(api)
+            self.controllers.append(self._single)
         self._started = False
 
     #: Worst-case promotion delay after a leader goes silent: its lease
@@ -555,12 +573,16 @@ class HAControllerGroup:
 
     def start(self) -> "HAControllerGroup":
         if not self._started:
+            if self._single is not None:
+                self._single.start()
             for replica in self.replicas:
                 replica.start()
             self._started = True
         return self
 
     def stop(self) -> None:
+        if self._single is not None:
+            self._single.stop()
         for replica in self.replicas:
             replica.elector.stop()
             replica._stop_controller()
@@ -584,6 +606,8 @@ class HAControllerGroup:
 
     @property
     def active_controller(self) -> Optional[Any]:
+        if self._single is not None:
+            return self._single
         leader = self.leader
         return leader.controller if leader is not None else None
 

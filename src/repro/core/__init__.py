@@ -9,12 +9,12 @@
   lifecycle and explicit pod↔device binding (§4.4);
 * :mod:`repro.core.policies` — on-demand / reservation / hybrid pool
   management;
-* :mod:`repro.core.framework` — one-call wiring onto a cluster (§4.6).
+* :mod:`repro.core.framework` — one-call wiring onto a cluster (§4.6),
+  one unelected instance of each controller or N leader-elected replicas.
 """
 
 from .devmgr import KubeShareDevMgr, PLACEHOLDER_PREFIX
-from .framework import KubeShare, SharePodClient
-from .ha import HAKubeShare
+from .framework import KubeShare
 from .policies import HybridPolicy, OnDemandPolicy, PoolPolicy, ReservationPolicy
 from .scheduler import (
     Decision,
@@ -36,8 +36,6 @@ from .vgpu import (
 
 __all__ = [
     "KubeShare",
-    "HAKubeShare",
-    "SharePodClient",
     "KubeShareSched",
     "KubeShareDevMgr",
     "PLACEHOLDER_PREFIX",

@@ -1,13 +1,12 @@
 """Shared backoff policies: one implementation, every retry loop.
 
-Before this module the codebase had grown three separate retry-delay
+Before this module the codebase had grown separate retry-delay
 computations: the controller framework's per-key decorrelated jitter
-(:class:`~repro.cluster.controller.Controller`), the revocation layer's
-deliberately jitter-free exponential requeue
-(:func:`repro.policy.revocation.requeue_backoff`), and the informer's
-watch-reconnect path (which had no backoff at all and would hammer a
-broken stream). They now all delegate here, as do the federation tier's
-inter-cluster retries (:mod:`repro.federation.rpc`).
+(:class:`~repro.cluster.controller.Controller`) and the revocation
+layer's deliberately jitter-free exponential requeue
+(:func:`repro.policy.revocation.requeue_backoff`). They now both
+delegate here, as do the leader elector's error ticks and the
+federation tier's inter-cluster retries (:mod:`repro.federation.rpc`).
 
 Two policies, because the call sites have two different needs:
 

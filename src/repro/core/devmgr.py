@@ -169,10 +169,7 @@ class KubeShareDevMgr(Controller):
                 continue
             vgpu = VGPU(gpuid=gpuid, created_at=pod.metadata.creation_time)
             vgpu.placeholder_pod = pod.name
-            if pod.status.phase is PodPhase.RUNNING:
-                uuid = pod.status.container_env.get("NVIDIA_VISIBLE_DEVICES", "")
-                vgpu.uuid = uuid.split(",")[0] if uuid else None
-                vgpu.node_name = pod.spec.node_name
+            self._read_device(vgpu, pod)
             self.pool.add(vgpu)
         for sp in self.api.list("SharePod"):
             key = sp.metadata.key
@@ -327,9 +324,10 @@ class KubeShareDevMgr(Controller):
         return
 
     # -- vGPU creation ----------------------------------------------------------------
-    def _create_vgpu(self, sp: SharePod, timing: Dict[str, float]) -> VGPU:
-        """Acquire a GPU from Kubernetes by launching a placeholder pod."""
-        gpuid = sp.spec.gpu_id
+    def _new_vgpu(self, gpuid: str, node_name: Optional[str] = None) -> VGPU:
+        """Add vGPU *gpuid* to the pool and launch its placeholder pod,
+        which acquires a physical GPU through the ordinary Kubernetes
+        machinery (on *node_name* when the SharePod pins one)."""
         vgpu = VGPU(gpuid=gpuid, created_at=self.env.now)
         vgpu.placeholder_pod = f"{PLACEHOLDER_PREFIX}{gpuid}"
         self.pool.add(vgpu)
@@ -350,7 +348,7 @@ class KubeShareDevMgr(Controller):
                         requests={"cpu": 0.1, GPU_RESOURCE: 1},
                     )
                 ],
-                node_name=sp.spec.node_name,  # honour a user-pinned node
+                node_name=node_name,
                 workload=None,  # allocates the GPU without running work
             ),
         )
@@ -358,8 +356,25 @@ class KubeShareDevMgr(Controller):
             self.api.create(placeholder)
         except AlreadyExists:  # pragma: no cover - idempotent retry
             pass
-        timing["vgpu_requested"] = self.env.now
         self.vgpus_created_total += 1
+        return vgpu
+
+    @staticmethod
+    def _read_device(vgpu: VGPU, pod: Pod) -> bool:
+        """Record the physical GPU (UUID and node) that *vgpu*'s
+        placeholder *pod* holds; False while the pod is not RUNNING."""
+        if pod.status.phase is not PodPhase.RUNNING:
+            return False
+        uuid = pod.status.container_env.get("NVIDIA_VISIBLE_DEVICES", "")
+        vgpu.uuid = uuid.split(",")[0] if uuid else None
+        vgpu.node_name = pod.spec.node_name
+        return True
+
+    def _create_vgpu(self, sp: SharePod, timing: Dict[str, float]) -> VGPU:
+        """Acquire a GPU from Kubernetes by launching a placeholder pod."""
+        gpuid = sp.spec.gpu_id
+        vgpu = self._new_vgpu(gpuid, node_name=sp.spec.node_name)
+        timing["vgpu_requested"] = self.env.now
         obs.event(
             "VGPUCreated",
             f"vGPU {gpuid} requested via placeholder {vgpu.placeholder_pod}",
@@ -381,10 +396,7 @@ class KubeShareDevMgr(Controller):
             raise RuntimeError(
                 f"placeholder for {vgpu.gpuid} disappeared before materializing"
             )
-        if pod.status.phase is PodPhase.RUNNING:
-            uuid = pod.status.container_env.get("NVIDIA_VISIBLE_DEVICES", "")
-            vgpu.uuid = uuid.split(",")[0] if uuid else None
-            vgpu.node_name = pod.spec.node_name
+        if self._read_device(vgpu, pod):
             timing["vgpu_ready"] = self.env.now
             obs.event(
                 "VGPUMaterialized",
@@ -555,18 +567,8 @@ class KubeShareDevMgr(Controller):
             count, self.requeue_base, self.requeue_cap
         )
 
-        def clear_placement(obj: SharePod) -> None:
-            obj.spec.gpu_id = None
-            obj.spec.node_name = None
-            obj.status.phase = PodPhase.PENDING
-            obj.status.pod_name = None
-            obj.status.gpu_uuid = None
-            obj.status.start_time = None
-            obj.status.finish_time = None
-            obj.status.scheduled_time = None
-
         finish_eviction(
-            self.api, key, eviction.reason, resume_at, count, clear_placement
+            self.api, key, eviction.reason, resume_at, count, self._clear_placement
         )
         self.sharepods_evicted_total += 1
         obs.incr("repro_sharepods_evicted_total")
@@ -641,6 +643,19 @@ class KubeShareDevMgr(Controller):
             for marker in ("DeviceLost", "crashed", "node restarted")
         )
 
+    @staticmethod
+    def _clear_placement(obj: SharePod) -> None:
+        """The patch that hands a SharePod back to KubeShare-Sched: no
+        GPUID, node, pod or device, and Pending again."""
+        obj.spec.gpu_id = None
+        obj.spec.node_name = None
+        obj.status.phase = PodPhase.PENDING
+        obj.status.pod_name = None
+        obj.status.gpu_uuid = None
+        obj.status.start_time = None
+        obj.status.finish_time = None
+        obj.status.scheduled_time = None
+
     def _teardown_vgpu(self, vgpu: VGPU, reason: str) -> None:
         """A vGPU's physical device is gone: transition it to deletion and
         resolve every attached SharePod per its restart policy."""
@@ -689,15 +704,8 @@ class KubeShareDevMgr(Controller):
                 vgpu.attached.discard(key)
 
         def mutate(obj: SharePod) -> None:
-            obj.spec.gpu_id = None
-            obj.spec.node_name = None
-            obj.status.phase = PodPhase.PENDING
+            self._clear_placement(obj)
             obj.status.message = f"rescheduling: {reason}"
-            obj.status.pod_name = None
-            obj.status.gpu_uuid = None
-            obj.status.start_time = None
-            obj.status.finish_time = None
-            obj.status.scheduled_time = None
 
         try:
             self.api.patch("SharePod", sp.name, mutate, sp.metadata.namespace)
@@ -745,37 +753,13 @@ class KubeShareDevMgr(Controller):
         """Pre-create *count* idle vGPUs (reservation mode bootstrap).
 
         Returns the new GPUIDs; they materialize asynchronously as their
-        placeholder pods get scheduled. The placeholders live in the
-        default namespace, as :meth:`_create_vgpu`'s do: every later
-        lookup and teardown of a placeholder looks there.
+        placeholder pods get scheduled.
         """
         gpuids: List[str] = []
         for _ in range(count):
-            gpuid = new_gpuid()
-            vgpu = VGPU(gpuid=gpuid, created_at=self.env.now)
-            vgpu.placeholder_pod = f"{PLACEHOLDER_PREFIX}{gpuid}"
+            vgpu = self._new_vgpu(new_gpuid())
             vgpu.phase = VGPUPhase.IDLE
-            self.pool.add(vgpu)
-            placeholder = Pod(
-                metadata=ObjectMeta(
-                    name=vgpu.placeholder_pod,
-                    namespace="default",
-                    labels={"app": "kubeshare-vgpu"},
-                ),
-                spec=PodSpec(
-                    containers=[
-                        ContainerSpec(
-                            name="holder",
-                            image="kubeshare/vgpu-holder",
-                            requests={"cpu": 0.1, GPU_RESOURCE: 1},
-                        )
-                    ],
-                    workload=None,
-                ),
-            )
-            self.api.create(placeholder)
-            self.vgpus_created_total += 1
-            gpuids.append(gpuid)
+            gpuids.append(vgpu.gpuid)
             self.env.process(self._materialize_poll(vgpu))
         return gpuids
 
@@ -783,9 +767,6 @@ class KubeShareDevMgr(Controller):
         """Background materialization for prewarmed vGPUs."""
         while not vgpu.materialized and self.pool.get(vgpu.gpuid) is vgpu:
             pod = self.api.get("Pod", vgpu.placeholder_pod)
-            if pod is not None and pod.status.phase is PodPhase.RUNNING:
-                uuid = pod.status.container_env.get("NVIDIA_VISIBLE_DEVICES", "")
-                vgpu.uuid = uuid.split(",")[0] if uuid else None
-                vgpu.node_name = pod.spec.node_name
+            if pod is not None and self._read_device(vgpu, pod):
                 return
             yield self.env.timeout(0.2)

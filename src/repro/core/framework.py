@@ -6,8 +6,24 @@ Installs the SharePod CRD and starts the two custom controllers
 nothing in the cluster's own control plane is modified (§4.6). The two
 controllers share no state but the apiserver: DevMgr keeps its own vGPU
 pool and records each vGPU as a placeholder pod, and the scheduler reads
-the pool from those pods. The leader-elected wiring
-(:class:`repro.core.ha.HAKubeShare`) runs the same two controllers.
+the pool from those pods.
+
+Each controller is an :class:`~repro.cluster.leaderelection.HAControllerGroup`
+built from one factory. ``KubeShare(replicas=None)``, the default, runs
+one unelected instance of each. ``KubeShare(replicas=N)`` runs N
+leader-elected replicas of each, and the HA wiring adds:
+
+* a failover hands over no in-process state. Each promoted DevMgr leader
+  starts with an empty pool and rebuilds it from the deterministically
+  named placeholder pods
+  (:meth:`~repro.core.devmgr.KubeShareDevMgr.rebuild_state`), and a
+  promoted scheduler's device-view index reads the same pods when it is
+  built — etcd is the only state handoff between reigns, exactly as in
+  production Kubernetes;
+* every controller write goes through a
+  :class:`~repro.cluster.leaderelection.FencedAPIServer`, so a deposed
+  leader (GC pause, partition) cannot double-allocate a vGPU: its writes
+  are rejected with lease-epoch ``Conflict`` before touching etcd.
 """
 
 from __future__ import annotations
@@ -15,30 +31,118 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from ..cluster.cluster import Cluster, wait_all_terminal, wait_for_phase
+from ..cluster.leaderelection import HAControllerGroup
 from ..cluster.objects import ContainerSpec, ObjectMeta, PodPhase, PodSpec
-from ..sim import Environment
 from .devmgr import KubeShareDevMgr
 from .policies import PoolPolicy
 from .scheduler import KubeShareSched
 from .sharepod import SharePod, SharePodSpec
 from .vgpu import VGPUPool
 
-__all__ = ["SharePodClient", "KubeShare"]
+__all__ = ["KubeShare"]
 
 
-class SharePodClient:
-    """Client-side SharePod helpers (what §4.1 calls the *Client*).
+class KubeShare:
+    """The KubeShare framework extension, attached to a cluster.
 
-    Shared by the classic single-instance wiring (:class:`KubeShare`) and
-    the leader-elected HA wiring (:class:`repro.core.ha.HAKubeShare`);
-    subclasses provide ``env`` and ``api`` attributes.
+    *replicas* picks how both controllers run (see the module docstring);
+    *lease_duration*, *renew_interval* and *retry_interval* are the
+    election timings of the N-replica wiring. *contention* installs the
+    multi-tenant policy layer (quotas/priorities/reaper) when it is a
+    :class:`repro.policy.layer.PolicyConfig` (or ``True`` for the
+    defaults); its controllers run with the same *replicas*. ``None`` —
+    the default — keeps the whole policy surface out of the hot paths.
     """
 
-    env: Environment
-    api: object
-
-    def make_sharepod(
+    def __init__(
         self,
+        cluster: Cluster,
+        isolation: str = "token",
+        policy: Optional[PoolPolicy] = None,
+        contention=None,
+        replicas: Optional[int] = None,
+        lease_duration: float = 3.0,
+        renew_interval: float = 0.5,
+        retry_interval: float = 0.5,
+    ) -> None:
+        self.cluster = cluster
+        self.env = cluster.env
+        self.api = cluster.api
+        self.api.register_crd("SharePod")
+        env = self.env
+
+        self.policy_layer = None
+        if contention is not None and contention is not False:
+            from ..policy.layer import PolicyConfig, PolicyLayer  # lazy: optional
+
+            config = contention if isinstance(contention, PolicyConfig) else None
+            self.policy_layer = PolicyLayer(cluster, config, replicas)
+        policy_layer = self.policy_layer
+
+        def sched_factory(api) -> KubeShareSched:
+            sched = KubeShareSched(env, api)
+            if policy_layer is not None:
+                # The engine is stateless; every leader consults the same
+                # planner through its own API handle.
+                sched.contention = policy_layer.engine
+            return sched
+
+        def devmgr_factory(api) -> KubeShareDevMgr:
+            # A private pool per instance; an elected one's rebuild_state()
+            # fills it by relist.
+            devmgr = KubeShareDevMgr(env, api, policy=policy, isolation=isolation)
+            if policy_layer is not None:
+                devmgr.requeue_base = policy_layer.config.requeue_base
+                devmgr.requeue_cap = policy_layer.config.requeue_cap
+            return devmgr
+
+        election = dict(
+            replicas=replicas,
+            lease_duration=lease_duration,
+            renew_interval=renew_interval,
+            retry_interval=retry_interval,
+        )
+        self.sched_group = HAControllerGroup(
+            env, self.api, "kubeshare-sched", sched_factory, **election
+        )
+        self.devmgr_group = HAControllerGroup(
+            env, self.api, "kubeshare-devmgr", devmgr_factory, **election
+        )
+
+    def start(self) -> "KubeShare":
+        """Start both controllers (the cluster must be started separately)."""
+        self.sched_group.start()
+        self.devmgr_group.start()
+        if self.policy_layer is not None:
+            self.policy_layer.start()
+        return self
+
+    def stop(self) -> None:
+        self.sched_group.stop()
+        self.devmgr_group.stop()
+        if self.policy_layer is not None:
+            self.policy_layer.stop()
+
+    # -- views -------------------------------------------------------------
+    @property
+    def sched(self) -> Optional[KubeShareSched]:
+        """The running scheduler instance (None mid-failover)."""
+        return self.sched_group.active_controller
+
+    @property
+    def devmgr(self) -> Optional[KubeShareDevMgr]:
+        """The running DevMgr instance (None mid-failover)."""
+        return self.devmgr_group.active_controller
+
+    @property
+    def pool(self) -> Optional[VGPUPool]:
+        """The running DevMgr's vGPU pool (None mid-failover)."""
+        devmgr = self.devmgr
+        return devmgr.pool if devmgr is not None else None
+
+    # -- client-side SharePod helpers (what §4.1 calls the *Client*) ---------
+    @staticmethod
+    def make_sharepod(
         name: str,
         gpu_request: float,
         gpu_limit: float,
@@ -114,52 +218,3 @@ class SharePodClient:
         self, names: Sequence[str], namespace: str = "default", poll: float = 0.25
     ) -> Generator:
         return wait_all_terminal(self.api, "SharePod", names, namespace, poll)
-
-
-class KubeShare(SharePodClient):
-    """The KubeShare framework extension, attached to a cluster."""
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        isolation: str = "token",
-        policy: Optional[PoolPolicy] = None,
-        contention=None,
-    ) -> None:
-        self.cluster = cluster
-        self.env = cluster.env
-        self.api = cluster.api
-        self.api.register_crd("SharePod")
-        self.sched = KubeShareSched(self.env, self.api)
-        self.devmgr = KubeShareDevMgr(
-            self.env, self.api, policy=policy, isolation=isolation
-        )
-        #: multi-tenant policy layer (quotas/priorities/reaper), installed
-        #: when *contention* is a :class:`repro.policy.layer.PolicyConfig`
-        #: (or ``True`` for the defaults). ``None`` — the default — keeps
-        #: the whole policy surface out of the hot paths.
-        self.policy_layer = None
-        if contention is not None and contention is not False:
-            from ..policy.layer import PolicyConfig, PolicyLayer  # lazy: optional
-
-            cfg = contention if isinstance(contention, PolicyConfig) else PolicyConfig()
-            self.policy_layer = PolicyLayer(cluster, cfg)
-            self.sched.contention = self.policy_layer.engine
-            self.devmgr.requeue_base = cfg.requeue_base
-            self.devmgr.requeue_cap = cfg.requeue_cap
-        self._started = False
-
-    @property
-    def pool(self) -> VGPUPool:
-        """KubeShare-DevMgr's vGPU pool."""
-        return self.devmgr.pool
-
-    def start(self) -> "KubeShare":
-        """Start both controllers (the cluster must be started separately)."""
-        if not self._started:
-            self.sched.start()
-            self.devmgr.start()
-            if self.policy_layer is not None:
-                self.policy_layer.start()
-            self._started = True
-        return self

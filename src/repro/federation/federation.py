@@ -5,8 +5,9 @@ A :class:`Federation` owns its *own* control plane — an
 pair holding :class:`~repro.federation.records.FederationRecord` objects
 and member heartbeat leases — plus N :class:`MemberCluster` wrappers, each
 a full :class:`~repro.cluster.cluster.Cluster` with its own apiserver,
-etcd, and leader-elected :class:`~repro.core.ha.HAKubeShare` control
-plane, all sharing one simulation :class:`~repro.sim.Environment`.
+etcd, and leader-elected control plane
+(:class:`~repro.core.framework.KubeShare` with ``replicas=N``), all
+sharing one simulation :class:`~repro.sim.Environment`.
 
 Whole-cluster failure semantics (the chaos engine's new fault kinds):
 
@@ -30,7 +31,7 @@ from ..cluster.apiserver import APIServer, ServiceUnavailable
 from ..cluster.cluster import Cluster, ClusterConfig
 from ..cluster.etcd import Etcd
 from ..cluster.objects import PodPhase
-from ..core.ha import HAKubeShare
+from ..core.framework import KubeShare
 from ..obs import runtime as obs
 from ..sim import Environment
 from .health import ClusterHealthProber
@@ -89,7 +90,7 @@ class MemberCluster:
                 **config.cluster_overrides,
             ),
         )
-        self.kubeshare = HAKubeShare(self.cluster, replicas=config.replicas)
+        self.kubeshare = KubeShare(self.cluster, replicas=config.replicas)
         self.link = ClusterLink(env, name, latency=config.link_latency)
         self.outages_total = 0
 

@@ -112,8 +112,9 @@ class ObsHub:
         return self
 
     def attach_kubeshare(self, ks) -> "ObsHub":
-        """Register KubeShare's controllers (single-instance or HA) for
-        work-queue / informer-lag sampling."""
+        """Register a KubeShare's controllers for work-queue /
+        informer-lag sampling: each sample reads its running instances,
+        so an elected one's follow a failover."""
         self._kubeshares.append(ks)
         return self
 
@@ -144,7 +145,7 @@ class ObsHub:
         return self
 
     def _live_controllers(self) -> List[Any]:
-        # An HA wiring's controllers are its active leaders, None
+        # A KubeShare's running controllers; an elected one's are None
         # mid-failover.
         return [
             ctl

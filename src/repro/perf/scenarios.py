@@ -227,13 +227,14 @@ def failover(
     """HA leader failover mid-burst (the leader-election capstone).
 
     *seed* feeds the chaos engine's fault-injection RNG (see
-    :func:`chaos`). ``replicas=1`` is the capstone's control run: no
-    standby, so the control plane halts when its leader dies.
+    :func:`chaos`). ``replicas=1`` is the capstone's control run: an
+    elected group of one, so no standby and the control plane halts when
+    its leader dies.
     """
     from ..analysis.resets import reset_all
     from ..chaos import ChaosEngine
     from ..cluster import Cluster, ClusterConfig
-    from ..core import HAKubeShare
+    from ..core import KubeShare
     from ..sim import Environment
     from ..workloads.jobs import InferenceJob
 
@@ -241,7 +242,7 @@ def failover(
     env = Environment()
     cluster = Cluster(env, ClusterConfig(nodes=4, gpus_per_node=2)).start()
     detector = _install_race(cluster, race)
-    ks = HAKubeShare(cluster, replicas=replicas, isolation="token").start()
+    ks = KubeShare(cluster, isolation="token", replicas=replicas).start()
     hub = _install_obs(env, cluster, ks, obs_label, profile)
 
     steady = [f"steady{i}" for i in range(4)]

@@ -8,9 +8,9 @@ that already runs KubeShare:
   apiserver's admission chain;
 * starts the :class:`~repro.policy.quota.QuotaController` (FIFO unqueue +
   GPU-time ledger) and, when configured, the
-  :class:`~repro.policy.reaper.LifetimeReaper` — each either
-  single-instance or as an :class:`~repro.cluster.leaderelection.HAControllerGroup`
-  when ``replicas > 1``;
+  :class:`~repro.policy.reaper.LifetimeReaper`, each as an
+  :class:`~repro.cluster.leaderelection.HAControllerGroup` with
+  KubeShare's ``replicas`` (one unelected instance, or N elected);
 * exposes :class:`PolicyEngine`, the stateless preemption planner the
   scheduler consults from its defer branch.
 
@@ -61,11 +61,6 @@ class PolicyConfig:
     preemption: bool = True
     #: install the lifetime reaper with this config (``None`` = no reaper).
     reaper: Optional[ReaperConfig] = None
-    #: run the policy controllers as N-replica leader-elected HA groups.
-    replicas: int = 1
-    lease_duration: float = 3.0
-    renew_interval: float = 0.5
-    retry_interval: float = 0.5
 
 
 class PolicyEngine:
@@ -201,9 +196,18 @@ class PolicyEngine:
 
 
 class PolicyLayer:
-    """Installs and runs the policy controllers on one cluster."""
+    """Installs and runs the policy controllers on one cluster.
 
-    def __init__(self, cluster: Any, config: Optional[PolicyConfig] = None) -> None:
+    *replicas* is KubeShare's: ``None`` runs each controller as one
+    unelected instance, N as N leader-elected replicas.
+    """
+
+    def __init__(
+        self,
+        cluster: Any,
+        config: Optional[PolicyConfig] = None,
+        replicas: Optional[int] = None,
+    ) -> None:
         self.cluster = cluster
         self.env = cluster.env
         self.api = cluster.api
@@ -212,64 +216,48 @@ class PolicyLayer:
         self.api.register_crd("Namespace")
         self.api.register_crd("PriorityClass")
         self.api.register_admission(QuotaAdmission(self.api))
-        env, api, cfg = self.env, self.api, self.config
-        self.quota_group: Optional[HAControllerGroup] = None
+        env, api, reaper_cfg = self.env, self.api, self.config.reaper
+        self.quota_group = HAControllerGroup(
+            env,
+            api,
+            "quota-controller",
+            lambda client: QuotaController(env, client),
+            replicas=replicas,
+        )
         self.reaper_group: Optional[HAControllerGroup] = None
-        self.quota: Optional[QuotaController] = None
-        self.reaper: Optional[LifetimeReaper] = None
-        if cfg.replicas > 1:
-            self.quota_group = HAControllerGroup(
+        if reaper_cfg is not None:
+            self.reaper_group = HAControllerGroup(
                 env,
                 api,
-                "quota-controller",
-                lambda fenced: QuotaController(env, fenced),
-                replicas=cfg.replicas,
-                lease_duration=cfg.lease_duration,
-                renew_interval=cfg.renew_interval,
-                retry_interval=cfg.retry_interval,
+                "reaper",
+                lambda client: LifetimeReaper(env, client, reaper_cfg),
+                replicas=replicas,
             )
-            if cfg.reaper is not None:
-                reaper_cfg = cfg.reaper
-                self.reaper_group = HAControllerGroup(
-                    env,
-                    api,
-                    "reaper",
-                    lambda fenced: LifetimeReaper(env, fenced, reaper_cfg),
-                    replicas=cfg.replicas,
-                    lease_duration=cfg.lease_duration,
-                    renew_interval=cfg.renew_interval,
-                    retry_interval=cfg.retry_interval,
-                )
-        else:
-            self.quota = QuotaController(env, api)
-            if cfg.reaper is not None:
-                self.reaper = LifetimeReaper(env, api, cfg.reaper)
-        self._started = False
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "PolicyLayer":
-        if not self._started:
-            for runnable in (
-                self.quota,
-                self.reaper,
-                self.quota_group,
-                self.reaper_group,
-            ):
-                if runnable is not None:
-                    runnable.start()
-            self._started = True
+        self.quota_group.start()
+        if self.reaper_group is not None:
+            self.reaper_group.start()
         return self
 
     def stop(self) -> None:
-        for runnable in (
-            self.quota,
-            self.reaper,
-            self.quota_group,
-            self.reaper_group,
-        ):
-            if runnable is not None:
-                runnable.stop()
-        self._started = False
+        self.quota_group.stop()
+        if self.reaper_group is not None:
+            self.reaper_group.stop()
+
+    # -- views -------------------------------------------------------------
+    @property
+    def quota(self) -> Optional[QuotaController]:
+        """The running quota controller (None mid-failover)."""
+        return self.quota_group.active_controller
+
+    @property
+    def reaper(self) -> Optional[LifetimeReaper]:
+        """The running reaper (None when none is configured, or
+        mid-failover)."""
+        group = self.reaper_group
+        return group.active_controller if group is not None else None
 
     # -- operator-facing helpers -------------------------------------------
     def create_namespace(
@@ -297,6 +285,4 @@ class PolicyLayer:
     def accountant(self):
         """The live quota ledger (follows the HA leader when replicated)."""
         ctrl = self.quota
-        if ctrl is None and self.quota_group is not None:
-            ctrl = self.quota_group.active_controller
         return ctrl.accountant if ctrl is not None else None

@@ -10,7 +10,7 @@ an identical fault log and identical promotion history.
 from repro.chaos import ChaosEngine, FaultKind
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.leaderelection import ReplicaState
-from repro.core import HAKubeShare
+from repro.core import KubeShare
 from repro.cluster.objects import PodPhase
 from repro.sim import Environment
 from repro.workloads import TrainingJob
@@ -19,7 +19,7 @@ from repro.workloads import TrainingJob
 def build(seed=3):
     env = Environment()
     cluster = Cluster(env, ClusterConfig(nodes=2, gpus_per_node=2)).start()
-    ks = HAKubeShare(
+    ks = KubeShare(
         cluster,
         replicas=2,
         lease_duration=1.0,
@@ -83,7 +83,7 @@ class TestControllerFaults:
         restarted workers; every SharePod submitted afterwards runs."""
         env = Environment()
         cluster = Cluster(env, ClusterConfig(nodes=2, gpus_per_node=2)).start()
-        ks = HAKubeShare(cluster, replicas=2).start()
+        ks = KubeShare(cluster, replicas=2).start()
         engine = ChaosEngine(cluster, kubeshare=ks, seed=3)
         engine.register_controllers(ks.sched_group, ks.devmgr_group)
         engine.controller_pause(at=5.0, duration=0.5, target="kubeshare-sched")

@@ -99,6 +99,36 @@ class TestFaultEffects:
         node = cluster.api.get("Node", victim, namespace="")
         assert not node.status.ready
 
+    def test_node_crash_counts_only_running_containers(self, env):
+        """Exited containers stay in the runtime's table until their pods
+        are deleted; a node holding only those is idle, not busy."""
+
+        def sleep(seconds):
+            def wl(ctx):
+                yield ctx.env.timeout(seconds)
+
+            return wl
+
+        def pinned(name, node, seconds):
+            pod = cpu_pod(name)
+            pod.spec.node_name = node
+            pod.spec.workload = sleep(seconds)
+            return pod
+
+        cluster = build(env)
+        cluster.submit(pinned("short0", "node00", 1.0))
+        cluster.submit(pinned("short1", "node00", 1.0))
+        cluster.submit(pinned("long", "node01", 1000.0))
+        eng = ChaosEngine(cluster, seed=0).node_crash(at=10.0)
+        eng.start()
+        env.run(until=9.0)
+        idle, busy = cluster.node("node00"), cluster.node("node01")
+        assert [h.running for h in idle.runtime.containers.values()] == [False, False]
+        assert [h.running for h in busy.runtime.containers.values()] == [True]
+        env.run(until=11.0)
+        assert eng.log[0][2] == "node01"
+        assert busy.crashed and not idle.crashed
+
     def test_node_restart_brings_node_back(self, env):
         cluster = build(env)
         eng = ChaosEngine(cluster, seed=0)

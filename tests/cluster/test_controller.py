@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.apiserver import APIServer, ServiceUnavailable
+from repro.cluster.apiserver import APIServer
 from repro.cluster.controller import Controller, Informer, WorkQueue
 from repro.cluster.etcd import WatchEventType
 from repro.cluster.objects import ObjectMeta, Pod
@@ -234,44 +234,6 @@ class TestInformerStop:
     def test_stop_before_start_is_a_noop(self, env, api):
         Informer(env, api, "Pod").stop()
         assert api.etcd._watches == []
-
-
-class TestInformerReconnect:
-    def test_broken_sessions_reconnect_with_backoff(self, env, api):
-        """A watch session that keeps dying is re-attached on a jittered
-        decaying schedule, not a tight loop."""
-        api.create(Pod(metadata=ObjectMeta(name="p1")))
-        informer = Informer(env, api, "Pod")
-        deadline = 5.0
-
-        def flaky_handler(etype, obj):
-            if env.now < deadline:
-                raise ServiceUnavailable("session torn down (injected)")
-
-        informer.add_handler(flaky_handler)
-        informer.start()
-        env.run(until=20.0)
-        # The session died on every replay until the deadline...
-        assert informer.reconnects_total >= 3
-        # ... but nowhere near what a zero-delay reconnect loop would do.
-        assert informer.reconnects_total < 40
-        # After the failures stop, the informer is attached and live again.
-        assert informer.get("default/p1") is not None
-        api.delete("Pod", "p1")
-        env.run(until=21.0)
-        assert informer.get("default/p1") is None
-
-    def test_reconnect_streak_resets_after_healthy_session(self, env, api):
-        informer = Informer(env, api, "Pod")
-        informer.start()
-        env.run(until=1.0)
-        # Long-healthy session: a fresh failure starts a new backoff streak.
-        informer._reconnect.next()
-        informer._reconnect.next()
-        assert informer._reconnect.streak("") == 2
-        # Mirror what _run does when the session outlived max_reconnect_delay.
-        informer._reconnect.reset()
-        assert informer._reconnect.streak("") == 0
 
 
 class SleepyController(Controller):

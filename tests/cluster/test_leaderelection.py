@@ -296,9 +296,9 @@ class TestDeposedLeaderFencing:
         assert epochs == sorted(epochs), f"stale-epoch write succeeded: {ok}"
 
     def test_node_lifecycle_controller_runs_leader_elected(self, env):
-        """ClusterConfig.node_lifecycle_replicas>1 retrofits the node
-        lifecycle controller onto the HA machinery: one active instance,
-        and a standby takes over when the leader crashes."""
+        """ClusterConfig.node_lifecycle_replicas=N runs the node
+        lifecycle controller leader-elected: one active instance, and a
+        standby takes over when the leader crashes."""
         from repro.cluster import Cluster, ClusterConfig
 
         cluster = Cluster(
@@ -312,11 +312,11 @@ class TestDeposedLeaderFencing:
                 controller_retry_interval=0.2,
             ),
         ).start()
-        group = cluster.node_lifecycle_ha
-        assert cluster.node_lifecycle is None and group is not None
+        group = cluster.node_lifecycle_group
+        assert cluster.node_lifecycle is None  # no leader elected yet
         env.run(until=2.0)
         assert group.leader is not None
-        assert group.active_controller is not None
+        assert cluster.node_lifecycle is group.active_controller is not None
         group.leader.crash()
         t = env.now
         env.run(until=t + group.failover_bound + 0.01)
@@ -342,6 +342,54 @@ class TestDeposedLeaderFencing:
         env.run(until=6.0)
         assert old.state is ReplicaState.STANDBY
         assert len(group.promotions) == 2
+
+
+class SoloController:
+    """Test double: records the client it was built with, its rebuilds,
+    and whether it runs."""
+
+    def __init__(self, client):
+        self.client = client
+        self.rebuilds = 0
+        self.running = False
+
+    def rebuild_state(self):
+        self.rebuilds += 1
+
+    def start(self):
+        self.running = True
+        return self
+
+    def stop(self):
+        self.running = False
+
+
+class TestUnelectedGroup:
+    """``replicas=None``: one instance, no lease, no elector, no fencing."""
+
+    def test_runs_one_instance_built_against_the_apiserver(self, env, api):
+        built = []
+
+        def factory(client):
+            built.append(client)
+            return SoloController(client)
+
+        group = HAControllerGroup(env, api, "solo", factory, replicas=None)
+        # Built once, at construction, with the bare apiserver.
+        assert len(built) == 1 and built[0] is api
+        (instance,) = group.controllers
+        assert group.active_controller is instance and not instance.running
+        group.start()
+        env.run(until=10.0)
+        assert len(built) == 1
+        assert instance.running and instance.rebuilds == 0
+        assert group.active_controller is instance
+        assert group.replicas == [] and group.promotions == []
+        assert group.leader is None
+        assert api.list("Lease") == []
+        assert env.events_processed == 1  # the run(until=) stop marker
+        group.stop()
+        assert not instance.running
 
 
 class TestErrorBackoff:

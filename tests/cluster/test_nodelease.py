@@ -260,7 +260,7 @@ def ha_crash_detection(env, node_crash_at):
     )
     listeners_before = len(cluster.etcd._listeners)
     cluster.start()
-    group = cluster.node_lifecycle_ha
+    group = cluster.node_lifecycle_group
     env.run(until=2.0)
     one_leader = (len(cluster.etcd._listeners), len(cluster.api.lease_hooks))
     group.leader.crash()

@@ -1,7 +1,7 @@
 """The shared retry-delay vocabulary (:mod:`repro.core.backoff`).
 
 Every retry loop in the simulator — controller requeue, revocation
-requeue, informer reconnect, elector error ticks, inter-cluster RPC —
+requeue, elector error ticks, inter-cluster RPC —
 delegates here, so these properties underwrite all of them: determinism
 (same name ⇒ same delay stream, across processes), exponential floors,
 hard caps, and per-key state that resets cleanly.

@@ -14,6 +14,9 @@ from repro.core import KubeShare, ReservationPolicy
 from repro.core.devmgr import PLACEHOLDER_PREFIX
 from repro.core.vgpu import VGPUPhase
 from repro.gpu.device import GpuOutOfMemory
+from repro.policy import PolicyConfig, ReaperConfig
+from repro.sim import Process
+from repro.sim.environment import set_profile_hook
 
 TERMINAL = (PodPhase.SUCCEEDED, PodPhase.FAILED)
 
@@ -270,3 +273,88 @@ class TestSchedulerControllerBehaviour:
         cluster.env.run(until=wait)
         assert ks.get("pinned").status.gpu_uuid == ks.get("first").status.gpu_uuid
         assert ks.sched.scheduled_total == 1  # the pinned one bypassed Sched
+
+
+class ProcessRecorder:
+    """Profile hook: the names of the processes the kernel resumes."""
+
+    def __init__(self):
+        self.resumed = set()
+
+    def dispatch(self, event, callbacks):
+        for callback in callbacks:
+            owner = getattr(callback, "__self__", None)
+            if isinstance(owner, Process):
+                self.resumed.add(owner.name)
+            callback(event)
+
+
+class TestOneWiring:
+    """One KubeShare class: ``replicas=None`` runs each controller alone,
+    ``replicas=N`` leader-elects N replicas of each."""
+
+    def test_single_instance_writes_no_lease_and_starts_no_elector(self, env):
+        cluster = Cluster(env, ClusterConfig(nodes=2, gpus_per_node=2)).start()
+        ks = KubeShare(cluster, contention=PolicyConfig(reaper=ReaperConfig())).start()
+        pl = ks.policy_layer
+        groups = (ks.sched_group, ks.devmgr_group, pl.quota_group, pl.reaper_group)
+        ks.submit(ks.make_sharepod(
+            "j1", gpu_request=0.5, gpu_limit=1.0, gpu_mem=0.3, workload=train(2.0),
+        ))
+        recorder = ProcessRecorder()
+        set_profile_hook(recorder)
+        try:
+            finish(cluster, ks, ["j1"])
+        finally:
+            set_profile_hook(None)
+        assert ks.get("j1").status.phase is PodPhase.SUCCEEDED
+        assert cluster.api.list("Lease") == []
+        assert not [n for n in sorted(recorder.resumed) if n.startswith("elector:")]
+        for group in groups:
+            assert group.replicas == [] and group.promotions == []
+            (instance,) = group.controllers
+            assert group.active_controller is instance
+            assert instance.api is cluster.api  # unfenced
+        assert (ks.sched, ks.devmgr, pl.quota, pl.reaper) == tuple(
+            g.controllers[0] for g in groups
+        )
+        assert ks.pool is ks.devmgr.pool
+
+    def test_replicas_elect_the_policy_controllers_too(self, env):
+        cluster = Cluster(env, ClusterConfig(nodes=2, gpus_per_node=2)).start()
+        ks = KubeShare(
+            cluster, contention=PolicyConfig(reaper=ReaperConfig()), replicas=2
+        ).start()
+        pl = ks.policy_layer
+        env.run(until=2.0)
+        for group in (ks.sched_group, ks.devmgr_group, pl.quota_group, pl.reaper_group):
+            assert len(group.replicas) == 2
+            assert group.leader is not None and len(group.promotions) == 1
+        assert pl.quota is pl.quota_group.active_controller
+        assert pl.reaper is pl.reaper_group.active_controller
+        assert pl.accountant is pl.quota.accountant
+        leases = sorted(lease.name for lease in cluster.api.list("Lease"))
+        assert leases == ["kubeshare-devmgr", "kubeshare-sched", "quota-controller", "reaper"]
+
+    def test_views_follow_a_failover(self, env):
+        cluster = Cluster(env, ClusterConfig(nodes=2, gpus_per_node=2)).start()
+        ks = KubeShare(
+            cluster, replicas=2, lease_duration=1.0, renew_interval=0.2, retry_interval=0.2
+        ).start()
+        ks.submit(ks.make_sharepod(
+            "svc", gpu_request=0.4, gpu_limit=0.6, gpu_mem=0.3, workload=None,
+        ))
+        wait = env.process(ks.wait_for_phase("svc", [PodPhase.RUNNING]))
+        env.run(until=wait)
+        sched, devmgr, pool = ks.sched, ks.devmgr, ks.pool
+        assert sched is not None and devmgr is not None and pool is devmgr.pool
+        ks.sched_group.leader.crash()
+        ks.devmgr_group.leader.crash()
+        assert (ks.sched, ks.devmgr, ks.pool) == (None, None, None)  # mid-failover
+        env.run(until=env.now + ks.devmgr_group.failover_bound + 0.01)
+        assert ks.sched is ks.sched_group.active_controller
+        assert ks.devmgr is ks.devmgr_group.active_controller
+        assert ks.sched not in (None, sched) and ks.devmgr not in (None, devmgr)
+        assert ks.pool is ks.devmgr.pool and ks.pool is not pool
+        # The promoted DevMgr rebuilt the vGPU from its placeholder pod.
+        assert [v.gpuid for v in ks.pool.list()] == [v.gpuid for v in pool.list()]

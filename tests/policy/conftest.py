@@ -1,6 +1,6 @@
 """Shared helpers for the multi-tenant policy tests."""
 
-from repro.core.framework import SharePodClient
+from repro.core import KubeShare
 
 
 def train(work, mem_bytes=1 * 2**30):
@@ -24,4 +24,4 @@ def make_sharepod(name, **kwargs):
     kwargs.setdefault("gpu_request", 0.5)
     kwargs.setdefault("gpu_limit", 1.0)
     kwargs.setdefault("gpu_mem", 0.2)
-    return SharePodClient().make_sharepod(name, **kwargs)
+    return KubeShare.make_sharepod(name, **kwargs)

@@ -19,12 +19,20 @@ the caller's object, and ``patch`` copies the stored one for *mutate*. A
 caller that wants to change what it read uses ``patch``, or takes
 ``.clone()`` before mutating and passes the copy to ``update``.
 
-Watch usage pattern (inside a simulation process)::
+Watch usage pattern: a callback that only updates memory and enqueues
+keys takes each event inside the commit::
 
-    stream = api.watch("Pod", replay=True)
+    def on_pod(raw):
+        etype, pod = translate_event(raw)
+        ...
+
+    api.watch("Pod", replay=True, deliver=on_pod)
+
+A handler that must write or wait keeps a stream and a process::
+
+    stream = api.watch("Node", replay=True)
     while True:
         raw = yield stream.get()
-        etype, pod = translate_event(raw)
         ...
 """
 
@@ -36,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import runtime as obs
 from ..sim import Environment
-from .etcd import CasFailure, Etcd, WatchEvent, WatchEventType
+from .etcd import CasFailure, Etcd, Watch, WatchEvent, WatchEventType
 from .objects import DEFAULT_NAMESPACE, LabelSelector, Node, Pod
 
 __all__ = [
@@ -447,29 +455,25 @@ class APIServer:
         namespace: Optional[str] = None,
         replay: bool = False,
         node_name: Optional[str] = None,
-    ):
+        deliver: Optional[Callable[[WatchEvent], None]] = None,
+    ) -> Watch:
         """Subscribe to changes of *kind*.
 
-        Returns an etcd watch; yield ``stream.get()`` to receive raw
-        :class:`WatchEvent` items and run them through
-        :func:`translate_event`. With ``replay=True`` current objects are
-        delivered first as synthetic PUTs (the informer "list+watch").
+        Each raw :class:`WatchEvent` goes to ``deliver(event)`` inside the
+        etcd commit (see :meth:`Etcd.watch`); run it through
+        :func:`translate_event`. Without *deliver* the watch is a stream:
+        yield ``stream.get()`` from a process. With ``replay=True`` current
+        objects are delivered first, now, as synthetic PUTs (the informer
+        "list+watch").
 
         *node_name* is a Pod watch's ``spec.nodeName`` field selector (a
         kubelet's): only events whose stored Pod (for a DELETE, the Pod
-        removed) is bound to that node are delivered. It is checked at the
-        source, so other nodes' Pods wake this subscriber never.
+        removed) is bound to that node are delivered. etcd indexes scoped
+        subscribers by node, so other nodes' Pods cost this one nothing.
         """
         self._check_kind(kind)
         prefix = f"/registry/{kind}/" + (f"{namespace}/" if namespace else "")
-        match = None
-        if node_name is not None:
-
-            def match(ev: WatchEvent) -> bool:
-                pod = _stored(ev)
-                return pod is not None and pod.spec.node_name == node_name
-
-        return self.etcd.watch(prefix, replay=replay, match=match)
+        return self.etcd.watch(prefix, replay=replay, deliver=deliver, node=node_name)
 
     # -- convenience -----------------------------------------------------------
     def bind(

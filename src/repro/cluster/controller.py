@@ -28,9 +28,11 @@ class Informer:
     is what real informers provide to controllers (a read-only local view
     that avoids hammering the API server).
 
-    The watch attaches to etcd, and an apiserver outage gates requests,
+    Each etcd commit of the kind reaches the cache and the handlers inside
+    the commit (a watch callback, no process): handlers update memory and
+    enqueue keys, and must not write. An apiserver outage gates requests,
     not deliveries, so a running watch never breaks: the informer
-    re-attaches only when restarted (see :meth:`_run`).
+    re-attaches only when restarted (see :meth:`start`).
     """
 
     def __init__(self, env: Environment, api: APIServer, kind: str) -> None:
@@ -39,53 +41,41 @@ class Informer:
         self.kind = kind
         self.cache: Dict[str, Any] = {}
         self._handlers: List[Handler] = []
-        self._proc = None
-        self._stream = None
-        #: etcd mod_revision of the newest event this informer has seen —
-        #: the gap to ``etcd.revision`` is the informer's observed lag.
-        self.last_seen_revision: int = 0
+        self._watch = None
 
     def add_handler(self, handler: Handler) -> None:
         self._handlers.append(handler)
 
-    def start(self):
-        """Begin the list+watch loop; returns the underlying process."""
-        if self._proc is None:
-            self._proc = self.env.process(self._run(), name=f"informer:{self.kind}")
-        return self._proc
+    def start(self) -> "Informer":
+        """List+watch: the current objects are dispatched now, as PUTs."""
+        if self._watch is None:
+            if self.cache:
+                # Relist on restart (failover, pause/resume): the replay
+                # re-PUTs every object that still exists, but deletions
+                # that happened while we were not watching would
+                # otherwise linger in the cache forever.
+                self._prune_vanished()
+            self._watch = self.api.watch(self.kind, replay=True, deliver=self._deliver)
+        return self
 
     def stop(self) -> None:
-        """Stop the watch loop and close the etcd watch (no store leak)."""
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.kill()
-        self._proc = None
+        """Close the etcd watch: later commits reach neither cache nor
+        handlers."""
+        if self._watch is not None:
+            self._watch.close()
+            self._watch = None
 
-    def _run(self) -> Generator:
-        self._stream = stream = self.api.watch(self.kind, replay=True)
-        if self.cache:
-            # Relist on restart (failover, pause/resume): the watch's
-            # replay snapshot re-PUTs every object that still exists, but
-            # deletions that happened while we were not watching would
-            # otherwise linger in the cache forever.
-            self._prune_vanished()
-        while True:
-            raw = yield stream.get()
-            self.last_seen_revision = max(
-                self.last_seen_revision, raw.kv.mod_revision
-            )
-            etype, obj = translate_event(raw)
-            if obj is None:  # tombstone with no previous value
-                continue
-            key = obj.metadata.key
-            if etype is WatchEventType.DELETE:
-                self.cache.pop(key, None)
-            else:
-                self.cache[key] = obj
-            for handler in self._handlers:
-                handler(etype, obj)
+    def _deliver(self, raw) -> None:
+        etype, obj = translate_event(raw)
+        if obj is None:  # tombstone with no previous value
+            return
+        key = obj.metadata.key
+        if etype is WatchEventType.DELETE:
+            self.cache.pop(key, None)
+        else:
+            self.cache[key] = obj
+        for handler in self._handlers:
+            handler(etype, obj)
 
     def _prune_vanished(self) -> None:
         """Drop (and dispatch DELETE for) cached keys the store lost."""
@@ -102,10 +92,11 @@ class Informer:
         """Reconcile the cache against a full relist, dispatching synthetic
         events for every difference (missed deletes and missed/late puts).
 
-        The normal watch path cannot miss events — watches attach directly
-        to etcd and outages only gate request processing — but a stopped
-        informer (controller failover, pause/resume) can; this is the
-        recovery hook for that, and the post-outage safety net.
+        The normal watch path cannot miss events — each commit is
+        delivered inside the write, and outages only gate request
+        processing — but a stopped informer (controller failover,
+        pause/resume) can; this is the recovery hook for that, and the
+        post-outage safety net.
         """
         try:
             current = {obj.metadata.key: obj for obj in self.api.list(self.kind)}
@@ -116,9 +107,6 @@ class Informer:
             for handler in self._handlers:
                 handler(WatchEventType.DELETE, obj)
         for key, obj in current.items():
-            self.last_seen_revision = max(
-                self.last_seen_revision, obj.metadata.resource_version
-            )
             cached = self.cache.get(key)
             if (
                 cached is None
@@ -195,6 +183,10 @@ class WorkQueue:
 class Controller:
     """Base class for control loops: informer events feed a work queue,
     worker processes run :meth:`reconcile` for each key.
+
+    :meth:`filter` runs inside the etcd commit that delivers the event
+    (see :class:`Informer`): it may update memory and enqueue keys, and
+    must not write.
 
     Subclasses implement :meth:`reconcile` as a simulation generator; it may
     yield events (timeouts, API waits). Raising inside reconcile requeues

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional
 
 from ...sim import Environment
-from ..apiserver import AlreadyExists, APIServer, NotFound
+from ..apiserver import AlreadyExists, APIServer, NotFound, translate_event
 from ..controller import Controller
 from ..objects import LabelSelector, ObjectMeta, PodPhase, PodSpec
 from .replicaset import ReplicaSet
@@ -59,24 +59,23 @@ class DeploymentController(Controller):
         api.register_crd("Deployment")
         api.register_crd("ReplicaSet")
         super().__init__(env, api)
+        self._rs_watch = None
 
     def start(self) -> "DeploymentController":
         super().start()
-        self.env.process(self._watch_replicasets(), name="deploy:rs-watch")
+        if self._rs_watch is None:
+            self._rs_watch = self.api.watch(
+                "ReplicaSet", replay=True, deliver=self._on_replicaset
+            )
         return self
 
-    def _watch_replicasets(self) -> Generator:
-        from ..apiserver import translate_event
-
-        stream = self.api.watch("ReplicaSet", replay=True)
-        while True:
-            raw = yield stream.get()
-            _etype, rs = translate_event(raw)
-            if rs is None:
-                continue
-            for owner in rs.metadata.owner_references:
-                if owner.startswith("deployment:"):
-                    self.queue.add(owner.split(":", 1)[1])
+    def _on_replicaset(self, raw) -> None:
+        _etype, rs = translate_event(raw)
+        if rs is None:
+            return
+        for owner in rs.metadata.owner_references:
+            if owner.startswith("deployment:"):
+                self.queue.add(owner.split(":", 1)[1])
 
     # -- helpers --------------------------------------------------------------
     @staticmethod

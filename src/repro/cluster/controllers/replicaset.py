@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional
 
 from ...sim import Environment
-from ..apiserver import AlreadyExists, APIServer, NotFound
+from ..apiserver import AlreadyExists, APIServer, NotFound, translate_event
 from ..controller import Controller
 from ..objects import LabelSelector, ObjectMeta, Pod, PodPhase, PodSpec
 
@@ -66,26 +66,20 @@ class ReplicaSetController(Controller):
         self._pod_factory = pod_factory or self._native_pod
         self._counter = 0
         # Changes to owned pods must retrigger the owning ReplicaSet.
-        self._pod_informer_started = False
+        self._pod_watch = None
 
     def start(self) -> "ReplicaSetController":
         super().start()
-        if not self._pod_informer_started:
-            self.env.process(self._watch_pods(), name="rs:pod-watch")
-            self._pod_informer_started = True
+        if self._pod_watch is None:
+            self._pod_watch = self.api.watch("Pod", replay=True, deliver=self._on_pod)
         return self
 
-    def _watch_pods(self) -> Generator:
-        from ..apiserver import translate_event
-
-        stream = self.api.watch("Pod", replay=True)
-        while True:
-            raw = yield stream.get()
-            _etype, pod = translate_event(raw)
-            if pod is None:
-                continue
-            for owner in pod.metadata.owner_references:
-                self.queue.add(owner)
+    def _on_pod(self, raw) -> None:
+        _etype, pod = translate_event(raw)
+        if pod is None:
+            return
+        for owner in pod.metadata.owner_references:
+            self.queue.add(owner)
 
     @staticmethod
     def _native_pod(rs: ReplicaSet, name: str) -> Pod:

@@ -1,13 +1,15 @@
 """kubelet: the per-node agent.
 
 Watches the API server for pods bound to its node and runs each as one
-process, ``workload:<pod>``: it performs device-plugin allocation for
+process, ``workload:<pod>``, which the watch callback starts inside the
+commit that binds the pod: it performs device-plugin allocation for
 extended resources (Figure 2b), has the container runtime start the
 container, runs the workload in it, keeps the pod status current, and
 gives the devices back when the workload exits. Deleting the pod stops
 that process wherever it is. The watch carries the ``spec.nodeName``
-field selector, as a real kubelet's does, so the apiserver delivers only
-this node's Pod events; other nodes' pods never wake this kubelet.
+field selector, as a real kubelet's does, so etcd's per-node index
+delivers only this node's Pod events; other nodes' pods cost this kubelet
+nothing.
 
 Liveness is a node lease (:class:`~repro.cluster.apiserver.NodeLease`)
 armed on the apiserver at start and stopped on crash. It renews every
@@ -82,9 +84,8 @@ class Kubelet:
         self.node_services = dict(node_services or {})
         self.heartbeat_interval = heartbeat_interval
         self._pod_procs: Dict[str, Any] = {}
-        self._proc = None
         self.lease: Optional[NodeLease] = None
-        self._stream = None
+        self._watch = None
         self.crashed = False
         #: a device-health patch lost to an apiserver outage awaits heal.
         self._health_retry = False
@@ -115,9 +116,11 @@ class Kubelet:
             self.api.patch("Node", self.node_name, mutate, namespace="")
         if self._on_device_health_change not in self.devices.health_listeners():
             self.devices.on_health_change(self._on_device_health_change)
-        self._proc = self.env.process(self._run(), name=f"kubelet:{self.node_name}")
         self.lease = self.api.arm_node_lease(self.node_name, self.heartbeat_interval)
-        return self._proc and self
+        self._watch = self.api.watch(
+            "Pod", replay=True, node_name=self.node_name, deliver=self._on_pod
+        )
+        return self
 
     def _on_device_health_change(self, resource: str, device_id: str, healthy: bool) -> None:
         """Re-advertise node capacity after a ListAndWatch state change."""
@@ -158,29 +161,25 @@ class Kubelet:
         if self.api.available and not self.crashed:
             self._advertise_devices()
 
-    def _run(self) -> Generator:
-        self._stream = stream = self.api.watch(
-            "Pod", replay=True, node_name=self.node_name
-        )
-        while True:
-            raw = yield stream.get()
-            etype, pod = translate_event(raw)
-            uid = pod.metadata.uid
-            if etype is WatchEventType.DELETE:
-                # Stop the pod's process wherever it is: a running
-                # container stops gracefully; a start still in flight is
-                # killed, which gives back its setup slot. Either way the
-                # process's `finally` gives the devices back.
-                proc = self._pod_procs.pop(uid, None)
-                handle = self.runtime.containers.pop(uid, None)
-                if handle is not None:
-                    handle.stop()
-                elif proc is not None:
-                    proc.kill()
-            elif pod.status.phase is PodPhase.PENDING and uid not in self._pod_procs:
-                self._pod_procs[uid] = self.env.process(
-                    self._start_pod(pod), name=f"workload:{pod.name}"
-                )
+    def _on_pod(self, raw) -> None:
+        """A commit of a Pod bound to this node (a watch callback)."""
+        etype, pod = translate_event(raw)
+        uid = pod.metadata.uid
+        if etype is WatchEventType.DELETE:
+            # Stop the pod's process wherever it is: a running container
+            # stops gracefully; a start still in flight is killed, which
+            # gives back its setup slot. Either way the process's
+            # `finally` gives the devices back.
+            proc = self._pod_procs.pop(uid, None)
+            handle = self.runtime.containers.pop(uid, None)
+            if handle is not None:
+                handle.stop()
+            elif proc is not None:
+                proc.kill()
+        elif pod.status.phase is PodPhase.PENDING and uid not in self._pod_procs:
+            self._pod_procs[uid] = self.env.process(
+                self._start_pod(pod), name=f"workload:{pod.name}"
+            )
 
     # -- the pod process -------------------------------------------------------
     def _start_pod(self, pod: Pod) -> Generator:
@@ -305,12 +304,9 @@ class Kubelet:
         if self.crashed:
             return
         self.crashed = True
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.kill()
-        self._proc = None
+        if self._watch is not None:
+            self._watch.close()
+            self._watch = None
         if self.lease is not None:
             self.api.stop_node_lease(self.lease)
         for proc in self._pod_procs.values():

@@ -47,8 +47,6 @@ from .objects import Node, Pod, PodPhase
 
 __all__ = ["NodeLifecycleController"]
 
-_NODE_PREFIX = "/registry/Node/"
-
 
 class NodeLifecycleController:
     """Watches node leases; marks stale nodes NotReady and evicts their pods."""
@@ -82,21 +80,22 @@ class NodeLifecycleController:
         self._alarm = None
         #: one bound method, so the same object can be unregistered.
         self._hook = self._wake
+        self._node_watch = None
 
     def start(self) -> "NodeLifecycleController":
         if self._proc is None:
             self._grid = self.env.now
             self.api.lease_hooks.append(self._hook)
-            self.api.etcd.add_listener(_NODE_PREFIX, self._hook)
+            self._node_watch = self.api.watch("Node", deliver=self._hook)
             self._spawn(self._grid + self.monitor_interval)
         return self
 
     def stop(self) -> None:
         if self._proc is not None:
             self.api.lease_hooks.remove(self._hook)
-            self.api.etcd.remove_listener(self._hook)
+            self._node_watch.close()
             self._halt()
-        self._proc = self._alarm = None
+        self._proc = self._alarm = self._node_watch = None
 
     # -- monitor loop ------------------------------------------------------
     def _spawn(self, due: float) -> None:

@@ -68,58 +68,48 @@ class KubeScheduler:
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> "KubeScheduler":
-        self.env.process(self._watch_nodes(), name=f"{self.name}:nodes")
-        self.env.process(self._watch_pods(), name=f"{self.name}:pods")
+        self.api.watch("Node", replay=True, deliver=self._on_node)
+        self.api.watch("Pod", replay=True, deliver=self._on_pod)
         self.env.process(self._worker(), name=f"{self.name}:loop")
         return self
 
-    # -- watches --------------------------------------------------------------
-    def _watch_nodes(self) -> Generator:
-        stream = self.api.watch("Node", replay=True)
-        while True:
-            raw = yield stream.get()
-            etype, node = translate_event(raw)
-            if node is None:
-                continue
-            if etype is WatchEventType.DELETE:
-                self._node_free.pop(node.name, None)
-                self._node_allocatable.pop(node.name, None)
-                self._node_ready.pop(node.name, None)
-            else:
-                allocatable = dict(node.status.allocatable)
-                if node.name not in self._node_free:
-                    self._node_free[node.name] = dict(allocatable)
-                elif allocatable != self._node_allocatable.get(node.name):
-                    # Capacity changed (e.g. a device went unhealthy):
-                    # apply the delta on top of committed requests.
-                    delta = Quantities.sub(
-                        allocatable, self._node_allocatable[node.name]
-                    )
-                    self._node_free[node.name] = Quantities.add(
-                        self._node_free[node.name], delta
-                    )
-                self._node_allocatable[node.name] = allocatable
-                self._node_labels[node.name] = dict(node.metadata.labels)
-                self._node_ready[node.name] = node.status.ready
-                self._retry_unschedulable()
+    # -- watches (callbacks inside the etcd commit) ---------------------------
+    def _on_node(self, raw) -> None:
+        etype, node = translate_event(raw)
+        if node is None:
+            return
+        if etype is WatchEventType.DELETE:
+            self._node_free.pop(node.name, None)
+            self._node_allocatable.pop(node.name, None)
+            self._node_ready.pop(node.name, None)
+            return
+        allocatable = dict(node.status.allocatable)
+        if node.name not in self._node_free:
+            self._node_free[node.name] = dict(allocatable)
+        elif allocatable != self._node_allocatable.get(node.name):
+            # Capacity changed (e.g. a device went unhealthy):
+            # apply the delta on top of committed requests.
+            delta = Quantities.sub(allocatable, self._node_allocatable[node.name])
+            self._node_free[node.name] = Quantities.add(self._node_free[node.name], delta)
+        self._node_allocatable[node.name] = allocatable
+        self._node_labels[node.name] = dict(node.metadata.labels)
+        self._node_ready[node.name] = node.status.ready
+        self._retry_unschedulable()
 
-    def _watch_pods(self) -> Generator:
-        stream = self.api.watch("Pod", replay=True)
-        while True:
-            raw = yield stream.get()
-            etype, pod = translate_event(raw)
-            if pod is None:
-                continue
-            freed = self._account(etype, pod)
-            if freed:
-                self._retry_unschedulable()
-            if (
-                etype is not WatchEventType.DELETE
-                and not pod.bound
-                and pod.status.phase is PodPhase.PENDING
-                and pod.spec.scheduler_name == self.name
-            ):
-                self.queue.add(pod.metadata.key)
+    def _on_pod(self, raw) -> None:
+        etype, pod = translate_event(raw)
+        if pod is None:
+            return
+        freed = self._account(etype, pod)
+        if freed:
+            self._retry_unschedulable()
+        if (
+            etype is not WatchEventType.DELETE
+            and not pod.bound
+            and pod.status.phase is PodPhase.PENDING
+            and pod.spec.scheduler_name == self.name
+        ):
+            self.queue.add(pod.metadata.key)
 
     def _account(self, etype: WatchEventType, pod: Pod) -> bool:
         """Update committed-resource bookkeeping; True if resources freed."""

@@ -116,7 +116,7 @@ class KubeShareDevMgr(Controller):
         #: sharePod key -> armed drain-deadline timer process.
         self._drain_timers: Dict[str, object] = {}
         self._aux_procs: list = []
-        self._aux_streams: list = []
+        self._watches: list = []
         #: nodes whose teardown waits for the apiserver to heal.
         self._node_retries: set[str] = set()
         #: gpuids whose teardown began (counted once if it is retried).
@@ -125,8 +125,8 @@ class KubeShareDevMgr(Controller):
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> "KubeShareDevMgr":
         super().start()
+        self._watches = [self.api.watch("Pod", replay=True, deliver=self._on_pod)]
         self._aux_procs = [
-            self.env.process(self._watch_pods(), name="devmgr:pod-watch"),
             self.env.process(self._watch_nodes(), name="devmgr:node-watch"),
         ]
         return self
@@ -134,9 +134,9 @@ class KubeShareDevMgr(Controller):
     def stop(self) -> None:
         """Stop everything, including the auxiliary pod/node watchers."""
         super().stop()
-        for stream in self._aux_streams:
-            stream.close()
-        self._aux_streams = []
+        for watch in self._watches:
+            watch.close()
+        self._watches = []
         for proc in self._aux_procs:
             if proc.is_alive:
                 proc.kill()
@@ -193,24 +193,21 @@ class KubeShareDevMgr(Controller):
             elif self.policy.idle_ttl is not None:
                 self.env.process(self._ttl_watch(vgpu, vgpu.idle_since))
 
-    def _watch_pods(self) -> Generator:
-        """React to placeholder and real pod changes by requeuing owners."""
-        stream = self.api.watch("Pod", replay=True)
-        self._aux_streams.append(stream)
-        while True:
-            raw = yield stream.get()
-            _etype, pod = translate_event(raw)
-            if pod is None:
-                continue
-            if pod.name.startswith(PLACEHOLDER_PREFIX):
-                vgpu = self.pool.by_placeholder(pod.name)
-                if vgpu is not None:
-                    for key in sorted(vgpu.attached):
-                        self.queue.add(key)
-            else:
-                for owner in pod.metadata.owner_references:
-                    if owner.startswith("sharepod:"):
-                        self.queue.add(owner.split(":", 1)[1])
+    def _on_pod(self, raw) -> None:
+        """A Pod commit (a watch callback): requeue the SharePods of a
+        placeholder's vGPU, or a real pod's owner."""
+        _etype, pod = translate_event(raw)
+        if pod is None:
+            return
+        if pod.name.startswith(PLACEHOLDER_PREFIX):
+            vgpu = self.pool.by_placeholder(pod.name)
+            if vgpu is not None:
+                for key in sorted(vgpu.attached):
+                    self.queue.add(key)
+        else:
+            for owner in pod.metadata.owner_references:
+                if owner.startswith("sharepod:"):
+                    self.queue.add(owner.split(":", 1)[1])
 
     def _watch_nodes(self) -> Generator:
         """Tear down vGPUs whose physical GPU or node is gone.
@@ -218,9 +215,10 @@ class KubeShareDevMgr(Controller):
         Two signals arrive on the Node object: ``ready`` flips false when
         the lifecycle controller declares the node dead, and
         ``unhealthy_gpus`` lists devices the kubelet's plugin reported
-        failed (an ECC error on an otherwise healthy node)."""
+        failed (an ECC error on an otherwise healthy node). The teardown
+        writes, so this watch keeps a stream and a process."""
         stream = self.api.watch("Node", replay=True)
-        self._aux_streams.append(stream)
+        self._watches.append(stream)
         while True:
             raw = yield stream.get()
             etype, node = translate_event(raw)

@@ -50,8 +50,9 @@ class KubeShare:
     election timings of the N-replica wiring. *contention* installs the
     multi-tenant policy layer (quotas/priorities/reaper) when it is a
     :class:`repro.policy.layer.PolicyConfig` (or ``True`` for the
-    defaults); its controllers run with the same *replicas*. ``None`` —
-    the default — keeps the whole policy surface out of the hot paths.
+    defaults); its controllers run with the same *replicas* and election
+    timings. ``None`` — the default — keeps the whole policy surface out
+    of the hot paths.
     """
 
     def __init__(
@@ -71,12 +72,18 @@ class KubeShare:
         self.api.register_crd("SharePod")
         env = self.env
 
+        election = dict(
+            replicas=replicas,
+            lease_duration=lease_duration,
+            renew_interval=renew_interval,
+            retry_interval=retry_interval,
+        )
         self.policy_layer = None
         if contention is not None and contention is not False:
             from ..policy.layer import PolicyConfig, PolicyLayer  # lazy: optional
 
             config = contention if isinstance(contention, PolicyConfig) else None
-            self.policy_layer = PolicyLayer(cluster, config, replicas)
+            self.policy_layer = PolicyLayer(cluster, config, **election)
         policy_layer = self.policy_layer
 
         def sched_factory(api) -> KubeShareSched:
@@ -96,12 +103,6 @@ class KubeShare:
                 devmgr.requeue_cap = policy_layer.config.requeue_cap
             return devmgr
 
-        election = dict(
-            replicas=replicas,
-            lease_duration=lease_duration,
-            renew_interval=renew_interval,
-            retry_interval=retry_interval,
-        )
         self.sched_group = HAControllerGroup(
             env, self.api, "kubeshare-sched", sched_factory, **election
         )

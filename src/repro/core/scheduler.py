@@ -392,7 +392,7 @@ class KubeShareSched(Controller):
         return self._index
 
     def stop(self) -> None:
-        # Detach the index's etcd listeners: a deposed HA leader must not
+        # Close the index's etcd watches: a deposed HA leader must not
         # keep invalidation hooks registered on the shared store.
         if self._index is not None:
             self._index.close()

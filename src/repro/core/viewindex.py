@@ -5,8 +5,8 @@ the cluster's GPU capacity. Deriving them from a relist of every
 SharePod, Pod and Node **per reconcile** is O(pods) work per decision,
 and in a running cluster the SharePods include every one that has ever
 terminated. :class:`DeviceViewIndex` keeps those derived structures and
-updates them from synchronous etcd commit listeners (see
-:meth:`repro.cluster.etcd.Etcd.add_listener`), so a pass costs the
+updates them from watch callbacks that run inside each etcd commit (see
+:meth:`repro.cluster.etcd.Etcd.watch`), so a pass costs the
 O(devices) copy plus the recompute of the vGPUs that changed since the
 last pass, whatever the cluster's history.
 
@@ -14,15 +14,15 @@ The scheduler holds no vGPU pool of its own, in either wiring: KubeShare-
 DevMgr records every vGPU it holds as a ``vgpu-holder-<GPUID>``
 placeholder pod, and the index keeps the set of those GPUIDs. It fills
 the set from one snapshot when it is built (a promoted HA scheduler
-starts from etcd) and keeps it current from the Pod commit listener: a
+starts from etcd) and keeps it current from the Pod commit callback: a
 placeholder create adds its GPUID, a placeholder delete removes it, and
 every other Pod commit returns after a name check.
 
 SharePods feed the views through per-GPUID member maps. A map holds the
 live, assigned SharePods of one GPUID: assigned a GPUID and not
-terminal. The SharePod commit listener does O(1) work: it moves the
+terminal. The SharePod commit callback does O(1) work: it moves the
 committed key to the map of its new GPUID, or out of every map, and
-marks the GPUIDs it touched dirty. The placeholder listener marks its
+marks the GPUIDs it touched dirty. The placeholder callback marks its
 GPUID dirty the same way. :meth:`DeviceViewIndex.device_views`
 recomputes only the dirty GPUIDs, each with
 :func:`~repro.core.scheduler.device_view` over its members in
@@ -33,9 +33,11 @@ Equivalence argument (why the delta-updated views can never diverge
 from a relist; ``tests/core/test_viewindex.py`` checks every read
 against a brute-force relist at each Algorithm 1 pass of five scenarios):
 
-* Listeners run *inside* the etcd commit — before any watcher, any reader,
-  or the writer itself can observe the new revision. There is no window in
-  which the store has changed but the index has not applied the change.
+* The callbacks run *inside* the etcd commit — before any process, any
+  reader, or the writer itself can observe the new revision. There is no
+  window in which the store has changed but the index has not applied the
+  change; other callbacks of the same commit run before or after them,
+  but none reads the index.
 * A relist's view of one GPUID depends only on that GPUID's live
   SharePods, subtracted in key order (the order of a relist), and on
   whether the GPUID is in the pool. A commit changes those inputs only
@@ -92,7 +94,7 @@ class DeviceViewIndex:
     """Delta-updated inputs of one scheduler's Algorithm 1 passes.
 
     One index per scheduler instance; call :meth:`close` when the
-    scheduler stops (a deposed HA leader must not leave listeners behind
+    scheduler stops (a deposed HA leader must not leave watches behind
     on the shared etcd).
     """
 
@@ -100,7 +102,6 @@ class DeviceViewIndex:
         self.api = api
         self._etcd = api.etcd
         self._capacity: Optional[int] = None
-        self._closed = False
         #: GPUIDs of the placeholder pods: the vGPU pool as etcd records it.
         self._pool: Set[str] = {
             placeholder_gpuid(kv.value.name)
@@ -122,9 +123,11 @@ class DeviceViewIndex:
             for d in build_device_views(self._pool, [kv.value for kv in sharepods])
         }
         self._order: List[str] = list(self._views)
-        self._etcd.add_listener(_SHAREPOD_PREFIX, self._on_sharepod)
-        self._etcd.add_listener(_POD_PREFIX, self._on_pod)
-        self._etcd.add_listener(_NODE_PREFIX, self._on_node)
+        self._watches = [
+            self._etcd.watch(_SHAREPOD_PREFIX, deliver=self._on_sharepod),
+            self._etcd.watch(_POD_PREFIX, deliver=self._on_pod),
+            self._etcd.watch(_NODE_PREFIX, deliver=self._on_node),
+        ]
 
     # -- delta updates (synchronous, inside the etcd commit) ----------------
     def _move(self, key: str, prev: Optional[SharePod], sp: Optional[SharePod]) -> None:
@@ -171,11 +174,8 @@ class DeviceViewIndex:
         self._capacity = None
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._etcd.remove_listener(self._on_sharepod)
-            self._etcd.remove_listener(self._on_pod)
-            self._etcd.remove_listener(self._on_node)
+        for watch in self._watches:
+            watch.close()
 
     # -- reads -------------------------------------------------------------
     def device_views(self) -> List[DeviceView]:

@@ -11,14 +11,14 @@ perturb a seeded schedule:
 * :mod:`repro.obs.decisions` — the Algorithm 1 decision log: every
   candidate GPU per scheduling pass with verdicts, scores, rejections;
 * :mod:`repro.obs.runtime` — the hub tying them to a
-  :class:`~repro.metrics.MetricsRegistry` (work-queue depth, informer
-  lag, etcd revision rate, token grant/deny counters, quota-window
+  :class:`~repro.metrics.MetricsRegistry` (work-queue depth, etcd
+  revision rate, token grant/deny counters, quota-window
   occupancy), dumped via :mod:`repro.obs.promfmt` in Prometheus text
   exposition format;
 * :mod:`repro.obs.hist` — streaming fixed-boundary latency histograms
   (Prometheus ``_bucket``/``_sum``/``_count``, exact per-window
   p50/p95/p99) over the hot seams: Algorithm 1 passes, SharePod
-  journeys, token waits, reconciles, informer lag, federation placement;
+  journeys, token waits, reconciles, federation placement;
 * :mod:`repro.obs.slo` — declarative SLOs evaluated in virtual time by
   a multi-window multi-burn-rate alerter (page/ticket tiers) whose
   alerts land as Events in the artifact;

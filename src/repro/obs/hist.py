@@ -26,8 +26,6 @@ Families (all observed automatically once a hub is enabled):
                                       ``token.wait`` before a grant
 ``repro_container_start_seconds``     kubelet ``container.start`` duration
 ``repro_reconcile_duration_seconds``  one reconcile pass, per controller
-``repro_informer_lag_revisions``      etcd revisions an informer trails
-                                      behind, sampled per tick
 ``repro_federation_place_seconds``    federation record created -> placed
                                       on a member cluster
 ====================================  ==========================================
@@ -42,13 +40,9 @@ from .promfmt import metric
 
 __all__ = [
     "DEFAULT_LATENCY_BOUNDARIES",
-    "LAG_BOUNDARIES",
     "HISTOGRAM_FAMILIES",
     "HistogramInstruments",
 ]
-
-#: informer lag is measured in etcd revisions, not seconds.
-LAG_BOUNDARIES: Tuple[float, ...] = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
 
 #: family -> bucket boundaries (the catalog promfmt exposes as
 #: ``# TYPE ... histogram``).
@@ -59,7 +53,6 @@ HISTOGRAM_FAMILIES: Dict[str, Tuple[float, ...]] = {
     "repro_token_wait_seconds": DEFAULT_LATENCY_BOUNDARIES,
     "repro_container_start_seconds": DEFAULT_LATENCY_BOUNDARIES,
     "repro_reconcile_duration_seconds": DEFAULT_LATENCY_BOUNDARIES,
-    "repro_informer_lag_revisions": LAG_BOUNDARIES,
     "repro_federation_place_seconds": DEFAULT_LATENCY_BOUNDARIES,
 }
 
@@ -71,7 +64,7 @@ class HistogramInstruments:
     tracer's ``on_end`` callback (span-shaped seams: reconciles, token
     waits, container starts, journey roots) and called directly from
     hooks that know a latency without owning a span (decision commits,
-    federation placements, sampler-observed informer lag).
+    federation placements).
     """
 
     def __init__(self, registry: MetricsRegistry, window: float = 10.0) -> None:
@@ -115,9 +108,6 @@ class HistogramInstruments:
 
     def federation_place(self, t: float, latency: float) -> None:
         self.observe("repro_federation_place_seconds", t, latency)
-
-    def informer_lag(self, t: float, lag: float, controller: str) -> None:
-        self.observe("repro_informer_lag_revisions", t, lag, controller=controller)
 
     def to_dicts(self) -> Dict[str, Dict[str, object]]:
         return {

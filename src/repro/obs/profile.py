@@ -7,7 +7,7 @@ with the host's monotonic clock. Attribution is two-level:
 
 * **actor**: callbacks are mostly the bound ``_resume`` of a
   :class:`~repro.sim.process.Process`; its ``name`` (``"kubeshare-sched:
-  worker0"``, ``"informer:SharePod"``, ``"app:sp3"``) names the
+  worker0"``, ``"workload:sp3"``, ``"devmgr:node-watch"``) names the
   actor, and its first ``:``-segment names the subsystem. A timer
   callback bound to a component, directly or through
   :func:`functools.partial` (``TokenBackend._handoff``,

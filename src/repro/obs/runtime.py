@@ -112,9 +112,9 @@ class ObsHub:
         return self
 
     def attach_kubeshare(self, ks) -> "ObsHub":
-        """Register a KubeShare's controllers for work-queue /
-        informer-lag sampling: each sample reads its running instances,
-        so an elected one's follow a failover."""
+        """Register a KubeShare's controllers for work-queue sampling:
+        each sample reads its running instances, so an elected one's
+        follow a failover."""
         self._kubeshares.append(ks)
         return self
 
@@ -202,9 +202,6 @@ class ObsHub:
                     now,
                     len(ctl.queue),
                 )
-                lag = ctl.api.etcd.revision - ctl.informer.last_seen_revision
-                m.record(metric("repro_informer_lag", controller=ctl.name), now, lag)
-                self.hist.informer_lag(now, lag, controller=ctl.name)
 
     # -- artifact ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -198,8 +198,9 @@ class PolicyEngine:
 class PolicyLayer:
     """Installs and runs the policy controllers on one cluster.
 
-    *replicas* is KubeShare's: ``None`` runs each controller as one
-    unelected instance, N as N leader-elected replicas.
+    *replicas* and the election timings are KubeShare's: ``None`` runs
+    each controller as one unelected instance, N as N leader-elected
+    replicas.
     """
 
     def __init__(
@@ -207,6 +208,9 @@ class PolicyLayer:
         cluster: Any,
         config: Optional[PolicyConfig] = None,
         replicas: Optional[int] = None,
+        lease_duration: float = 3.0,
+        renew_interval: float = 0.5,
+        retry_interval: float = 0.5,
     ) -> None:
         self.cluster = cluster
         self.env = cluster.env
@@ -217,12 +221,18 @@ class PolicyLayer:
         self.api.register_crd("PriorityClass")
         self.api.register_admission(QuotaAdmission(self.api))
         env, api, reaper_cfg = self.env, self.api, self.config.reaper
+        election = dict(
+            replicas=replicas,
+            lease_duration=lease_duration,
+            renew_interval=renew_interval,
+            retry_interval=retry_interval,
+        )
         self.quota_group = HAControllerGroup(
             env,
             api,
             "quota-controller",
             lambda client: QuotaController(env, client),
-            replicas=replicas,
+            **election,
         )
         self.reaper_group: Optional[HAControllerGroup] = None
         if reaper_cfg is not None:
@@ -231,7 +241,7 @@ class PolicyLayer:
                 api,
                 "reaper",
                 lambda client: LifetimeReaper(env, client, reaper_cfg),
-                replicas=replicas,
+                **election,
             )
 
     # -- lifecycle ---------------------------------------------------------

@@ -220,20 +220,23 @@ class TestBackoff:
 
 class TestInformerStop:
     def test_stop_closes_the_etcd_watch(self, env, api):
-        informer = Informer(env, api, "Pod")
-        informer.start()
-        env.run(until=0.01)
-        assert len(api.etcd._watches) == 1
+        informer = Informer(env, api, "Pod").start()
+        api.create(Pod(metadata=ObjectMeta(name="early")))
+        assert informer.get("default/early") is not None
+        assert len(api.etcd.watchers("/registry/Pod/")) == 1
         informer.stop()
-        assert api.etcd._watches == []
-        # Later writes neither reach the cache nor buffer in a dead stream.
+        assert api.etcd.watchers("/registry/Pod/") == []
+        # Later writes reach neither the cache nor a handler.
+        seen = []
+        informer.add_handler(lambda etype, obj: seen.append(obj.name))
         api.create(Pod(metadata=ObjectMeta(name="late")))
         env.run(until=1)
         assert informer.get("default/late") is None
+        assert seen == []
 
     def test_stop_before_start_is_a_noop(self, env, api):
         Informer(env, api, "Pod").stop()
-        assert api.etcd._watches == []
+        assert api.etcd.watchers("/registry/Pod/") == []
 
 
 class SleepyController(Controller):
@@ -295,8 +298,10 @@ class TestPassRunsInWorker:
         finally:
             set_profile_hook(None)
         assert ctl.completed == [(1.0, "default/p1")]
+        # The informer takes its events inside the commits: the worker is
+        # the controller's only process.
         processes = {r.name for _, r in recorder.dispatched if isinstance(r, Process)}
-        assert processes == {"SleepyController:worker0", "informer:Pod"}
+        assert processes == {"SleepyController:worker0"}
         assert not [
             r.name
             for e, r in recorder.dispatched

@@ -151,7 +151,7 @@ class TestWatch:
         etcd = Etcd(env)
         w = etcd.watch("")
         etcd.put("/a", 1)
-        w.cancel()
+        w.close()
         etcd.put("/b", 2)
         # Only the first event was queued.
         assert len(w.events.items) == 1
@@ -159,21 +159,24 @@ class TestWatch:
 
 class TestCloseAndUnwatch:
     def test_close_detaches_subscriber_eagerly(self, etcd):
-        w = etcd.watch("/pods/")
-        assert w in etcd._watches
+        got = []
+        w = etcd.watch("/pods/", deliver=got.append)
+        assert etcd.watchers("/pods/") == [w]
         w.close()
-        # Removed immediately, not lazily at the next notify — stopped
-        # subscribers must not pin their event buffers in the store.
+        # Removed from the table at once: a stopped subscriber is called
+        # no more and pins nothing in the store.
         assert w.cancelled
-        assert w not in etcd._watches
+        assert etcd.watchers("/pods/") == []
         etcd.put("/pods/a", 1)
-        assert len(w.events.items) == 0
+        assert got == []
 
     def test_unwatch_is_idempotent(self, etcd):
         w = etcd.watch("")
         w.close()
         etcd.unwatch(w)  # second removal must be a no-op
-        assert etcd._watches == []
+        assert etcd.watchers("") == []
+        etcd.put("/a", 1)
+        assert len(w.events.items) == 0
 
     def test_close_leaves_other_watches_untouched(self, etcd):
         w1 = etcd.watch("/pods/")

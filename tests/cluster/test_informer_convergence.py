@@ -1,10 +1,11 @@
 """Informer convergence after outages and restarts.
 
-Watch streams attach directly to etcd, and an apiserver outage gates
-request processing — writes fail, so there are no events to miss while
-the stream stays open. Events *can* be missed by a stopped informer
-(controller failover or pause/resume), which is what relist-on-reconnect
-(:meth:`Informer._run` pruning) and :meth:`Informer.resync` cover; as a
+An informer's watch takes each etcd commit inside the write, and an
+apiserver outage gates request processing — writes fail, so there are
+no events to miss while the watch stays open. Events *can* be missed by
+a stopped informer (controller failover or pause/resume), which is what
+relist-on-reconnect (:meth:`Informer.start` pruning) and
+:meth:`Informer.resync` cover; as a
 safety net, a controller resyncs once per outage, armed by the
 apiserver's outage hook and run when the outage window closes.
 These are the regression tests for all three paths.

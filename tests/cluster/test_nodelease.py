@@ -164,7 +164,7 @@ def run_schedule(controller_cls, seed, nodes, timing, horizon=80.0):
         if cur is not None and prev is not None and prev.status.ready != cur.status.ready:
             log.append((env.now, cur.name, "Ready" if cur.status.ready else "NotReady"))
 
-    cluster.etcd.add_listener("/registry/Node/", on_node)
+    cluster.etcd.watch("/registry/Node/", deliver=on_node)
     evict = ctrl._evict_pods
     ctrl._evict_pods = lambda name: (log.append((env.now, name, "evicted")), evict(name))
     tick = ctrl._tick
@@ -245,6 +245,8 @@ class TestAgainstDenseOracle:
 
 # -- HA: a deposed replica leaves nothing behind ----------------------------------
 
+NODE_PREFIX = "/registry/Node/"
+
 
 def ha_crash_detection(env, node_crash_at):
     cluster = Cluster(
@@ -258,33 +260,42 @@ def ha_crash_detection(env, node_crash_at):
             controller_retry_interval=0.2,
         ),
     )
-    listeners_before = len(cluster.etcd._listeners)
+
+    def node_watchers():
+        # The lifecycle controllers' Node watches (the kube-scheduler's
+        # own Node watch is not this test's subject).
+        return sum(
+            isinstance(getattr(w.deliver, "__self__", None), NodeLifecycleController)
+            for w in cluster.etcd.watchers(NODE_PREFIX)
+        )
+
+    watchers_before = node_watchers()
     cluster.start()
     group = cluster.node_lifecycle_group
     env.run(until=2.0)
-    one_leader = (len(cluster.etcd._listeners), len(cluster.api.lease_hooks))
+    one_leader = (node_watchers(), len(cluster.api.lease_hooks))
     group.leader.crash()
     env.run(until=2.0 + group.failover_bound + 0.01)
     assert len(group.promotions) == 2
-    assert (len(cluster.etcd._listeners), len(cluster.api.lease_hooks)) == one_leader
+    assert (node_watchers(), len(cluster.api.lease_hooks)) == one_leader
     detected = []
-    cluster.etcd.add_listener(
-        "/registry/Node/",
-        lambda ev: detected.append(env.now) if not ev.kv.value.status.ready else None,
+    cluster.etcd.watch(
+        NODE_PREFIX,
+        deliver=lambda ev: detected.append(env.now) if not ev.kv.value.status.ready else None,
     )
     env.run(until=node_crash_at)
     cluster.nodes[0].crash()
     env.run(until=node_crash_at + 8.0)
-    listeners = len(cluster.etcd._listeners) - 1  # minus the probe above
+    watchers = node_watchers()
     group.stop()
-    return detected, listeners_before, listeners, len(cluster.etcd._listeners) - 1
+    return detected, watchers_before, watchers, node_watchers()
 
 
 class TestHALifecycle:
     def test_promoted_replica_detects_a_crash_at_the_dense_tick(self, env, monkeypatch):
         detected, before, during, after = ha_crash_detection(env, node_crash_at=9.0)
         assert len(detected) == 1
-        assert during == before + 1  # the one leader's Node listener
+        assert during == before + 1  # the one leader's Node watch
         assert after == before  # stop() removes every hook
 
         import repro.cluster.cluster as cluster_module

@@ -2,8 +2,10 @@
 
 The oracle is the check every kubelet used to apply to an unscoped watch
 (``translate_event``, then drop ``None`` and other nodes' pods). A scoped
-watch must deliver exactly what that check kept — the same event objects
-in the same order — while never waking the kubelets it filters out.
+stream must deliver exactly what that check kept — the same event objects
+in the same order — and a kubelet's watch callback must never be called
+for the pods it filters out. ``test_watch_delivery.py`` checks the same
+property for callbacks.
 """
 
 from contextlib import contextmanager
@@ -19,7 +21,7 @@ from repro.cluster.apiserver import (
     NotFound,
     translate_event,
 )
-from repro.cluster.etcd import WatchEvent
+from repro.cluster.kubelet import Kubelet
 from repro.cluster.objects import ObjectMeta, Pod, PodPhase, PodSpec
 from repro.sim import Environment, Process
 from repro.sim.environment import set_profile_hook
@@ -107,8 +109,23 @@ class TestScopedStream:
             assert all(a is b for a, b in zip(got[len(replay):], live))
 
 
+def kubelet_deliveries(monkeypatch):
+    """Record ``(node, pod name)`` for every event a kubelet's Pod watch
+    delivers; install before the cluster is built."""
+    log = []
+    on_pod = Kubelet._on_pod
+
+    def recording(self, raw):
+        log.append((self.node_name, translate_event(raw)[1].name))
+        return on_pod(self, raw)
+
+    monkeypatch.setattr(Kubelet, "_on_pod", recording)
+    return log
+
+
 class TestKubelets:
-    def test_restarted_kubelet_replays_only_its_own_pods(self):
+    def test_restarted_kubelet_replays_only_its_own_pods(self, monkeypatch):
+        log = kubelet_deliveries(monkeypatch)
         env = Environment()
         cluster = Cluster(env, ClusterConfig(nodes=3, gpus_per_node=1)).start()
         for i, node in enumerate(cluster.nodes):
@@ -120,30 +137,29 @@ class TestKubelets:
         victim.crash()
         env.run(until=6.0)
 
-        with dispatch_log() as log:
-            env.process(victim.restart())
-            env.run(until=8.0)
-        delivered = [
-            translate_event(value)[1].name
-            for name, value in log
-            if name == f"kubelet:{victim.name}" and isinstance(value, WatchEvent)
-        ]
-        # The replay, then the restart's own "container lost" patch.
-        assert delivered == ["p1", "p1"]
+        log.clear()
+        env.process(victim.restart())
+        env.run(until=8.0)
+        # The replay, then the restart's own "container lost" patch; no
+        # other kubelet hears of either.
+        assert log == [(victim.name, "p1"), (victim.name, "p1")]
         assert cluster.api.get("Pod", "p1").status.phase is PodPhase.FAILED
 
-    def test_other_nodes_kubelets_stay_asleep(self):
+    def test_other_nodes_kubelets_stay_asleep(self, monkeypatch):
+        log = kubelet_deliveries(monkeypatch)
         env = Environment()
         cluster = Cluster(env, ClusterConfig(nodes=4, gpus_per_node=1)).start()
         env.run(until=1.0)
 
-        with dispatch_log() as log:
+        log.clear()
+        with dispatch_log() as dispatched:
             cluster.api.create(
                 Pod(metadata=ObjectMeta(name="p"), spec=PodSpec(node_name="node00"))
             )
             env.run(until=5.0)
         assert cluster.api.get("Pod", "p").status.phase is PodPhase.RUNNING
-        woken = {name for name, _ in log if name.startswith("kubelet:")}
-        assert woken == {"kubelet:node00"}
-        for node in cluster.nodes[1:]:
-            assert node.kubelet._stream.events.items == []
+        assert {node for node, _ in log} == {"node00"}
+        # No kubelet process runs at all: the watch is a callback, and
+        # the pod's own process does the rest.
+        assert [name for name, _ in dispatched if name.startswith("kubelet:")] == []
+        assert {name for name, _ in dispatched} == {"workload:p"}

@@ -336,6 +336,29 @@ class TestOneWiring:
         leases = sorted(lease.name for lease in cluster.api.list("Lease"))
         assert leases == ["kubeshare-devmgr", "kubeshare-sched", "quota-controller", "reaper"]
 
+    def test_policy_groups_share_the_election_timings(self, env):
+        cluster = Cluster(env, ClusterConfig(nodes=2, gpus_per_node=2)).start()
+        ks = KubeShare(
+            cluster,
+            contention=PolicyConfig(reaper=ReaperConfig()),
+            replicas=2,
+            lease_duration=1.0,
+            renew_interval=0.2,
+            retry_interval=0.2,
+        ).start()
+        pl = ks.policy_layer
+        bound = ks.sched_group.failover_bound
+        groups = (ks.sched_group, ks.devmgr_group, pl.quota_group, pl.reaper_group)
+        assert [g.failover_bound for g in groups] == [bound] * 4
+        env.run(until=2.0)
+        crashed_at = env.now
+        pl.quota_group.leader.crash()
+        env.run(until=crashed_at + bound + 0.01)
+        (_, first, _), (promoted_at, second, _) = pl.quota_group.promotions
+        assert second != first
+        assert promoted_at - crashed_at <= bound
+        assert pl.quota is pl.quota_group.active_controller
+
     def test_views_follow_a_failover(self, env):
         cluster = Cluster(env, ClusterConfig(nodes=2, gpus_per_node=2)).start()
         ks = KubeShare(

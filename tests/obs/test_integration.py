@@ -144,7 +144,6 @@ class TestJourneyCapture:
         assert len(series["repro_etcd_revision"]) > 0
         assert any(n.startswith("repro_gpu_quota_occupancy{") for n in series)
         assert any(n.startswith("repro_workqueue_depth{") for n in series)
-        assert any(n.startswith("repro_informer_lag{") for n in series)
         counters = hub.metrics.counters
         assert any(n.startswith("repro_token_grants_total{") for n in counters)
         assert any(n.startswith("repro_api_writes_total{") for n in counters)
@@ -159,7 +158,6 @@ class TestJourneyCapture:
         assert any(
             n.startswith("repro_reconcile_duration_seconds{") for n in hists
         )
-        assert any(n.startswith("repro_informer_lag_revisions{") for n in hists)
         # Journey >= schedule latency for the same pods, and percentiles
         # are ordered.
         journey = hub.metrics.histogram("repro_sharepod_journey_seconds")

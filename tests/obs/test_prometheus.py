@@ -30,8 +30,8 @@ def test_series_exposed_as_gauges_with_last_sample():
 
 def test_empty_series_reads_zero():
     reg = MetricsRegistry()
-    reg.timeseries("repro_informer_lag")
-    assert "repro_informer_lag 0" in prometheus_text(reg)
+    reg.timeseries("repro_etcd_revision_rate")
+    assert "repro_etcd_revision_rate 0" in prometheus_text(reg)
 
 
 def test_float_values_keep_precision():

@@ -21,6 +21,10 @@ __all__ = ["Informer", "WorkQueue", "Controller"]
 Handler = Callable[[WatchEventType, Any], None]
 
 
+def _always(key: str) -> bool:
+    return True
+
+
 class Informer:
     """Watch one kind, keep a local cache, dispatch events to handlers.
 
@@ -133,13 +137,22 @@ class WorkQueue:
     dirty and re-enqueued when processing finishes — so no event is lost
     to an in-flight reconcile.
 
+    *wanted* is the owner's pass predicate (see :class:`Controller`): a
+    key that is neither queued nor in flight is queued only if
+    ``wanted(key)`` holds now, and a dirty key only if it holds when its
+    pass finishes. A key it turns away costs no kernel event; the next
+    commit that concerns the key asks again.
+
     Worker protocol: ``with queue.get() as req: key = yield req``, then
     ``queue.checkout(key)``, reconcile, and finally ``queue.done(key)``.
     The ``with`` withdraws the get if the worker is killed while it waits.
     """
 
-    def __init__(self, env: Environment) -> None:
+    def __init__(
+        self, env: Environment, wanted: Callable[[str], bool] = _always
+    ) -> None:
         self._store: Store = Store(env)
+        self._wanted = wanted
         self._pending: set[str] = set()
         self._processing: set[str] = set()
         self._dirty: set[str] = set()
@@ -153,8 +166,9 @@ class WorkQueue:
         if key in self._processing:
             self._dirty.add(key)
             return
-        self._pending.add(key)
-        self._store.offer(key)
+        if self._wanted(key):
+            self._pending.add(key)
+            self._store.offer(key)
 
     def get(self):
         """Event that fires with the next key."""
@@ -166,7 +180,10 @@ class WorkQueue:
         self._processing.add(key)
 
     def done(self, key: str) -> None:
-        """Finish processing; re-enqueue if events arrived meanwhile."""
+        """Finish processing; re-enqueue if events arrived meanwhile and
+        the predicate says a pass would act on the key now (the pass just
+        finished may have done what they asked for: its own writes' echoes
+        dirty the key too)."""
         self._processing.discard(key)
         self._pending.discard(key)
         if key in self._dirty:
@@ -187,6 +204,18 @@ class Controller:
     :meth:`filter` runs inside the etcd commit that delivers the event
     (see :class:`Informer`): it may update memory and enqueue keys, and
     must not write.
+
+    A pass is queued only when it can act. :meth:`would_act` is the one
+    predicate, consulted by the work queue at every enqueue (filter's,
+    and any ``queue.add`` a subclass makes) and again when a key dirtied
+    mid-pass would re-enter: would a pass for this key, started now, write,
+    wait or change memory? It runs inside commits, so it reads only what
+    the commits keep current (the informer cache, the controller's own
+    memory) and never the apiserver. It must answer ``False`` only for a
+    pass that would surely do nothing; any later change the pass would
+    act on arrives as a commit that asks again. While the controller is
+    stopped, while the apiserver is down (a pass would fail) and while
+    chaos adds request latency (a pass would wait), every key is queued.
 
     Subclasses implement :meth:`reconcile` as a simulation generator; it may
     yield events (timeouts, API waits). Raising inside reconcile requeues
@@ -209,7 +238,8 @@ class Controller:
         self.name = name or type(self).__name__
         self.informer = Informer(env, api, self.kind)
         self.informer.add_handler(self._on_event)
-        self.queue = WorkQueue(env)
+        self.queue = WorkQueue(env, self._wanted)
+        self._running = False
         self._failures: Dict[str, int] = {}
         #: shared per-key decorrelated-jitter policy (seeded per controller
         #: name; str seeding is stable across runs, keeping simulations
@@ -218,6 +248,8 @@ class Controller:
             self.name, self.retry_delay, self.max_retry_delay
         )
         self._procs: list = []
+        #: watches a subclass opens in ``start()``; ``stop()`` closes them.
+        self._watches: list = []
         self.reconcile_errors: List[Tuple[float, str, str]] = []
         self.reconciles_total = 0
         self.first_reconcile_at: Optional[float] = None
@@ -231,6 +263,7 @@ class Controller:
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "Controller":
         """Start the informer and worker processes."""
+        self._running = True
         self.informer.start()
         for i in range(self.workers):
             self._procs.append(
@@ -241,14 +274,18 @@ class Controller:
         return self
 
     def stop(self) -> None:
-        """Stop informer and workers (with their in-flight reconciles),
-        and forget any outage still to be resynced."""
+        """Stop informer, watches and workers (with their in-flight
+        reconciles), and forget any outage still to be resynced."""
+        self._running = False
         if self._on_lease_event in self.api.lease_hooks:
             self.api.lease_hooks.remove(self._on_lease_event)
         if self._resync_proc is not None:
             self._resync_proc.kill()
             self._resync_proc = None
         self.informer.stop()
+        for watch in self._watches:
+            watch.close()
+        self._watches = []
         for proc in self._procs:
             # Killing a worker closes its in-flight reconcile with it.
             if proc.is_alive:
@@ -272,9 +309,27 @@ class Controller:
         if self.filter(etype, obj):
             self.queue.add(obj.metadata.key)
 
+    def _wanted(self, key: str) -> bool:
+        api = self.api
+        return (
+            not self._running
+            or not api.available
+            or api.extra_latency > 0
+            or self.would_act(key)
+        )
+
     # -- extension points ------------------------------------------------------
     def filter(self, etype: WatchEventType, obj: Any) -> bool:
-        """Whether this event should trigger a reconcile (default: all)."""
+        """Whether this event concerns the controller (default: all).
+
+        ``True`` offers the object's key to the work queue, which still
+        queues it only if :meth:`would_act` holds: filter says which
+        events matter, the predicate whether a pass would act now."""
+        return True
+
+    def would_act(self, key: str) -> bool:
+        """Would a pass for *key*, started now, do anything (default:
+        always)? See the class docstring for the contract."""
         return True
 
     def reconcile(self, key: str) -> Generator:

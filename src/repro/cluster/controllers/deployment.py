@@ -59,14 +59,12 @@ class DeploymentController(Controller):
         api.register_crd("Deployment")
         api.register_crd("ReplicaSet")
         super().__init__(env, api)
-        self._rs_watch = None
 
     def start(self) -> "DeploymentController":
         super().start()
-        if self._rs_watch is None:
-            self._rs_watch = self.api.watch(
-                "ReplicaSet", replay=True, deliver=self._on_replicaset
-            )
+        self._watches.append(
+            self.api.watch("ReplicaSet", replay=True, deliver=self._on_replicaset)
+        )
         return self
 
     def _on_replicaset(self, raw) -> None:

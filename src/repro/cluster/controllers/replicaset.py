@@ -65,13 +65,11 @@ class ReplicaSetController(Controller):
         super().__init__(env, api)
         self._pod_factory = pod_factory or self._native_pod
         self._counter = 0
-        # Changes to owned pods must retrigger the owning ReplicaSet.
-        self._pod_watch = None
 
     def start(self) -> "ReplicaSetController":
         super().start()
-        if self._pod_watch is None:
-            self._pod_watch = self.api.watch("Pod", replay=True, deliver=self._on_pod)
+        # Changes to owned pods must retrigger the owning ReplicaSet.
+        self._watches.append(self.api.watch("Pod", replay=True, deliver=self._on_pod))
         return self
 
     def _on_pod(self, raw) -> None:

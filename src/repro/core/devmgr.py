@@ -103,6 +103,9 @@ class KubeShareDevMgr(Controller):
         self._bound: Dict[str, str] = {}
         #: sharePod keys whose real pod has been created.
         self._pod_created: set[str] = set()
+        #: pod key -> phase, as the Pod watch last delivered it (placeholders
+        #: included): what :meth:`would_act` reads instead of the apiserver.
+        self._pod_phase: Dict[str, PodPhase] = {}
         #: timing records for the Figure 10 experiment.
         self.timings: Dict[str, Dict[str, float]] = {}
         self.vgpus_created_total = 0
@@ -116,7 +119,6 @@ class KubeShareDevMgr(Controller):
         #: sharePod key -> armed drain-deadline timer process.
         self._drain_timers: Dict[str, object] = {}
         self._aux_procs: list = []
-        self._watches: list = []
         #: nodes whose teardown waits for the apiserver to heal.
         self._node_retries: set[str] = set()
         #: gpuids whose teardown began (counted once if it is retried).
@@ -125,18 +127,16 @@ class KubeShareDevMgr(Controller):
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> "KubeShareDevMgr":
         super().start()
-        self._watches = [self.api.watch("Pod", replay=True, deliver=self._on_pod)]
+        self._watches.append(self.api.watch("Pod", replay=True, deliver=self._on_pod))
         self._aux_procs = [
             self.env.process(self._watch_nodes(), name="devmgr:node-watch"),
         ]
         return self
 
     def stop(self) -> None:
-        """Stop everything, including the auxiliary pod/node watchers."""
+        """Stop everything, including the auxiliary node watcher."""
         super().stop()
-        for watch in self._watches:
-            watch.close()
-        self._watches = []
+        self._pod_phase = {}  # the replay on the next start() refills it
         for proc in self._aux_procs:
             if proc.is_alive:
                 proc.kill()
@@ -194,11 +194,15 @@ class KubeShareDevMgr(Controller):
                 self.env.process(self._ttl_watch(vgpu, vgpu.idle_since))
 
     def _on_pod(self, raw) -> None:
-        """A Pod commit (a watch callback): requeue the SharePods of a
-        placeholder's vGPU, or a real pod's owner."""
-        _etype, pod = translate_event(raw)
+        """A Pod commit (a watch callback): record its phase, then requeue
+        the SharePods of a placeholder's vGPU, or a real pod's owner."""
+        etype, pod = translate_event(raw)
         if pod is None:
             return
+        if etype is WatchEventType.DELETE:
+            self._pod_phase.pop(pod.metadata.key, None)
+        else:
+            self._pod_phase[pod.metadata.key] = pod.status.phase
         if pod.name.startswith(PLACEHOLDER_PREFIX):
             vgpu = self.pool.by_placeholder(pod.name)
             if vgpu is not None:
@@ -256,8 +260,43 @@ class KubeShareDevMgr(Controller):
         self._node_changed(name, self.api.get("Node", name, namespace=""))
 
     # -- event routing ----------------------------------------------------------
-    def filter(self, etype: WatchEventType, obj: SharePod) -> bool:
-        return True  # deletions matter too (detach)
+    def would_act(self, key: str) -> bool:
+        """Would a pass for *key* do anything now? :meth:`reconcile`'s own
+        steps in its order, read from the informer cache, this instance's
+        memory and the Pod phases its Pod watch keeps: ``False`` exactly
+        where the pass would return having written, waited and changed
+        nothing. A pod the watch has not delivered counts as a change."""
+        sp = self.informer.cache.get(key)
+        if sp is None:
+            return True  # deleted: delete the real pod, detach
+        gpuid = sp.spec.gpu_id
+        if gpuid is None:
+            return False  # waiting for KubeShare-Sched
+        if sp.status.phase in _TERMINAL:
+            return key in self._bound  # detach, once
+        if sp.metadata.annotations:
+            return True  # a drain may be due
+        timing = self.timings.get(key)
+        vgpu = self.pool.get(gpuid)
+        if (
+            timing is None
+            or "sharepod_created" not in timing
+            or vgpu is None
+            or key not in vgpu.attached
+            or self._bound.get(key) != gpuid
+        ):
+            return True  # record the timing, create or attach the vGPU
+        if not vgpu.materialized:
+            # Only a Running or Failed placeholder, or none, moves it on.
+            phase = self._pod_phase.get(f"default/{vgpu.placeholder_pod}")
+            return phase is None or phase in (PodPhase.RUNNING, PodPhase.FAILED)
+        if (
+            vgpu.phase is not VGPUPhase.ACTIVE
+            or vgpu.idle_since is not None
+            or key not in self._pod_created
+        ):
+            return True  # activate the vGPU, create the real pod
+        return self._pod_phase.get(key) is not sp.status.phase  # mirror
 
     # -- reconcile -----------------------------------------------------------------
     def reconcile(self, key: str) -> Generator:

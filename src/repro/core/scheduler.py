@@ -418,6 +418,11 @@ class KubeShareSched(Controller):
             self.queue.add(waiting)
         return False
 
+    def would_act(self, key: str) -> bool:
+        """A pass acts only on a cached sharePod still waiting for a
+        GPUID: for any other key it returns at its first check."""
+        return key in self._waiting
+
     # -- reconcile --------------------------------------------------------------
     def reconcile(self, key: str) -> Generator:  # hot-path
         pass_start = self.env.now  # virtual pass latency (repro_algo1_pass_seconds)

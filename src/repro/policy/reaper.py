@@ -21,7 +21,8 @@ through :func:`repro.policy.revocation.safe_delete`, so racing the
 kubelet, DevMgr, or a preemptor is harmless. The reaper holds no state a
 replica could not rebuild (the orphan grace tracking is re-derived one
 sweep after failover), which makes it HA-group-compatible:
-``rebuild_state`` just clears the derived bookkeeping.
+``rebuild_state`` just clears the derived bookkeeping. It watches
+nothing and runs no worker: the sweep relists what it needs.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..cluster.apiserver import ServiceUnavailable, UnknownKind
-from ..cluster.controller import Controller
-from ..cluster.etcd import WatchEventType
 from ..core.vgpu import PLACEHOLDER_PREFIX, placeholder_gpuid
 from ..obs import runtime as obs
 from .objects import ANN_TTL
@@ -57,13 +56,10 @@ class ReaperConfig:
     sweep_interval: float = 1.0
 
 
-class LifetimeReaper(Controller):
-    """Periodic sweeper built on the controller chassis (for HA groups,
-    chaos CONTROLLER_CRASH targeting, and the shared stop/start plumbing);
-    its informer watches SharePods but reconciles are no-ops — all work
-    happens in the sweep process."""
-
-    kind = "SharePod"
+class LifetimeReaper:
+    """Periodic sweeper with a controller's lifecycle (``start``, ``stop``,
+    ``rebuild_state``), so it runs in an HA group and chaos
+    CONTROLLER_* faults target it; its one process is the sweep."""
 
     def __init__(
         self,
@@ -72,32 +68,30 @@ class LifetimeReaper(Controller):
         config: Optional[ReaperConfig] = None,
         name: str = "reaper",
     ) -> None:
-        super().__init__(env, api, name=name)
+        self.env = env
+        self.api = api
+        self.name = name
         self.config = config or ReaperConfig()
         self.reaped_total = 0
         self.orphans_reaped_total = 0
         #: gpuid -> first sweep time it was seen unreferenced.
         self._orphan_since: Dict[str, float] = {}
+        self._sweep_proc = None
 
     # -- HA hooks ----------------------------------------------------------
     def rebuild_state(self) -> None:
         """Orphan grace tracking is derived; a fresh leader re-observes."""
         self._orphan_since = {}
 
-    # -- controller chassis ------------------------------------------------
-    def filter(self, etype: WatchEventType, obj: Any) -> bool:
-        return False  # purely periodic; nothing event-driven to do
-
-    def reconcile(self, key: str) -> Generator:
-        return
-        yield  # pragma: no cover - generator by contract
-
+    # -- lifecycle ---------------------------------------------------------
     def start(self) -> "LifetimeReaper":
-        super().start()
-        self._procs.append(
-            self.env.process(self._sweeper(), name=f"{self.name}:sweep")
-        )
+        self._sweep_proc = self.env.process(self._sweeper(), name=f"{self.name}:sweep")
         return self
+
+    def stop(self) -> None:
+        if self._sweep_proc is not None:
+            self._sweep_proc.kill()
+            self._sweep_proc = None
 
     # -- the sweep ---------------------------------------------------------
     def _sweeper(self) -> Generator:

@@ -23,7 +23,12 @@ class Process(Event):
     exception unless defused).
 
     Other processes can wait for it (``yield proc``) or interrupt it
-    (:meth:`interrupt`).
+    (:meth:`interrupt`). An exit nobody waits for is not an event: a
+    process that returns or is killed with no callback attached is marked
+    processed at once instead of being scheduled, so a later ``yield
+    proc``, ``run(until=proc)`` or :class:`AllOf` sees it done and takes
+    its value without waiting. A failure is always scheduled, so one that
+    nothing defuses still stops :meth:`Environment.run`.
     """
 
     __slots__ = ("_generator", "_target", "name")
@@ -86,9 +91,17 @@ class Process(Event):
         self._detach_from_target()
         self._target = None
         self._generator.close()
+        self._exit(None)
+
+    def _exit(self, value: Any) -> None:
+        """Succeed with *value*: dispatched to the waiters, if any; with
+        none, processed now (an exit nobody awaits is not an event)."""
         self._ok = True
-        self._value = None
-        self.env.schedule(self)
+        self._value = value
+        if self.callbacks:
+            self.env.schedule(self)
+        else:
+            self.callbacks = None
 
     def _detach_from_target(self) -> None:
         """Unsubscribe from the event we were waiting for, so that its
@@ -127,9 +140,7 @@ class Process(Event):
                         next_event = self._generator.throw(RuntimeError(exc))
             except StopIteration as stop:
                 self._target = None
-                self._ok = True
-                self._value = stop.value
-                env.schedule(self)
+                self._exit(stop.value)
                 break
             except BaseException as err:
                 self._target = None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.apiserver import APIServer
 from repro.cluster.controllers import (
     Deployment,
     DeploymentController,
@@ -12,6 +13,7 @@ from repro.cluster.objects import (
     ContainerSpec,
     LabelSelector,
     ObjectMeta,
+    Pod,
     PodPhase,
     PodSpec,
 )
@@ -97,3 +99,27 @@ class TestDeployment:
         env.run(until=20)
         assert stack.api.list("ReplicaSet") == []
         assert live_pods(stack, "web") == []
+
+
+class TestStop:
+    """``stop()`` closes the owner watches with the informers, and
+    ``start()`` subscribes each once again."""
+
+    PREFIXES = ("/registry/Pod/", "/registry/ReplicaSet/", "/registry/Deployment/")
+
+    def test_stopped_controllers_leave_no_subscriber(self, env):
+        api = APIServer(env)
+        rs = ReplicaSetController(env, api).start()
+        deploy = DeploymentController(env, api).start()
+        # Pods: the ReplicaSet owner watch. ReplicaSets: the ReplicaSet
+        # informer and the Deployment owner watch. Deployments: its informer.
+        assert [len(api.etcd.watchers(p)) for p in self.PREFIXES] == [1, 2, 1]
+        rs.stop()
+        deploy.stop()
+        assert [api.etcd.watchers(p) for p in self.PREFIXES] == [[], [], []]
+        owned = Pod(metadata=ObjectMeta(name="p", owner_references=["default/web"]))
+        api.create(owned)
+        assert len(rs.queue) == 0 and len(deploy.queue) == 0
+        rs.start()
+        deploy.start()
+        assert [len(api.etcd.watchers(p)) for p in self.PREFIXES] == [1, 2, 1]

@@ -13,7 +13,9 @@ each event inside the commit (``watch(..., deliver=fn)``). The contract:
   not retried as the writer's reconcile error;
 * a restarted informer dispatches the DELETEs it prunes before the PUTs
   it replays;
-* a started cluster and KubeShare run no watch process.
+* a started cluster and KubeShare run no watch process;
+* the policy layer's lifetime reaper, a periodic sweep, subscribes to
+  nothing and parks no worker.
 """
 
 import pytest
@@ -29,6 +31,7 @@ from repro.cluster.objects import ObjectMeta, Pod, PodPhase, PodSpec
 from repro.cluster.scheduler import KubeScheduler
 from repro.core import KubeShare
 from repro.core.devmgr import KubeShareDevMgr
+from repro.policy import PolicyConfig, ReaperConfig
 from repro.sim import Environment, Process
 from repro.sim.environment import set_profile_hook
 
@@ -267,3 +270,25 @@ def test_started_cluster_and_kubeshare_run_no_watch_process():
     # What is left of the watch path: DevMgr's Node watch, whose vGPU
     # teardown writes.
     assert "devmgr:node-watch" in names
+
+
+def test_the_reaper_watches_nothing_and_parks_no_worker():
+    def started(policy):
+        env = Environment()
+        cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=1)).start()
+        ks = KubeShare(cluster, contention=policy).start()
+        return env, cluster, ks
+
+    _, bare, _ = started(PolicyConfig())
+    recorder = ProcessNames()
+    set_profile_hook(recorder)
+    try:
+        env, cluster, ks = started(PolicyConfig(reaper=ReaperConfig(sweep_interval=0.5)))
+        env.run(until=2.0)
+    finally:
+        set_profile_hook(None)
+    assert ks.policy_layer.reaper is not None
+    prefix = "/registry/SharePod/"
+    assert len(cluster.api.etcd.watchers(prefix)) == len(bare.api.etcd.watchers(prefix))
+    reaper = sorted(n for n in recorder.resumed if n.startswith("reaper:"))
+    assert reaper == ["reaper:sweep"]

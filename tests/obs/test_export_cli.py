@@ -111,12 +111,12 @@ class TestExportRoundTrip:
 
     def test_cli_explain_timeline_lists_devmgr_pod_create(self, capsys):
         """DevMgr creates the pod inside its reconcile pass, so the write
-        carries the SharePod's trace id and joins its journey. Its informer
-        enqueues inside each commit, so two events for the key in one
-        instant coalesce into one pass (148 spans, not 149)."""
+        carries the SharePod's trace id and joins its journey. Its work
+        queue takes the key only for a pass that can act, so the no-op
+        passes on the SharePod's echoes are not run (145 spans, not 148)."""
         assert cli_main(["explain", "burst3"]) == 0
         timeline = capsys.readouterr().out.split("— Timeline", 1)[1]
-        assert timeline.startswith(" (148 spans)")
+        assert timeline.startswith(" (145 spans)")
         assert "43.942s · apiserver                create Pod" in timeline
 
 

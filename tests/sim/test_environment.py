@@ -171,6 +171,52 @@ class TestProcessSemantics:
         assert env.active_process is None
 
 
+class TestExitWithoutWaiter:
+    """An exit nobody awaits is not an event: the process is processed at
+    once, and a failure is still dispatched so that it stops the run."""
+
+    def test_same_instant_yield_after_the_exit_gets_the_value_at_once(self, env):
+        def child(env):
+            yield env.timeout(1)
+            return 7
+
+        c = env.process(child(env))
+
+        def late(env):
+            yield env.timeout(1)  # dispatched after the child's own timeout
+            assert not c.is_alive and c.processed
+            before = env.events_processed
+            value = yield c
+            return value, env.now, env.events_processed - before
+
+        p = env.process(late(env))
+        env.run()
+        assert p.value == (7, 1.0, 0)
+        assert env.run(until=c) == 7
+
+    def test_a_failure_with_no_waiter_still_stops_the_run(self, env):
+        def bad(env):
+            yield env.timeout(1)
+            raise KeyError("oops")
+
+        p = env.process(bad(env))
+        with pytest.raises(KeyError):
+            env.run()
+        assert env.now == 1.0 and not p.ok
+
+    def test_a_killed_process_with_no_waiter_costs_no_event(self, env):
+        def sleeper(env):
+            yield env.timeout(10)
+
+        p = env.process(sleeper(env))
+        env.run(until=1)
+        before = env.events_processed
+        p.kill()
+        assert p.processed and p.value is None
+        env.run(until=2)
+        assert env.events_processed - before == 1  # the stop marker alone
+
+
 class TestDeterminism:
     def test_fifo_order_for_simultaneous_events(self, env):
         order = []

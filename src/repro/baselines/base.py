@@ -10,9 +10,9 @@ coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..cluster.cluster import Cluster, ClusterConfig
+from ..cluster.cluster import Cluster, ClusterConfig, wait_for
 from ..cluster.objects import PodPhase
 from ..sim import Environment
 from ..workloads.jobs import JobStats
@@ -106,23 +106,21 @@ class SharingSystem:
         obj = self.api.get(handle.kind, handle.name, handle.namespace)
         return obj.status.phase if obj is not None else None
 
-    def wait_all(
-        self, handles: Optional[Sequence[JobHandle]] = None, poll: float = 0.5
-    ) -> Generator:
-        """Process helper: wait until every handle reached a terminal phase."""
-        pending = list(handles if handles is not None else self.handles)
-        while pending:
-            still = []
-            for h in pending:
-                phase = self.job_phase(h)
-                if phase is None or phase in _TERMINAL:
-                    if phase is PodPhase.FAILED:
-                        h.stats.failed = True
-                else:
-                    still.append(h)
-            pending = still
-            if pending:
-                yield self.env.timeout(poll)
+    def wait_all(self, handles: Optional[Sequence[JobHandle]] = None) -> Generator:
+        """Process helper: wait until every handle's object reached a
+        terminal phase or is gone (see :func:`~repro.cluster.cluster.wait_for`);
+        a handle whose object settled Failed is marked ``stats.failed``."""
+        groups: Dict[Tuple[str, str], List[JobHandle]] = {}
+        for h in handles if handles is not None else self.handles:
+            groups.setdefault((h.kind, h.namespace), []).append(h)
+        for (kind, namespace), group in groups.items():
+            settled = yield from wait_for(
+                self.api, kind, [h.name for h in group], _TERMINAL, namespace
+            )
+            for h in group:
+                obj = settled[h.name]
+                if obj is not None and obj.status.phase is PodPhase.FAILED:
+                    h.stats.failed = True
 
     def stats(self) -> List[JobStats]:
         return [h.stats for h in self.handles]

@@ -194,15 +194,13 @@ class APIServer:
         #: model their request round-trips explicitly.
         self.down_until = 0.0
         self.extra_latency = 0.0
-        self.outages_total = 0
         #: every outage so far as merged ``[start, end)`` windows.
         self.outages: List[List[float]] = []
         #: node name -> the lease its kubelet last armed.
         self.node_leases: Dict[str, NodeLease] = {}
         #: called with no arguments when a node lease starts or stops and
-        #: when an outage begins. Node lifecycle wakes on all three (they
-        #: move lease expiry); every controller arms its post-outage
-        #: resync on the last, told apart by ``outages_total``.
+        #: when an outage begins: each moves lease expiry, so node
+        #: lifecycle re-times its next wake on all three.
         self.lease_hooks: List[Callable[[], None]] = []
 
     # -- chaos -------------------------------------------------------------
@@ -210,7 +208,6 @@ class APIServer:
         """Begin (or extend) an outage window of *duration* seconds."""
         now = self.env.now
         self.down_until = max(self.down_until, now + duration)
-        self.outages_total += 1
         if self.outages and now < self.outages[-1][1]:
             self.outages[-1][1] = self.down_until
         else:

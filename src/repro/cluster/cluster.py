@@ -8,15 +8,15 @@ for 32 GPUs total (§5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Sequence
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from ..gpu.backend import TokenBackend
 from ..gpu.swap import SwapManager
 from ..gpu.device import GPUDevice, V100_MEMORY
 from ..sim import Environment
-from .apiserver import APIServer
+from .apiserver import APIServer, translate_event
 from .deviceplugin import DeviceManager, NvidiaDevicePlugin, ScalingFactorGPUPlugin
-from .etcd import Etcd
+from .etcd import Etcd, WatchEventType
 from .kubelet import Kubelet
 from .leaderelection import HAControllerGroup
 from .nodelifecycle import NodeLifecycleController
@@ -24,9 +24,63 @@ from .objects import Pod, PodPhase
 from .runtime import ContainerRuntime, RuntimeLatency
 from .scheduler import KubeScheduler
 
-__all__ = ["ClusterConfig", "WorkerNode", "Cluster", "wait_for_phase", "wait_all_terminal"]
+__all__ = ["ClusterConfig", "WorkerNode", "Cluster", "wait_for", "wait_for_phase", "wait_all_terminal"]
 
 _TERMINAL = (PodPhase.SUCCEEDED, PodPhase.FAILED)
+
+
+def wait_for(
+    api: APIServer,
+    kind: str,
+    names: Sequence[str],
+    phases: Sequence[PodPhase],
+    namespace: str = "default",
+) -> Generator:
+    """Process helper: wait until each named *kind* object is in one of
+    *phases* or gone; returns ``{name: the object as it settled, or None}``.
+
+    A name already settled (or absent) settles at once, read from etcd, and
+    if every name does the helper returns without yielding. The rest settle
+    inside the commit that puts them in a target phase or deletes them,
+    heard by a watch that the helper closes on return; the waiter resumes
+    in that instant. No read goes through the apiserver's outage gate, so
+    an outage cannot fail a wait.
+    """
+    stored = {
+        kv.value.metadata.name: kv.value
+        for kv in api.etcd.snapshot(f"/registry/{kind}/{namespace}/")
+    }
+    settled: Dict[str, Any] = {}
+    for name in names:
+        obj = stored.get(name)
+        if obj is None or obj.status.phase in phases:
+            settled[name] = obj
+    pending = set(names) - settled.keys()
+    if not pending:
+        return settled
+    done = api.env.event()
+
+    def settle(raw) -> None:
+        etype, obj = translate_event(raw)
+        name = obj.metadata.name
+        if name not in pending:
+            return
+        if etype is WatchEventType.DELETE:
+            settled[name] = None
+        elif obj.status.phase in phases:
+            settled[name] = obj
+        else:
+            return
+        pending.discard(name)
+        if not pending:
+            done.succeed()
+
+    watch = api.watch(kind, namespace, deliver=settle)
+    try:
+        yield done
+    finally:
+        watch.close()
+    return settled
 
 
 def wait_for_phase(
@@ -35,34 +89,19 @@ def wait_for_phase(
     name: str,
     phases: Sequence[PodPhase],
     namespace: str = "default",
-    poll: float = 0.05,
 ) -> Generator:
-    """Process helper: poll every *poll* seconds until the named *kind*
-    object reaches one of *phases*; returns it, or ``None`` once it is gone."""
-    while True:
-        obj = api.get(kind, name, namespace)
-        if obj is None or obj.status.phase in phases:
-            return obj
-        yield api.env.timeout(poll)
+    """Process helper: wait until the named *kind* object reaches one of
+    *phases* (see :func:`wait_for`); returns it, or ``None`` once it is gone."""
+    settled = yield from wait_for(api, kind, [name], phases, namespace)
+    return settled[name]
 
 
 def wait_all_terminal(
-    api: APIServer,
-    kind: str,
-    names: Sequence[str],
-    namespace: str = "default",
-    poll: float = 0.25,
+    api: APIServer, kind: str, names: Sequence[str], namespace: str = "default"
 ) -> Generator:
-    """Process helper: poll every *poll* seconds until every named *kind*
-    object finished (or is gone)."""
-    pending = set(names)
-    while pending:
-        for name in sorted(pending):
-            obj = api.get(kind, name, namespace)
-            if obj is None or obj.status.phase in _TERMINAL:
-                pending.discard(name)
-        if pending:
-            yield api.env.timeout(poll)
+    """Process helper: wait until every named *kind* object finished (or is
+    gone); returns :func:`wait_for`'s ``{name: object or None}``."""
+    return (yield from wait_for(api, kind, names, _TERMINAL, namespace))
 
 
 @dataclass
@@ -279,20 +318,16 @@ class Cluster:
         return self.api.create(pod)
 
     def wait_for_phase(
-        self,
-        name: str,
-        phases: Sequence[PodPhase],
-        namespace: str = "default",
-        poll: float = 0.05,
+        self, name: str, phases: Sequence[PodPhase], namespace: str = "default"
     ) -> Generator:
         """Process helper: wait until the named pod reaches one of *phases*.
 
         Returns the pod (or ``None`` if it was deleted).
         """
-        return wait_for_phase(self.api, "Pod", name, phases, namespace, poll)
+        return wait_for_phase(self.api, "Pod", name, phases, namespace)
 
     def wait_all_terminal(
-        self, names: Sequence[str], namespace: str = "default", poll: float = 0.25
+        self, names: Sequence[str], namespace: str = "default"
     ) -> Generator:
         """Process helper: wait until every named pod finished (or is gone)."""
-        return wait_all_terminal(self.api, "Pod", names, namespace, poll)
+        return wait_all_terminal(self.api, "Pod", names, namespace)

@@ -8,12 +8,11 @@ framework, following the *operator pattern* the paper adopts (§4.6).
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..obs import runtime as obs
-from ..sim import Environment, Process, Store
-from .apiserver import APIServer, ServiceUnavailable, translate_event
+from ..sim import Environment, Store
+from .apiserver import APIServer, translate_event
 from .etcd import WatchEventType
 
 __all__ = ["Informer", "WorkQueue", "Controller"]
@@ -35,8 +34,9 @@ class Informer:
     Each etcd commit of the kind reaches the cache and the handlers inside
     the commit (a watch callback, no process): handlers update memory and
     enqueue keys, and must not write. An apiserver outage gates requests,
-    not deliveries, so a running watch never breaks: the informer
-    re-attaches only when restarted (see :meth:`start`).
+    not deliveries, so a running watch never breaks and the cache of a
+    running informer always equals the store: nothing relists it. Only a
+    stopped informer misses commits, and :meth:`start` makes up for them.
     """
 
     def __init__(self, env: Environment, api: APIServer, kind: str) -> None:
@@ -51,13 +51,16 @@ class Informer:
         self._handlers.append(handler)
 
     def start(self) -> "Informer":
-        """List+watch: the current objects are dispatched now, as PUTs."""
+        """List+watch: the current objects are dispatched now, as PUTs.
+
+        A restart (failover, pause/resume) first dispatches a DELETE for
+        each cached key the store lost while the informer was stopped, so
+        the handlers hear every change the closed watch missed. Both
+        reads go to etcd past the apiserver's outage gate, as a live
+        watch's deliveries do, so a restart inside an outage is as exact
+        as any other."""
         if self._watch is None:
             if self.cache:
-                # Relist on restart (failover, pause/resume): the replay
-                # re-PUTs every object that still exists, but deletions
-                # that happened while we were not watching would
-                # otherwise linger in the cache forever.
                 self._prune_vanished()
             self._watch = self.api.watch(self.kind, replay=True, deliver=self._deliver)
         return self
@@ -83,42 +86,14 @@ class Informer:
 
     def _prune_vanished(self) -> None:
         """Drop (and dispatch DELETE for) cached keys the store lost."""
-        try:
-            current = {obj.metadata.key for obj in self.api.list(self.kind)}
-        except ServiceUnavailable:
-            return  # outage: the post-outage resync will reconcile us
+        current = {
+            kv.value.metadata.key
+            for kv in self.api.etcd.snapshot(f"/registry/{self.kind}/")
+        }
         for key in [k for k in self.cache if k not in current]:
             obj = self.cache.pop(key)
             for handler in self._handlers:
                 handler(WatchEventType.DELETE, obj)
-
-    def resync(self) -> None:
-        """Reconcile the cache against a full relist, dispatching synthetic
-        events for every difference (missed deletes and missed/late puts).
-
-        The normal watch path cannot miss events — each commit is
-        delivered inside the write, and outages only gate request
-        processing — but a stopped informer (controller failover,
-        pause/resume) can; this is the recovery hook for that, and the
-        post-outage safety net.
-        """
-        try:
-            current = {obj.metadata.key: obj for obj in self.api.list(self.kind)}
-        except ServiceUnavailable:
-            return
-        for key in [k for k in self.cache if k not in current]:
-            obj = self.cache.pop(key)
-            for handler in self._handlers:
-                handler(WatchEventType.DELETE, obj)
-        for key, obj in current.items():
-            cached = self.cache.get(key)
-            if (
-                cached is None
-                or cached.metadata.resource_version != obj.metadata.resource_version
-            ):
-                self.cache[key] = obj
-                for handler in self._handlers:
-                    handler(WatchEventType.PUT, obj)
 
     # -- cache access ------------------------------------------------------
     def get(self, key: str) -> Optional[Any]:
@@ -217,6 +192,10 @@ class Controller:
     stopped, while the apiserver is down (a pass would fail) and while
     chaos adds request latency (a pass would wait), every key is queued.
 
+    The informer's watch is the only way a controller hears a change: no
+    timer relists, and an apiserver outage leaves nothing to catch up on
+    (see :class:`Informer`).
+
     Subclasses implement :meth:`reconcile` as a simulation generator; it may
     yield events (timeouts, API waits). Raising inside reconcile requeues
     the key after ``retry_delay`` (bounded exponential backoff), mirroring
@@ -254,11 +233,6 @@ class Controller:
         self.reconciles_total = 0
         self.first_reconcile_at: Optional[float] = None
         self.last_reconcile_at: Optional[float] = None
-        self.resyncs_total = 0
-        #: ``api.outages_total`` when last looked at, and the process
-        #: waiting out the current outage to resync (None when idle).
-        self._outages_seen = 0
-        self._resync_proc: Optional[Process] = None
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "Controller":
@@ -269,19 +243,12 @@ class Controller:
             self._procs.append(
                 self.env.process(self._worker(), name=f"{self.name}:worker{i}")
             )
-        self._outages_seen = self.api.outages_total
-        self.api.lease_hooks.append(self._on_lease_event)
         return self
 
     def stop(self) -> None:
         """Stop informer, watches and workers (with their in-flight
-        reconciles), and forget any outage still to be resynced."""
+        reconciles)."""
         self._running = False
-        if self._on_lease_event in self.api.lease_hooks:
-            self.api.lease_hooks.remove(self._on_lease_event)
-        if self._resync_proc is not None:
-            self._resync_proc.kill()
-            self._resync_proc = None
         self.informer.stop()
         for watch in self._watches:
             watch.close()
@@ -294,11 +261,6 @@ class Controller:
         # In-flight keys would otherwise be stuck in `processing` forever
         # and silently swallow re-adds after a restart (pause/resume).
         self.queue.reset_in_flight()
-
-    def resync(self) -> None:
-        """Force an informer relist (see :meth:`Informer.resync`)."""
-        self.resyncs_total += 1
-        self.informer.resync()
 
     def _on_event(self, etype: WatchEventType, obj: Any) -> None:
         if etype is WatchEventType.DELETE:
@@ -336,27 +298,6 @@ class Controller:
         """Drive the object at *key* toward its desired state."""
         raise NotImplementedError
         yield  # pragma: no cover
-
-    # -- outage resync -----------------------------------------------------------
-    def _on_lease_event(self) -> None:
-        """Arm one resync when an outage begins; lease starts and stops
-        fire the same hook but move no outage counter."""
-        if self.api.outages_total == self._outages_seen:
-            return
-        self._outages_seen = self.api.outages_total
-        if self._resync_proc is None:
-            self._resync_proc = self.env.process(
-                self._resync_after_outage(), name=f"{self.name}:resync"
-            )
-
-    def _resync_after_outage(self) -> Generator:
-        """Resync once when the (possibly extended) outage window closes;
-        a permanent outage never closes."""
-        while not self.api.available and self.api.down_until < math.inf:
-            yield self.env.timeout(self.api.down_until - self.env.now)
-        self._resync_proc = None
-        if self.api.available:
-            self.resync()
 
     # -- worker loop -------------------------------------------------------------
     def _worker(self) -> Generator:

@@ -195,7 +195,10 @@ class KubeShareDevMgr(Controller):
 
     def _on_pod(self, raw) -> None:
         """A Pod commit (a watch callback): record its phase, then requeue
-        the SharePods of a placeholder's vGPU, or a real pod's owner."""
+        the SharePods of a placeholder's vGPU, or a real pod's owner. A
+        prewarmed vGPU (nothing attached, not materialized) reads its
+        device here, at its placeholder's Running commit; an attached one
+        materializes in its SharePods' pass."""
         etype, pod = translate_event(raw)
         if pod is None:
             return
@@ -206,6 +209,8 @@ class KubeShareDevMgr(Controller):
         if pod.name.startswith(PLACEHOLDER_PREFIX):
             vgpu = self.pool.by_placeholder(pod.name)
             if vgpu is not None:
+                if etype is WatchEventType.PUT and not (vgpu.attached or vgpu.materialized):
+                    self._read_device(vgpu, pod)
                 for key in sorted(vgpu.attached):
                     self.queue.add(key)
         else:
@@ -789,21 +794,13 @@ class KubeShareDevMgr(Controller):
     def prewarm(self, count: int) -> List[str]:
         """Pre-create *count* idle vGPUs (reservation mode bootstrap).
 
-        Returns the new GPUIDs; they materialize asynchronously as their
-        placeholder pods get scheduled.
+        Returns the new GPUIDs. Each materializes inside the commit that
+        turns its placeholder pod Running, where the Pod watch reads its
+        device (see :meth:`_on_pod`); no process waits for it.
         """
         gpuids: List[str] = []
         for _ in range(count):
             vgpu = self._new_vgpu(new_gpuid())
             vgpu.phase = VGPUPhase.IDLE
             gpuids.append(vgpu.gpuid)
-            self.env.process(self._materialize_poll(vgpu))
         return gpuids
-
-    def _materialize_poll(self, vgpu: VGPU) -> Generator:
-        """Background materialization for prewarmed vGPUs."""
-        while not vgpu.materialized and self.pool.get(vgpu.gpuid) is vgpu:
-            pod = self.api.get("Pod", vgpu.placeholder_pod)
-            if pod is not None and self._read_device(vgpu, pod):
-                return
-            yield self.env.timeout(0.2)

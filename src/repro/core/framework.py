@@ -207,15 +207,13 @@ class KubeShare:
 
     # -- process helpers -------------------------------------------------------
     def wait_for_phase(
-        self,
-        name: str,
-        phases: Sequence[PodPhase],
-        namespace: str = "default",
-        poll: float = 0.05,
+        self, name: str, phases: Sequence[PodPhase], namespace: str = "default"
     ) -> Generator:
-        return wait_for_phase(self.api, "SharePod", name, phases, namespace, poll)
+        """:func:`~repro.cluster.cluster.wait_for_phase` for a SharePod."""
+        return wait_for_phase(self.api, "SharePod", name, phases, namespace)
 
     def wait_all_terminal(
-        self, names: Sequence[str], namespace: str = "default", poll: float = 0.25
+        self, names: Sequence[str], namespace: str = "default"
     ) -> Generator:
-        return wait_all_terminal(self.api, "SharePod", names, namespace, poll)
+        """:func:`~repro.cluster.cluster.wait_all_terminal` for SharePods."""
+        return wait_all_terminal(self.api, "SharePod", names, namespace)

@@ -25,6 +25,7 @@ from typing import List, Sequence
 from ..baselines.base import GPURequirements
 from ..baselines.kubeshare_sys import KubeShareSystem
 from ..baselines.native import NativeKubernetes
+from ..cluster.cluster import wait_for
 from ..cluster.objects import PodPhase
 from ..core.policies import ReservationPolicy
 from ..metrics.reporting import ascii_table
@@ -34,6 +35,7 @@ __all__ = ["Fig10Point", "run", "main", "DEFAULT_CONCURRENCY"]
 
 DEFAULT_CONCURRENCY = (1, 2, 4, 8, 16, 32)
 _REQS = GPURequirements(request=0.9, limit=1.0, mem=0.5)
+_STARTED = (PodPhase.RUNNING, PodPhase.FAILED)
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,7 @@ def _measure_native(concurrency: int, nodes: int, gpus_per_node: int) -> float:
     submit_at = env.now
     for name in names:
         system.submit(name, _idle_workload, _REQS)
-    waits = [
-        env.process(cluster.wait_for_phase(n, [PodPhase.RUNNING, PodPhase.FAILED]))
-        for n in names
-    ]
-    env.run(until=env.all_of(waits))
+    env.run(until=env.process(wait_for(cluster.api, "Pod", names, _STARTED)))
     times = []
     for n in names:
         pod = cluster.api.get("Pod", n)
@@ -82,12 +80,11 @@ def _measure_kubeshare(
     system.start()
     ks = system.kubeshare
     if prewarm:
-        ks.devmgr.prewarm(concurrency)
-        # Let every prewarmed vGPU materialize before the measurement.
-        def settle():
-            while any(not v.materialized for v in ks.pool.list()):
-                yield env.timeout(0.5)
-        env.run(until=env.process(settle()))
+        gpuids = ks.devmgr.prewarm(concurrency)
+        # Measure from the instant the last prewarmed vGPU materialized:
+        # DevMgr reads each device at its placeholder's Running commit.
+        holders = [ks.pool.get(g).placeholder_pod for g in gpuids]
+        env.run(until=env.process(wait_for(cluster.api, "Pod", holders, [PodPhase.RUNNING])))
 
     names = [f"share-{i}" for i in range(concurrency)]
     submit_at = env.now
@@ -97,11 +94,7 @@ def _measure_kubeshare(
     # triggers a vGPU acquisition (placeholder pod launch).
     for name in names:
         system.submit(name, _idle_workload, _REQS)
-    waits = [
-        env.process(ks.wait_for_phase(n, [PodPhase.RUNNING, PodPhase.FAILED]))
-        for n in names
-    ]
-    env.run(until=env.all_of(waits))
+    env.run(until=env.process(wait_for(cluster.api, "SharePod", names, _STARTED)))
     times = []
     for n in names:
         sp = ks.get(n)

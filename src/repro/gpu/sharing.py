@@ -102,7 +102,6 @@ def elastic_shares(
         f_lo = allocated[idx - 1]
     # Between breakpoints, f is linear with slope = number of entries whose
     # clip is the identity (floors < L < caps).
-    active = (floors < hi - tol) & (caps > lo + tol) & (caps >= hi - tol)
     slope = np.count_nonzero((floors <= lo + tol) & (caps >= hi - tol))
     if slope == 0:
         level = hi

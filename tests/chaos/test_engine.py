@@ -246,7 +246,7 @@ class TestFaultEffects:
             cluster.api.list("Pod")
         env.run(until=4.0)
         cluster.api.list("Pod")  # back up, no raise
-        assert cluster.api.outages_total == 1
+        assert cluster.api.outages == [[1.0, 3.0]]
 
     def test_apiserver_latency_window_restores(self, env):
         cluster = build(env)

@@ -1,25 +1,25 @@
 """Informer convergence after outages and restarts.
 
 An informer's watch takes each etcd commit inside the write, and an
-apiserver outage gates request processing — writes fail, so there are
-no events to miss while the watch stays open. Events *can* be missed by
-a stopped informer (controller failover or pause/resume), which is what
-relist-on-reconnect (:meth:`Informer.start` pruning) and
-:meth:`Informer.resync` cover; as a
-safety net, a controller resyncs once per outage, armed by the
-apiserver's outage hook and run when the outage window closes.
-These are the regression tests for all three paths.
+apiserver outage gates request processing, not deliveries: writes fail,
+so there are no events to miss while the watch stays open, and a running
+informer's cache always equals the store. Events *can* be missed by a
+stopped informer (controller failover or pause/resume), and
+:meth:`Informer.start` makes up for them: it dispatches a DELETE for
+each cached key the store lost, then replays the current objects as
+PUTs. Both read etcd past the outage gate, so a restart inside an outage
+is as exact as any other. Nothing relists on a timer or after an outage,
+so an idle control plane costs no events. These are the regression
+tests for each of those properties.
 """
-
-import math
 
 import pytest
 
 from repro import Cluster, ClusterConfig, KubeShare
 from repro.cluster.apiserver import APIServer, ServiceUnavailable
-from repro.cluster.controller import Controller, Informer
+from repro.cluster.controller import Informer
 from repro.cluster.etcd import WatchEventType
-from repro.cluster.objects import ObjectMeta, Pod
+from repro.cluster.objects import ObjectMeta, Pod, PodPhase
 from repro.sim import Environment
 
 
@@ -41,20 +41,13 @@ def api_keys(api, kind="Pod"):
     return {obj.metadata.key for obj in api.list(kind)}
 
 
-class Noop(Controller):
-    """A controller that only records when it resyncs."""
+def store_keys(api, kind="Pod"):
+    """What etcd holds, read past the apiserver's outage gate."""
+    return {kv.value.metadata.key for kv in api.etcd.snapshot(f"/registry/{kind}/")}
 
-    def __init__(self, env, api):
-        super().__init__(env, api)
-        self.resynced_at = []
 
-    def reconcile(self, key):
-        return
-        yield
-
-    def resync(self):
-        self.resynced_at.append(self.env.now)
-        super().resync()
+def sleeper(ctx):
+    yield ctx.env.timeout(300.0)
 
 
 class TestLiveWatchDuringOutage:
@@ -78,63 +71,8 @@ class TestLiveWatchDuringOutage:
         env.run(until=4.0)
         assert cache_keys(informer) == api_keys(api) == {"default/after"}
 
-    def test_controller_resyncs_once_after_outage(self, env, api):
-        ctl = Noop(env, api).start()
-        env.run(until=1.0)
-        assert ctl.resyncs_total == 0
-        api.set_outage(1.0)
-        env.run(until=4.0)
-        assert ctl.resyncs_total == 1  # exactly one resync per outage
-        api.set_outage(0.5)
-        env.run(until=6.0)
-        assert ctl.resyncs_total == 2
-        assert ctl.resynced_at == [2.0, 4.5]  # as each window closes
 
-
-class TestOutageResync:
-    def test_extended_outage_resyncs_once_when_the_merged_window_closes(self, env, api):
-        ctl = Noop(env, api).start()
-        env.run(until=1.0)
-        api.set_outage(2.0)  # down until t=3
-        env.run(until=2.0)
-        api.set_outage(2.25)  # still down: the window grows to t=4.25
-        env.run(until=10.0)
-        assert ctl.resynced_at == [4.25]
-
-    def test_permanent_outage_never_resyncs(self, env, api):
-        """The federation's dead-cluster form: ``down_until`` is inf, so no
-        timer may be armed at it (it would never fire, and a bare
-        ``env.run()`` would move the clock to inf to pop it)."""
-        dead = Noop(env, api).start()
-        api2 = APIServer(env)
-        dying = Noop(env, api2).start()
-        env.run(until=1.0)
-        api.set_outage(math.inf)
-        api2.set_outage(1.0)
-        env.run(until=1.5)
-        api2.set_outage(math.inf)  # turns permanent while a resync waits on it
-        env.run(until=100.0)
-        assert dead.resynced_at == dying.resynced_at == []
-        assert dead._resync_proc is dying._resync_proc is None
-
-    def test_stop_mid_outage_cancels_the_resync_and_unhooks(self, env, api):
-        hooks = len(api.lease_hooks)
-        ctl = Noop(env, api).start()
-        assert len(api.lease_hooks) == hooks + 1
-        env.run(until=1.0)
-        api.set_outage(2.0)
-        env.run(until=2.0)
-        ctl.stop()
-        ctl.stop()  # idempotent: a paused HA replica that crashes stops twice
-        assert len(api.lease_hooks) == hooks
-        env.run(until=5.0)
-        assert ctl.resynced_at == []
-
-        ctl.start()
-        api.set_outage(1.0)
-        env.run(until=8.0)
-        assert ctl.resynced_at == [6.0]
-
+class TestIdleControlPlane:
     def test_idle_control_plane_dispatches_only_the_stop_marker(self):
         env = Environment()
         cluster = Cluster(env, ClusterConfig(nodes=4, gpus_per_node=2)).start()
@@ -175,36 +113,56 @@ class TestStoppedInformer:
         }
         assert deletes == ["default/doomed"]  # synthetic DELETE dispatched
 
-    def test_resync_reconciles_every_difference(self, env, api):
+    def test_restart_inside_an_outage_prunes_before_the_replay(self, env, api):
         informer = Informer(env, api, "Pod")
         events = []
         informer.add_handler(lambda et, obj: events.append((et, obj.metadata.key)))
         informer.start()
-        api.create(Pod(metadata=ObjectMeta(name="stays")))
-        api.create(Pod(metadata=ObjectMeta(name="goes")))
-        api.create(Pod(metadata=ObjectMeta(name="changes")))
+        api.create(Pod(metadata=ObjectMeta(name="keep")))
+        api.create(Pod(metadata=ObjectMeta(name="doomed")))
         env.run(until=1.0)
 
         informer.stop()
-        api.delete("Pod", "goes")
-        api.patch("Pod", "changes", lambda p: p.metadata.labels.update(v="2"))
-        api.create(Pod(metadata=ObjectMeta(name="appears")))
+        api.delete("Pod", "doomed")
+        api.create(Pod(metadata=ObjectMeta(name="new")))
+        api.set_outage(5.0)
         events.clear()
 
-        informer.resync()
-        assert cache_keys(informer) == api_keys(api)
-        assert informer.get("default/changes").metadata.labels == {"v": "2"}
-        assert (WatchEventType.DELETE, "default/goes") in events
-        assert (WatchEventType.PUT, "default/appears") in events
-        assert (WatchEventType.PUT, "default/changes") in events
-        # Unchanged objects dispatch nothing (no reconcile storms).
-        assert (WatchEventType.PUT, "default/stays") not in events
+        informer.start()  # inside the outage: requests fail, etcd still answers
+        assert events == [
+            (WatchEventType.DELETE, "default/doomed"),
+            (WatchEventType.PUT, "default/keep"),
+            (WatchEventType.PUT, "default/new"),
+        ]
+        assert cache_keys(informer) == store_keys(api) == {"default/keep", "default/new"}
 
-    def test_resync_during_outage_is_a_safe_noop(self, env, api):
-        informer = Informer(env, api, "Pod")
-        informer.start()
-        api.create(Pod(metadata=ObjectMeta(name="p")))
-        env.run(until=1.0)
-        api.set_outage(5.0)
-        informer.resync()  # must not raise, must not wipe the cache
-        assert cache_keys(informer) == {"default/p"}
+
+class TestControllerResumedInsideOutage:
+    def test_devmgr_releases_a_sharepod_deleted_while_it_was_paused(self, env):
+        """The DevMgr leader is paused, a SharePod is deleted, and the
+        leader resumes inside an apiserver outage: its restarted informer
+        still hears the deletion, so the real pod goes and the vGPU share
+        is unbound (it used to stay held for as long as the workload ran)."""
+        cluster = Cluster(env, ClusterConfig(nodes=2, gpus_per_node=2)).start()
+        ks = KubeShare(cluster, isolation="token", replicas=2).start()
+        for name in ("keep", "doomed"):
+            ks.submit(ks.make_sharepod(
+                name, gpu_request=0.4, gpu_limit=0.6, gpu_mem=0.3, workload=sleeper
+            ))
+        env.run(until=21.0)
+        assert [ks.get(n).status.phase for n in ("keep", "doomed")] == [PodPhase.RUNNING] * 2
+        leader = ks.devmgr_group.leader
+        devmgr = leader.controller
+        leader.pause(1.0)  # resumes at t=22.0
+        env.run(until=21.4)
+        ks.delete("doomed")
+        env.run(until=21.8)
+        cluster.api.set_outage(0.5)  # down over the resume, until t=22.3
+        env.run(until=120.0)
+
+        assert ks.devmgr is devmgr  # the same reign, resumed
+        assert cluster.api.get("Pod", "doomed") is None
+        assert "default/doomed" not in devmgr.informer.cache
+        assert "default/doomed" not in devmgr._bound
+        assert ks.get("keep").status.phase is PodPhase.RUNNING
+        assert devmgr._bound["default/keep"] == ks.get("keep").spec.gpu_id

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.etcd import WatchEventType
 from repro.cluster.objects import PodPhase
-from repro.core import HybridPolicy, KubeShare
+from repro.core import HybridPolicy, KubeShare, ReservationPolicy
 from repro.core.devmgr import PLACEHOLDER_PREFIX
 from repro.core.scheduler import build_device_views
 from repro.core.sharepod import SharePod, SharePodSpec
+from repro.core.vgpu import placeholder_gpuid
 from repro.cluster.objects import ObjectMeta
+from repro.sim import Environment
 
 TERMINAL = (PodPhase.SUCCEEDED, PodPhase.FAILED)
 
@@ -183,3 +186,41 @@ class TestDevMgrLifecycle:
         assert len(ks.sched.algo_wall_times) >= 1
         n, seconds = ks.sched.algo_wall_times[0]
         assert n >= 1 and seconds >= 0.0
+
+
+class TestPrewarm:
+    def test_materializes_at_the_placeholders_running_commit(self, env, monkeypatch):
+        cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=2)).start()
+        ks = KubeShare(cluster, policy=ReservationPolicy(max_idle=None)).start()
+        at_running = []
+
+        def on_pod(raw):
+            # Subscribed after DevMgr's Pod watch, so it hears each commit
+            # after DevMgr did, inside the same write.
+            pod = raw.kv.value
+            if (
+                raw.type is WatchEventType.PUT
+                and pod.name.startswith(PLACEHOLDER_PREFIX)
+                and pod.status.phase is PodPhase.RUNNING
+            ):
+                vgpu = ks.pool.get(placeholder_gpuid(pod.name))
+                at_running.append((vgpu.gpuid, vgpu.uuid))
+
+        cluster.api.watch("Pod", deliver=on_pod)
+        started = []
+        spawn = Environment.process
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                Environment,
+                "process",
+                lambda self, gen, name=None: started.append(name or gen.__name__)
+                or spawn(self, gen, name),
+            )
+            gpuids = ks.devmgr.prewarm(2)
+        assert started == []  # nothing polls for the placeholders
+        assert all(not ks.pool.get(g).materialized for g in gpuids)
+
+        env.run(until=10.0)
+        assert sorted(g for g, _ in at_running) == sorted(gpuids)
+        for gpuid, uuid in at_running:
+            assert uuid is not None and uuid == ks.pool.get(gpuid).uuid

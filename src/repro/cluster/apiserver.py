@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..obs import runtime as obs
 from ..sim import Environment
@@ -237,6 +237,16 @@ class APIServer:
     @property
     def available(self) -> bool:
         return self.env.now >= self.down_until
+
+    def until_available(self) -> Generator:
+        """Wait out the outage, extensions included (``yield from``), and
+        return whether the apiserver is up: at once ``True`` when it is,
+        and ``False`` when the outage never ends."""
+        while not self.available:
+            if self.down_until == math.inf:
+                return False
+            yield self.env.timeout(self.down_until - self.env.now)
+        return True
 
     def _gate(self) -> None:
         if self.env.now < self.down_until:

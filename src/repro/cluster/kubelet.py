@@ -27,7 +27,6 @@ letting the device manager pick.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Generator, Optional
 
 from ..obs import runtime as obs
@@ -153,12 +152,9 @@ class Kubelet:
                 )
 
     def _retry_advertise(self) -> Generator:
-        while not self.api.available:
-            if self.api.down_until == math.inf or self.crashed:
-                break
-            yield self.env.timeout(self.api.down_until - self.env.now)
+        healed = yield from self.api.until_available()
         self._health_retry = False
-        if self.api.available and not self.crashed:
+        if healed and not self.crashed:
             self._advertise_devices()
 
     def _on_pod(self, raw) -> None:

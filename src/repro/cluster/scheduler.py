@@ -147,8 +147,8 @@ class KubeScheduler:
                 pod = self.api.get("Pod", name, namespace)
             except ServiceUnavailable:
                 self.queue.done(key)
-                yield self.env.timeout(0.05)
-                self.queue.add(key)
+                if (yield from self.api.until_available()):
+                    self.queue.add(key)
                 continue
             self.queue.done(key)
             if pod is None or pod.bound or pod.status.phase is not PodPhase.PENDING:
@@ -175,8 +175,8 @@ class KubeScheduler:
             except (Conflict, NotFound):
                 continue
             except ServiceUnavailable:
-                yield self.env.timeout(0.05)
-                self.queue.add(key)
+                if (yield from self.api.until_available()):
+                    self.queue.add(key)
                 continue
             self.binds_total += 1
             self._unschedulable.discard(key)

@@ -20,12 +20,12 @@ SharePod that KubeShare-Sched (or the user) has assigned a GPUID, it:
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional
 
 from ..cluster.apiserver import (
     AlreadyExists,
     APIServer,
+    FencingConflict,
     NotFound,
     ServiceUnavailable,
     translate_event,
@@ -104,7 +104,7 @@ class KubeShareDevMgr(Controller):
         #: sharePod keys whose real pod has been created.
         self._pod_created: set[str] = set()
         #: pod key -> phase, as the Pod watch last delivered it (placeholders
-        #: included): what :meth:`would_act` reads instead of the apiserver.
+        #: included): what :meth:`plan` reads instead of the apiserver.
         self._pod_phase: Dict[str, PodPhase] = {}
         #: timing records for the Figure 10 experiment.
         self.timings: Dict[str, Dict[str, float]] = {}
@@ -118,6 +118,8 @@ class KubeShareDevMgr(Controller):
         self.requeue_cap = 8.0
         #: sharePod key -> armed drain-deadline timer process.
         self._drain_timers: Dict[str, object] = {}
+        #: gpuid -> armed idle-TTL timer process.
+        self._ttl_timers: Dict[str, object] = {}
         self._aux_procs: list = []
         #: nodes whose teardown waits for the apiserver to heal.
         self._node_retries: set[str] = set()
@@ -131,6 +133,13 @@ class KubeShareDevMgr(Controller):
         self._aux_procs = [
             self.env.process(self._watch_nodes(), name="devmgr:node-watch"),
         ]
+        if self.policy.idle_ttl is not None:
+            # An instance started again (a paused replica resuming) re-arms
+            # each idle vGPU's TTL for the time it has left.
+            for vgpu in self.pool.idle_vgpus():
+                if vgpu.idle_since is not None and vgpu.gpuid not in self._ttl_timers:
+                    left = vgpu.idle_since + self.policy.idle_ttl - self.env.now
+                    self._arm_ttl(vgpu, max(0.0, left))
         return self
 
     def stop(self) -> None:
@@ -141,12 +150,15 @@ class KubeShareDevMgr(Controller):
             if proc.is_alive:
                 proc.kill()
         self._aux_procs = []
-        # Drain timers die with the instance; the eviction state survives
-        # in SharePod annotations, so a successor re-arms from there.
-        for proc in self._drain_timers.values():
-            if proc.is_alive:
-                proc.kill()
-        self._drain_timers = {}
+        # Timers die with the instance. The eviction state survives in
+        # SharePod annotations, so a successor re-arms drains from there;
+        # a successor's rebuild_state idles its idle vGPUs afresh, and an
+        # instance started again re-arms their TTLs in start().
+        for timers in (self._drain_timers, self._ttl_timers):
+            for proc in timers.values():
+                if proc.is_alive:
+                    proc.kill()
+            timers.clear()
 
     def rebuild_state(self) -> None:
         """Crash-safe rebuild of the in-memory view from the apiserver.
@@ -157,7 +169,8 @@ class KubeShareDevMgr(Controller):
         binding map, and the created-real-pod set — no informer cache or
         predecessor memory is trusted across a failover. Idle vGPUs found
         during the rebuild fall under the pool policy exactly as if their
-        last sharePod had just detached.
+        last sharePod had just detached; the first pass of each attached
+        sharePod activates its vGPU (the *attach* step).
         """
         pods = self.api.list("Pod")
         pod_names = {(p.metadata.namespace, p.name) for p in pods}
@@ -180,18 +193,10 @@ class KubeShareDevMgr(Controller):
                 continue  # reconcile recreates the placeholder idempotently
             vgpu.attached.add(key)
             self._bound[key] = vgpu.gpuid
-            if vgpu.materialized:
-                vgpu.phase = VGPUPhase.ACTIVE
-                vgpu.idle_since = None
             if (sp.metadata.namespace, sp.name) in pod_names:
                 self._pod_created.add(key)
         for vgpu in self.pool.idle_vgpus():
-            vgpu.phase = VGPUPhase.IDLE
-            vgpu.idle_since = self.env.now
-            if self.policy.release_on_idle(self.pool, vgpu):
-                self._release(vgpu)
-            elif self.policy.idle_ttl is not None:
-                self.env.process(self._ttl_watch(vgpu, vgpu.idle_since))
+            self._idle(vgpu)
 
     def _on_pod(self, raw) -> None:
         """A Pod commit (a watch callback): record its phase, then requeue
@@ -257,115 +262,90 @@ class KubeShareDevMgr(Controller):
                 )
 
     def _retry_node(self, name: str) -> Generator:
-        while not self.api.available:
-            if self.api.down_until == math.inf:
-                return
-            yield self.env.timeout(self.api.down_until - self.env.now)
-        self._node_retries.discard(name)
-        self._node_changed(name, self.api.get("Node", name, namespace=""))
+        if (yield from self.api.until_available()):
+            self._node_retries.discard(name)
+            self._node_changed(name, self.api.get("Node", name, namespace=""))
 
-    # -- event routing ----------------------------------------------------------
-    def would_act(self, key: str) -> bool:
-        """Would a pass for *key* do anything now? :meth:`reconcile`'s own
-        steps in its order, read from the informer cache, this instance's
-        memory and the Pod phases its Pod watch keeps: ``False`` exactly
-        where the pass would return having written, waited and changed
-        nothing. A pod the watch has not delivered counts as a change."""
-        sp = self.informer.cache.get(key)
+    # -- plan, then act ------------------------------------------------------------
+    def plan(self, key: str, sp: Optional[SharePod]) -> Optional[Callable]:
+        """The step a pass for *key* takes next, given its SharePod *sp*
+        (``None``: deleted): the method that takes it, called as
+        ``step(sp, key)``, or ``None`` when there is nothing to do.
+
+        A pure read of *sp*, this instance's memory and the Pod phases its
+        Pod watch keeps; never the apiserver, since :meth:`would_act` asks
+        inside commits. A step is named only if taking it changes what
+        this reads, so a pass that plans and acts until ``None`` ends
+        (DESIGN.md §10.4)."""
         if sp is None:
-            return True  # deleted: delete the real pod, detach
+            if key in self._bound or key in self._pod_created or key in self._pod_phase:
+                return self._delete
+            return None
         gpuid = sp.spec.gpu_id
         if gpuid is None:
-            return False  # waiting for KubeShare-Sched
+            return None  # waiting for KubeShare-Sched
         if sp.status.phase in _TERMINAL:
-            return key in self._bound  # detach, once
-        if sp.metadata.annotations:
-            return True  # a drain may be due
-        timing = self.timings.get(key)
+            return self._detach if key in self._bound else None
+        pod_phase = self._pod_phase.get(key)
+        eviction = eviction_of(sp) if sp.metadata.annotations else None
+        if eviction is not None:
+            if pod_phase in _TERMINAL:
+                return self._mirror_pod_status  # it finished inside its drain window
+            if self.env.now >= eviction.deadline - 1e-9:
+                return self._evict
+            return None if key in self._drain_timers else self._open_drain
         vgpu = self.pool.get(gpuid)
         if (
-            timing is None
-            or "sharepod_created" not in timing
-            or vgpu is None
+            vgpu is None
             or key not in vgpu.attached
             or self._bound.get(key) != gpuid
+            or "sharepod_created" not in self.timings.get(key, ())
+            or (vgpu.materialized and (vgpu.phase is not VGPUPhase.ACTIVE or vgpu.idle_since is not None))
         ):
-            return True  # record the timing, create or attach the vGPU
+            return self._attach
         if not vgpu.materialized:
             # Only a Running or Failed placeholder, or none, moves it on.
-            phase = self._pod_phase.get(f"default/{vgpu.placeholder_pod}")
-            return phase is None or phase in (PodPhase.RUNNING, PodPhase.FAILED)
-        if (
-            vgpu.phase is not VGPUPhase.ACTIVE
-            or vgpu.idle_since is not None
-            or key not in self._pod_created
-        ):
-            return True  # activate the vGPU, create the real pod
-        return self._pod_phase.get(key) is not sp.status.phase  # mirror
-
-    # -- reconcile -----------------------------------------------------------------
-    def reconcile(self, key: str) -> Generator:
-        namespace, name = key.split("/", 1)
-        sp = self.api.get("SharePod", name, namespace)
-        if sp is None:
-            yield from self._handle_deleted(key, namespace, name)
-            return
-        if sp.spec.gpu_id is None:
-            return  # waiting for KubeShare-Sched
-        if sp.status.phase in _TERMINAL:
-            self._detach(key)
-            return
-        if sp.metadata.annotations:
-            eviction = eviction_of(sp)
-            if eviction is not None:
-                yield from self._drain(sp, key, eviction)
-                return
-
-        timing = self.timings.setdefault(key, {})
-        timing.setdefault("sharepod_created", sp.metadata.creation_time or 0.0)
-
-        vgpu = self.pool.get(sp.spec.gpu_id)
-        if vgpu is None:
-            vgpu = self._create_vgpu(sp, timing)
-        vgpu.attached.add(key)
-        self._bound[key] = vgpu.gpuid
-
-        if not vgpu.materialized:
-            yield from self._try_materialize(vgpu, timing)
-            if not vgpu.materialized:
-                return  # placeholder still pending; pod watch requeues us
-
-        vgpu.phase = VGPUPhase.ACTIVE
-        vgpu.idle_since = None
-
+            holder = self._pod_phase.get(f"default/{vgpu.placeholder_pod}")
+            if holder in (None, PodPhase.RUNNING, PodPhase.FAILED):
+                return self._materialize
+            return None
         if key not in self._pod_created:
-            self._pod_created.add(key)
-            if self.op_latency > 0:
+            return self._create_real_pod
+        if pod_phase is not None and pod_phase is not sp.status.phase:
+            return self._mirror_pod_status
+        return None
+
+    def would_act(self, key: str) -> bool:
+        """Whether :meth:`plan` names a step, read from the informer cache."""
+        return self.plan(key, self.informer.cache.get(key)) is not None
+
+    def reconcile(self, key: str) -> Generator:
+        """Plan and act until :meth:`plan` names nothing. The one wait is
+        binding's API round-trip before the real pod is created; after it
+        the pass reads and plans afresh, and creates the pod only if that
+        is still the next step."""
+        namespace, name = key.split("/", 1)
+        waited = False
+        while True:
+            sp = self.api.get("SharePod", name, namespace)
+            step = self.plan(key, sp)
+            if step is None:
+                return
+            if step == self._create_real_pod and self.op_latency > 0 and not waited:
+                waited = True
                 yield self.env.timeout(self.op_latency)
-            # Re-read after resuming: the SharePod may have been deleted or
-            # completed while we were suspended (materialization wait + op
-            # latency), and the real pod must not be created from the stale
-            # pre-yield snapshot.
-            try:
-                fresh = self.api.get("SharePod", name, namespace)
-            except ServiceUnavailable:
-                # Outage mid-reconcile: undo the dedupe mark and let the
-                # worker requeue this key with backoff once the API heals.
-                self._pod_created.discard(key)
-                raise
-            if fresh is None:
-                yield from self._handle_deleted(key, namespace, name)
-                return
-            if fresh.status.phase in _TERMINAL:
-                self._detach(key)
-                return
-            sp = fresh
-            self._create_real_pod(sp, vgpu, timing)
+            else:
+                waited = False
+                step(sp, key)
 
-        self._mirror_pod_status(sp, key, timing)
-        return
+    def _delete(self, sp: Optional[SharePod], key: str) -> None:
+        """The SharePod is gone: delete its real pod and detach it."""
+        namespace, name = key.split("/", 1)
+        self.api.try_delete("Pod", name, namespace)
+        self._pod_created.discard(key)
+        self._detach(sp, key)
 
-    # -- vGPU creation ----------------------------------------------------------------
+    # -- attach & materialize --------------------------------------------------------
     def _new_vgpu(self, gpuid: str, node_name: Optional[str] = None) -> VGPU:
         """Add vGPU *gpuid* to the pool and launch its placeholder pod,
         which acquires a physical GPU through the ordinary Kubernetes
@@ -412,23 +392,34 @@ class KubeShareDevMgr(Controller):
         vgpu.node_name = pod.spec.node_name
         return True
 
-    def _create_vgpu(self, sp: SharePod, timing: Dict[str, float]) -> VGPU:
-        """Acquire a GPU from Kubernetes by launching a placeholder pod."""
+    def _attach(self, sp: SharePod, key: str) -> None:
+        """Record the timing, create the vGPU if it is new, attach and bind
+        *key* to it, and activate it if it is materialized."""
+        timing = self.timings.setdefault(key, {})
+        timing.setdefault("sharepod_created", sp.metadata.creation_time or 0.0)
         gpuid = sp.spec.gpu_id
-        vgpu = self._new_vgpu(gpuid, node_name=sp.spec.node_name)
-        timing["vgpu_requested"] = self.env.now
-        obs.event(
-            "VGPUCreated",
-            f"vGPU {gpuid} requested via placeholder {vgpu.placeholder_pod}",
-            involved_kind="SharePod",
-            involved_name=sp.name,
-            involved_namespace=sp.metadata.namespace,
-            source=self.name,
-        )
-        return vgpu
+        vgpu = self.pool.get(gpuid)
+        if vgpu is None:
+            # Acquire a GPU from Kubernetes by launching a placeholder pod.
+            vgpu = self._new_vgpu(gpuid, node_name=sp.spec.node_name)
+            timing["vgpu_requested"] = self.env.now
+            obs.event(
+                "VGPUCreated",
+                f"vGPU {gpuid} requested via placeholder {vgpu.placeholder_pod}",
+                involved_kind="SharePod",
+                involved_name=sp.name,
+                involved_namespace=sp.metadata.namespace,
+                source=self.name,
+            )
+        vgpu.attached.add(key)
+        self._bound[key] = gpuid
+        if vgpu.materialized:
+            vgpu.phase = VGPUPhase.ACTIVE
+            vgpu.idle_since = None
 
-    def _try_materialize(self, vgpu: VGPU, timing: Dict[str, float]) -> Generator:
+    def _materialize(self, sp: SharePod, key: str) -> None:
         """Read the physical UUID out of the running placeholder pod."""
+        vgpu = self.pool.get(sp.spec.gpu_id)
         pod = self.api.get("Pod", vgpu.placeholder_pod)
         if pod is None:
             # The placeholder vanished (evicted with a dead node before we
@@ -438,33 +429,31 @@ class KubeShareDevMgr(Controller):
             raise RuntimeError(
                 f"placeholder for {vgpu.gpuid} disappeared before materializing"
             )
-        if self._read_device(vgpu, pod):
-            timing["vgpu_ready"] = self.env.now
-            obs.event(
-                "VGPUMaterialized",
-                f"vGPU {vgpu.gpuid} bound to physical GPU {vgpu.uuid} "
-                f"on {vgpu.node_name}",
-                involved_kind="Pod",
-                involved_name=vgpu.placeholder_pod,
-                involved_namespace=pod.metadata.namespace,
-                source=self.name,
-            )
-        elif pod.status.phase is PodPhase.FAILED:
-            # Could not acquire a GPU; retry by recreating the placeholder.
+        if not self._read_device(vgpu, pod):
+            # Failed: it could not acquire a GPU; retry by recreating it.
             self.api.try_delete("Pod", vgpu.placeholder_pod)
             self.pool.remove(vgpu.gpuid)
             raise RuntimeError(
                 f"placeholder for {vgpu.gpuid} failed: {pod.status.message}"
             )
-        return
-        yield  # pragma: no cover - generator by contract
+        vgpu.phase = VGPUPhase.ACTIVE
+        vgpu.idle_since = None
+        self.timings[key]["vgpu_ready"] = self.env.now
+        obs.event(
+            "VGPUMaterialized",
+            f"vGPU {vgpu.gpuid} bound to physical GPU {vgpu.uuid} "
+            f"on {vgpu.node_name}",
+            involved_kind="Pod",
+            involved_name=vgpu.placeholder_pod,
+            involved_namespace=pod.metadata.namespace,
+            source=self.name,
+        )
 
     # -- real pod -----------------------------------------------------------------------
-    def _create_real_pod(
-        self, sp: SharePod, vgpu: VGPU, timing: Dict[str, float]
-    ) -> None:
+    def _create_real_pod(self, sp: SharePod, key: str) -> None:
         """Explicit binding: launch the workload pod on the vGPU's node with
         the device attached and the device library installed."""
+        vgpu = self.pool.get(sp.spec.gpu_id)
         pod_spec = sp.spec.pod_spec.clone()
         pod_spec.node_name = vgpu.node_name
         container = pod_spec.containers[0]
@@ -493,7 +482,8 @@ class KubeShareDevMgr(Controller):
             self.api.create(pod)
         except AlreadyExists:  # pragma: no cover - idempotent retry
             pass
-        timing["pod_created"] = self.env.now
+        self._pod_created.add(key)
+        self.timings[key]["pod_created"] = self.env.now
 
         def mutate(obj: SharePod) -> None:
             obj.spec.node_name = vgpu.node_name
@@ -514,15 +504,9 @@ class KubeShareDevMgr(Controller):
             source=self.name,
         )
 
-    def _mirror_pod_status(
-        self, sp: SharePod, key: str, timing: Dict[str, float]
-    ) -> None:
+    def _mirror_pod_status(self, sp: SharePod, key: str) -> None:
         pod = self.api.get("Pod", sp.name, sp.metadata.namespace)
-        if pod is None:
-            return
         phase = pod.status.phase
-        if phase is sp.status.phase:
-            return
         if (
             phase is PodPhase.FAILED
             and sp.spec.restart_policy == "reschedule"
@@ -532,6 +516,7 @@ class KubeShareDevMgr(Controller):
             # recover instead of mirroring a terminal failure.
             self._recover_sharepod(sp, key, pod.status.message or "infra failure")
             return
+        timing = self.timings.setdefault(key, {})
         if phase is PodPhase.RUNNING and "pod_running" not in timing:
             timing["pod_running"] = self.env.now
 
@@ -549,50 +534,38 @@ class KubeShareDevMgr(Controller):
             obs.sharepod_running(key)
         elif phase is PodPhase.FAILED:
             obs.sharepod_failed(key, pod.status.message or "pod failed")
-        if phase in _TERMINAL:
-            self._detach(key)
 
     # -- graceful revocation (policy layer) ---------------------------------
-    def _drain(self, sp: SharePod, key: str, eviction) -> Generator:
-        """Graceful eviction: wait out the drain window, then tear down.
+    def _open_drain(self, sp: SharePod, key: str) -> None:
+        """Graceful eviction: open the drain window until its deadline.
 
         The eviction request lives in the SharePod's annotations (written
         by the preemptor), so this path is crash-safe: a freshly promoted
         DevMgr re-arms the drain from apiserver state, and a drain whose
         deadline passed while nobody was leading is forced immediately.
         """
-        pod = self.api.get("Pod", sp.name, sp.metadata.namespace)
-        if pod is not None and pod.status.phase in _TERMINAL:
-            # The workload finished inside its drain window: completion
-            # wins, and the normal mirror/detach path applies.
-            self._mirror_pod_status(sp, key, self.timings.setdefault(key, {}))
-            return
-        if self.env.now >= eviction.deadline - 1e-9:
-            self._drain_timers.pop(key, None)
-            yield from self._evict_now(sp, key, eviction)
-            return
-        if key not in self._drain_timers:
-            obs.event(
-                "Evicting",
-                f"drain window open until t={eviction.deadline:g} "
-                f"({eviction.reason})",
-                involved_kind="SharePod",
-                involved_name=sp.name,
-                involved_namespace=sp.metadata.namespace,
-                type="Warning",
-                source=self.name,
-            )
-            self._drain_timers[key] = self.env.process(
-                self._drain_timer(key, eviction.deadline - self.env.now),
-                name=f"{self.name}:drain:{key}",
-            )
+        eviction = eviction_of(sp)
+        obs.event(
+            "Evicting",
+            f"drain window open until t={eviction.deadline:g} "
+            f"({eviction.reason})",
+            involved_kind="SharePod",
+            involved_name=sp.name,
+            involved_namespace=sp.metadata.namespace,
+            type="Warning",
+            source=self.name,
+        )
+        self._drain_timers[key] = self.env.process(
+            self._drain_timer(key, eviction.deadline - self.env.now),
+            name=f"{self.name}:drain:{key}",
+        )
 
     def _drain_timer(self, key: str, delay: float) -> Generator:
         yield self.env.timeout(delay)
         self._drain_timers.pop(key, None)
         self.queue.add(key)  # reconcile forces the teardown past the deadline
 
-    def _evict_now(self, sp: SharePod, key: str, eviction) -> Generator:
+    def _evict(self, sp: SharePod, key: str) -> None:
         """Forced teardown at the drain deadline.
 
         Deleting the real pod drives the kubelet's container teardown,
@@ -601,9 +574,11 @@ class KubeShareDevMgr(Controller):
         back-channel is needed. Every step tolerates concurrent deletes
         (kubelet, reaper, a racing preemptor finishing first).
         """
+        eviction = eviction_of(sp)
+        self._drain_timers.pop(key, None)
         safe_delete(self.api, "Pod", sp.name, sp.metadata.namespace)
         self._pod_created.discard(key)
-        self._detach(key)  # idle vGPU falls under the pool policy as usual
+        self._detach(sp, key)  # idle vGPU falls under the pool policy as usual
         count = int(sp.metadata.annotations.get(ANN_REQUEUE_COUNT, "0") or 0) + 1
         resume_at = self.env.now + requeue_backoff(
             count, self.requeue_base, self.requeue_cap
@@ -629,18 +604,11 @@ class KubeShareDevMgr(Controller):
             key,
             f"{eviction.reason}; requeue #{count} at t={resume_at:g}",
         )
-        return
-        yield  # pragma: no cover - generator by contract
 
     # -- detach & pool policy ---------------------------------------------------------------
-    def _handle_deleted(self, key: str, namespace: str, name: str) -> Generator:
-        self.api.try_delete("Pod", name, namespace)
-        self._pod_created.discard(key)
-        self._detach(key)
-        return
-        yield  # pragma: no cover
-
-    def _detach(self, key: str) -> None:
+    def _detach(self, sp: Optional[SharePod], key: str) -> None:
+        """Give *key*'s share of its vGPU back (*sp* is unused: every step
+        takes the SharePod and its key)."""
         gpuid = self._bound.pop(key, None)
         if gpuid is None:
             return
@@ -649,15 +617,31 @@ class KubeShareDevMgr(Controller):
             return
         vgpu.attached.discard(key)
         if not vgpu.attached:
-            vgpu.phase = VGPUPhase.IDLE
-            vgpu.idle_since = self.env.now
-            if self.policy.release_on_idle(self.pool, vgpu):
-                self._release(vgpu)
-            elif self.policy.idle_ttl is not None:
-                self.env.process(self._ttl_watch(vgpu, vgpu.idle_since))
+            self._idle(vgpu)
 
-    def _ttl_watch(self, vgpu: VGPU, idle_since: float) -> Generator:
-        yield self.env.timeout(self.policy.idle_ttl)
+    def _idle(self, vgpu: VGPU) -> None:
+        """*vgpu* serves no SharePod: release it or keep it per the pool
+        policy, and arm its idle TTL (one timer per vGPU)."""
+        vgpu.phase = VGPUPhase.IDLE
+        vgpu.idle_since = self.env.now
+        if self.policy.release_on_idle(self.pool, vgpu):
+            self._release(vgpu)
+        elif self.policy.idle_ttl is not None:
+            self._arm_ttl(vgpu, self.policy.idle_ttl)
+
+    def _arm_ttl(self, vgpu: VGPU, delay: float) -> None:
+        """(Re)arm *vgpu*'s idle-TTL timer to fire in *delay* seconds."""
+        stale = self._ttl_timers.get(vgpu.gpuid)
+        if stale is not None:
+            stale.kill()
+        self._ttl_timers[vgpu.gpuid] = self.env.process(
+            self._ttl_watch(vgpu, vgpu.idle_since, delay),
+            name=f"{self.name}:ttl:{vgpu.gpuid}",
+        )
+
+    def _ttl_watch(self, vgpu: VGPU, idle_since: float, delay: float) -> Generator:
+        yield self.env.timeout(delay)
+        del self._ttl_timers[vgpu.gpuid]
         current = self.pool.get(vgpu.gpuid)
         if (
             current is vgpu
@@ -665,7 +649,10 @@ class KubeShareDevMgr(Controller):
             and vgpu.idle_since == idle_since
             and self.policy.release_on_ttl(self.pool, vgpu)
         ):
-            self._release(vgpu)
+            try:
+                self._release(vgpu)
+            except FencingConflict:
+                pass  # deposed while paused: the new leader owns the vGPU
 
     def _release(self, vgpu: VGPU) -> None:
         """Return the physical GPU to Kubernetes (delete the placeholder)."""
@@ -726,12 +713,8 @@ class KubeShareDevMgr(Controller):
             else:
                 self._fail_sharepod(sp, key, reason)
         vgpu.attached.clear()
-        vgpu.phase = VGPUPhase.DELETING
-        if vgpu.placeholder_pod is not None:
-            self.api.try_delete("Pod", vgpu.placeholder_pod)
-        self.pool.remove(vgpu.gpuid)
+        self._release(vgpu)
         self._tearing_down.discard(vgpu.gpuid)
-        self.vgpus_released_total += 1
 
     def _recover_sharepod(self, sp: SharePod, key: str, reason: str) -> None:
         """``restart_policy: reschedule`` — clear the placement and hand the

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.apiserver import translate_event
 from repro.cluster.objects import (
     GPU_RESOURCE,
     ContainerSpec,
@@ -12,7 +13,7 @@ from repro.cluster.objects import (
     PodSpec,
 )
 from repro.cluster.runtime import RuntimeLatency
-from repro.sim import Process
+from repro.sim import Environment, Process
 from repro.sim.environment import set_profile_hook
 
 
@@ -103,6 +104,35 @@ class TestScheduling:
         wait = c.env.process(c.wait_for_phase("pinned", [PodPhase.RUNNING]))
         c.env.run(until=wait)
         assert c.scheduler.binds_total == 0
+
+    def test_a_read_failed_in_an_outage_waits_for_its_end(self):
+        """A pod created as a 5 s outage begins: the scheduler's failed
+        read waits until the apiserver is up, and binds then."""
+
+        def outage(pod):
+            env = Environment()
+            cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=1)).start()
+            env.run(until=10.0)
+            before = env.events_processed
+            bound = []
+
+            def on_pod(raw):
+                _, pod = translate_event(raw)
+                if pod.bound and not bound:
+                    bound.append(env.now)
+
+            cluster.api.watch("Pod", deliver=on_pod)
+            if pod is not None:
+                cluster.submit(pod)
+            cluster.api.set_outage(5.0)
+            env.run(until=15.5)
+            return env.events_processed - before, bound, cluster
+
+        idle, _, _ = outage(None)
+        events, bound, cluster = outage(gpu_pod("p", workload=None))
+        # A retry every 50 ms would cost about 200 events here.
+        assert events - idle <= 10
+        assert bound == [15.0 + cluster.scheduler.attempt_latency]
 
 
 class TestKubelet:

@@ -6,11 +6,12 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.etcd import WatchEventType
 from repro.cluster.objects import PodPhase
 from repro.core import HybridPolicy, KubeShare, ReservationPolicy
-from repro.core.devmgr import PLACEHOLDER_PREFIX
+from repro.core.devmgr import PLACEHOLDER_PREFIX, KubeShareDevMgr
 from repro.core.scheduler import build_device_views
 from repro.core.sharepod import SharePod, SharePodSpec
 from repro.core.vgpu import placeholder_gpuid
 from repro.cluster.objects import ObjectMeta
+from repro.perf import scenarios
 from repro.sim import Environment
 
 TERMINAL = (PodPhase.SUCCEEDED, PodPhase.FAILED)
@@ -186,6 +187,28 @@ class TestDevMgrLifecycle:
         assert len(ks.sched.algo_wall_times) >= 1
         n, seconds = ks.sched.algo_wall_times[0]
         assert n >= 1 and seconds >= 0.0
+
+
+class TestPlanIsExact:
+    """DevMgr's work queue takes a key only when :meth:`plan` names a
+    step for it, and a step is named only if taking it changes something,
+    so in these runs every pass has a step to take when it starts."""
+
+    @pytest.mark.parametrize(
+        "run", [lambda: scenarios.chaos(11), lambda: scenarios.fig8(seed=7)], ids=["chaos", "fig8"]
+    )
+    def test_every_pass_starts_with_a_step(self, run, monkeypatch):
+        idle = []
+        reconcile = KubeShareDevMgr.reconcile
+
+        def checked(self, key):
+            if not self.would_act(key):
+                idle.append((self.env.now, key))
+            return reconcile(self, key)
+
+        monkeypatch.setattr(KubeShareDevMgr, "reconcile", checked)
+        run()
+        assert idle == []
 
 
 class TestPrewarm:

@@ -8,9 +8,11 @@ back through Algorithm 1 (``restart_policy="reschedule"``).
 
 import pytest
 
+from repro.chaos import ChaosEngine
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.objects import GPU_RESOURCE, PodPhase
 from repro.core import KubeShare
+from repro.workloads import TrainingJob
 
 TERMINAL = (PodPhase.SUCCEEDED, PodPhase.FAILED)
 
@@ -173,3 +175,68 @@ class TestTeardownAcrossOutage:
         assert ks.pool.list() == []
         assert ks.devmgr.vgpus_torn_down_total == 1
         assert ks.get("j1").status.phase is PodPhase.FAILED
+
+
+def materialize(ks, name):
+    """Run until DevMgr reads the device of *name*'s new vGPU: its pass
+    then waits out binding's op latency before it creates the real pod."""
+    env = ks.cluster.env
+    key = f"default/{name}"
+    while ks.devmgr is None or "vgpu_ready" not in ks.devmgr.timings.get(key, {}):
+        env.step()
+    assert ks.cluster.api.get("Pod", name) is None
+
+
+def training(ks, name, **kwargs):
+    job = TrainingJob(name, steps=600, step_work=0.05)
+    return ks.make_sharepod(
+        name, gpu_request=0.4, gpu_limit=0.6, gpu_mem=0.3, workload=job.workload(), **kwargs
+    )
+
+
+class TestBindingWait:
+    """DevMgr creates the real pod after binding's op-latency wait, from
+    what it reads and plans after the wait."""
+
+    @pytest.mark.parametrize("replicas", [None, 2])
+    def test_a_devmgr_stopped_inside_the_wait_creates_the_pod_after_start(self, env, replicas):
+        cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=1)).start()
+        ks = KubeShare(cluster, replicas=replicas).start()
+        ks.submit(training(ks, "j"))
+        materialize(ks, "j")
+        devmgr = ks.devmgr
+        env.run(until=env.now + 0.03)
+        if replicas is None:
+            devmgr.stop()
+            env.run(until=env.now + 0.2)
+            devmgr.start()
+        else:
+            # A GC pause shorter than the lease: it resumes as the leader.
+            ks.devmgr_group.leader.pause(0.2)
+        env.run(until=120.0)
+        assert ks.devmgr is devmgr
+        assert ks.get("j").status.phase is PodPhase.SUCCEEDED
+
+    def test_no_pod_is_created_for_a_placement_cleared_inside_the_wait(self, env):
+        cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=2)).start()
+        ks = KubeShare(cluster).start()
+        unplaced_pods = []
+
+        def check(raw):
+            sp = cluster.api.get("SharePod", "j")
+            if sp is not None and sp.spec.gpu_id is None and cluster.api.get("Pod", "j"):
+                unplaced_pods.append(env.now)
+
+        cluster.api.watch("Pod", deliver=check)
+        cluster.api.watch("SharePod", deliver=check)
+        ks.submit(training(ks, "j", restart_policy="reschedule"))
+        materialize(ks, "j")
+        uuid = ks.pool.get(ks.get("j").spec.gpu_id).uuid
+        ChaosEngine(cluster, kubeshare=ks).gpu_failure(at=env.now + 0.03, target=uuid).start()
+        env.run(until=120.0)
+        # The GPU failure cleared the placement during the wait; the pod
+        # waits for Sched's next one.
+        assert unplaced_pods == []
+        assert ks.devmgr.sharepods_rescheduled_total == 1
+        assert ks.get("j").status.phase is PodPhase.SUCCEEDED
+        assert ks.get("j").status.gpu_uuid != uuid

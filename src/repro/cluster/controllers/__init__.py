@@ -1,11 +1,8 @@
 """Stock higher-level controllers built on the controller framework."""
 
-from .deployment import Deployment, DeploymentController
 from .replicaset import ReplicaSet, ReplicaSetController
 
 __all__ = [
     "ReplicaSet",
     "ReplicaSetController",
-    "Deployment",
-    "DeploymentController",
 ]

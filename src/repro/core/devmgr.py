@@ -641,10 +641,15 @@ class KubeShareDevMgr(Controller):
 
     def _ttl_watch(self, vgpu: VGPU, idle_since: float, delay: float) -> Generator:
         yield self.env.timeout(delay)
+        # The release deletes the placeholder, so a TTL due inside an
+        # outage waits for its end; the timer stays armed until then, so
+        # stop() still kills it.
+        up = yield from self.api.until_available()
         del self._ttl_timers[vgpu.gpuid]
         current = self.pool.get(vgpu.gpuid)
         if (
-            current is vgpu
+            up
+            and current is vgpu
             and vgpu.idle
             and vgpu.idle_since == idle_since
             and self.policy.release_on_ttl(self.pool, vgpu)

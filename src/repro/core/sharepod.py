@@ -21,7 +21,7 @@ All fractional demands are values in (0, 1] and ``request <= limit``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 from ..cluster.objects import ObjectMeta, PodPhase, PodSpec
 
@@ -152,52 +152,3 @@ class SharePod:
             spec=self.spec.clone(),
             status=self.status.clone(),
         )
-
-    # -- dict (YAML-ish) construction, for examples/tests -------------------
-    @classmethod
-    def from_dict(cls, manifest: Mapping[str, Any]) -> "SharePod":
-        """Build a SharePod from a manifest-shaped mapping.
-
-        Mirrors the YAML a user would submit::
-
-            {"metadata": {"name": "pod1", "labels": {...}},
-             "spec": {"gpu_request": 0.4, "gpu_limit": 0.6, "gpu_mem": 0.25,
-                      "sched_affinity": "teamA", "workload": fn}}
-        """
-        meta_raw = dict(manifest.get("metadata", {}))
-        if "name" not in meta_raw:
-            raise SpecError("metadata.name is required")
-        meta = ObjectMeta(
-            name=meta_raw["name"],
-            namespace=meta_raw.get("namespace", "default"),
-            labels=dict(meta_raw.get("labels", {})),
-            annotations=dict(meta_raw.get("annotations", {})),
-        )
-        spec_raw = dict(manifest.get("spec", {}))
-        pod_spec = spec_raw.pop("pod_spec", None) or PodSpec()
-        workload = spec_raw.pop("workload", None)
-        if workload is not None:
-            pod_spec.workload = workload
-        known = {
-            k: spec_raw[k]
-            for k in (
-                "gpu_request",
-                "gpu_limit",
-                "gpu_mem",
-                "gpu_id",
-                "node_name",
-                "sched_affinity",
-                "sched_anti_affinity",
-                "sched_exclusion",
-                "restart_policy",
-                "priority_class",
-                "best_effort",
-            )
-            if k in spec_raw
-        }
-        unknown = set(spec_raw) - set(known)
-        if unknown:
-            raise SpecError(f"unknown SharePodSpec fields: {sorted(unknown)}")
-        spec = SharePodSpec(pod_spec=pod_spec, **known)
-        spec.validate()
-        return cls(metadata=meta, spec=spec)

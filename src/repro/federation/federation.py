@@ -161,7 +161,6 @@ class Federation:
         self.placer = GlobalPlacer(self, defer_delay=self.config.defer_delay)
         self.prober.on_dead = self.placer.on_cluster_dead
         self.prober.on_recovered = self.placer.on_cluster_recovered
-        self._sync_proc = None
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -171,20 +170,9 @@ class Federation:
                 self.members[name].start()
             self.prober.start()
             self.placer.start()
-            self._sync_proc = self.env.process(
-                self._sync_loop(), name="federation-sync"
-            )
+            self.env.process(self._sync_loop(), name="federation-sync")
             self._started = True
         return self
-
-    def stop(self) -> None:
-        self.prober.stop()
-        self.placer.stop()
-        if self._sync_proc is not None and self._sync_proc.is_alive:
-            self._sync_proc.kill()
-        self._sync_proc = None
-        for name in sorted(self.members):
-            self.members[name].kubeshare.stop()
 
     # -- submission --------------------------------------------------------
     def submit(self, name: str, namespace: str = "default", **template: Any):

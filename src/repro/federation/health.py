@@ -92,12 +92,6 @@ class ClusterHealthProber:
                 )
         return self
 
-    def stop(self) -> None:
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.kill()
-        self._procs = []
-
     # -- probe loop --------------------------------------------------------
     def _probe_loop(self, name: str) -> Generator:
         member = self.fed.members[name]

@@ -1,12 +1,6 @@
 """Metrics: collection, analysis and plain-text reporting."""
 
-from .analysis import (
-    completion_series,
-    makespan,
-    mean_job_duration,
-    slowdown,
-    throughput_jobs_per_minute,
-)
+from .analysis import makespan, throughput_jobs_per_minute
 from .collector import DEFAULT_LATENCY_BOUNDARIES, Histogram, MetricsRegistry, TimeSeries
 from .reporting import ascii_table, banner, format_percent, format_series
 
@@ -17,9 +11,6 @@ __all__ = [
     "MetricsRegistry",
     "makespan",
     "throughput_jobs_per_minute",
-    "completion_series",
-    "mean_job_duration",
-    "slowdown",
     "ascii_table",
     "format_series",
     "format_percent",

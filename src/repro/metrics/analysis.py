@@ -9,19 +9,13 @@ throughput is also inversely proportional to the overall execution time
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, List, Sequence
 
 from ..workloads.jobs import JobStats
-from .collector import TimeSeries
 
 __all__ = [
     "makespan",
     "throughput_jobs_per_minute",
-    "completion_series",
-    "mean_job_duration",
-    "slowdown",
 ]
 
 
@@ -46,28 +40,3 @@ def throughput_jobs_per_minute(stats: Sequence[JobStats]) -> float:
     if span <= 0:
         return 0.0
     return 60.0 * len(done) / span
-
-
-def completion_series(stats: Sequence[JobStats], step: float = 60.0) -> TimeSeries:
-    """Completions per *step*-second interval over time."""
-    done = sorted(s.finished_at for s in _finished(stats))
-    out = TimeSeries(name="completions")
-    if not done:
-        return out
-    edges = np.arange(0.0, done[-1] + step, step)
-    counts, _ = np.histogram(done, bins=edges)
-    for t, c in zip(edges[:-1], counts):
-        out.record(float(t), float(c))
-    return out
-
-
-def mean_job_duration(stats: Sequence[JobStats]) -> float:
-    done = [s.duration for s in _finished(stats) if s.duration is not None]
-    return float(np.mean(done)) if done else 0.0
-
-
-def slowdown(stats: JobStats, standalone_duration: float) -> Optional[float]:
-    """Execution time relative to the standalone run (Figure 12 metric)."""
-    if stats.duration is None or standalone_duration <= 0:
-        return None
-    return stats.duration / standalone_duration

@@ -28,7 +28,7 @@ Example
 """
 
 from .environment import EmptySchedule, Environment
-from .events import AllOf, ConditionValue, Event, Interrupt, PENDING, Timeout
+from .events import AllOf, Event, Interrupt, PENDING, Timeout
 from .process import Process, ProcessGenerator
 from .resources import Resource, Store
 
@@ -37,7 +37,6 @@ __all__ = [
     "EmptySchedule",
     "Event",
     "Timeout",
-    "ConditionValue",
     "AllOf",
     "Interrupt",
     "PENDING",

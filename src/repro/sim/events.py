@@ -30,7 +30,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Initialize",
-    "ConditionValue",
     "AllOf",
     "Interrupt",
 ]
@@ -192,50 +191,8 @@ class Initialize(Event):
         env.schedule(self, URGENT)
 
 
-class ConditionValue:
-    """Result of an :class:`AllOf`: an ordered event → value mapping."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(str(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self):
-        return iter(self.events)
-
-    def values(self):
-        return (e._value for e in self.events)
-
-    def items(self):
-        return ((e, e._value) for e in self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        return {e: e._value for e in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ConditionValue {self.todict()}>"
-
-
 class AllOf(Event):
-    """Fires once all *events* have fired, with a :class:`ConditionValue`.
+    """Fires once all *events* have fired, with a dict of event → value.
 
     The first failing sub-event fails it with that sub-event's exception.
     An empty *events* fires at once.
@@ -253,7 +210,7 @@ class AllOf(Event):
                 raise ValueError("events belong to different environments")
 
         if not self._events:
-            self.succeed(ConditionValue())
+            self.succeed({})
             return
 
         for event in self._events:
@@ -262,12 +219,12 @@ class AllOf(Event):
             else:
                 event.callbacks.append(self._check)
 
-    def _populate_value(self, value: ConditionValue) -> None:
+    def _populate_value(self, value: dict) -> None:
         for event in self._events:
             if isinstance(event, AllOf):
                 event._populate_value(value)
-            elif event not in value.events:
-                value.events.append(event)
+            elif event not in value:
+                value[event] = event._value
 
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
@@ -280,7 +237,7 @@ class AllOf(Event):
             self.fail(event._value)
         elif self._count == len(self._events):
             # Every sub-event has been processed: nothing to detach from.
-            value = ConditionValue()
+            value: dict = {}
             self._populate_value(value)
             self.succeed(value)
 

@@ -1,6 +1,6 @@
 """Workloads: the deep-learning jobs the paper evaluates with (Table 3)."""
 
-from .flows import FlowScheduler, diurnal_times, mmpp_times, poisson_times
+from .flows import FlowScheduler, diurnal_times, poisson_times
 from .generator import InferenceWorkload, JobArrival, WorkloadGenerator
 from .interference import ANTI_AFFINITY_LABEL, JOB_A, JOB_B, InterferenceProfile
 from .jobs import InferenceJob, JobStats, TrainingJob
@@ -11,7 +11,6 @@ from .trace import (
     loads_trace,
     synthetic_borg_trace,
 )
-from .variable import RateSchedule, VariableRateInferenceJob, diurnal_schedule
 
 __all__ = [
     "TrainingJob",
@@ -31,9 +30,5 @@ __all__ = [
     "synthetic_borg_trace",
     "FlowScheduler",
     "poisson_times",
-    "mmpp_times",
     "diurnal_times",
-    "RateSchedule",
-    "VariableRateInferenceJob",
-    "diurnal_schedule",
 ]

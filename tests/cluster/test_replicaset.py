@@ -3,11 +3,13 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.apiserver import APIServer
 from repro.cluster.controllers import ReplicaSet, ReplicaSetController
 from repro.cluster.objects import (
     ContainerSpec,
     LabelSelector,
     ObjectMeta,
+    Pod,
     PodPhase,
     PodSpec,
 )
@@ -110,3 +112,23 @@ class TestSharePodReplicas:
         # both replicas share the same physical GPU (requests 0.3 + 0.3)
         uuids = {sp.status.gpu_uuid for sp in sharepods}
         assert len(uuids) == 1
+
+
+class TestStop:
+    """``stop()`` closes the owner watch with the informer, and
+    ``start()`` subscribes each once again."""
+
+    PREFIXES = ("/registry/Pod/", "/registry/ReplicaSet/")
+
+    def test_stopped_controller_leaves_no_subscriber(self, env):
+        api = APIServer(env)
+        rs = ReplicaSetController(env, api).start()
+        # Pods: the owner watch. ReplicaSets: the informer.
+        assert [len(api.etcd.watchers(p)) for p in self.PREFIXES] == [1, 1]
+        rs.stop()
+        assert [api.etcd.watchers(p) for p in self.PREFIXES] == [[], []]
+        owned = Pod(metadata=ObjectMeta(name="p", owner_references=["default/web"]))
+        api.create(owned)
+        assert len(rs.queue) == 0
+        rs.start()
+        assert [len(api.etcd.watchers(p)) for p in self.PREFIXES] == [1, 1]

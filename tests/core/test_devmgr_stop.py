@@ -7,16 +7,37 @@ them, so a dead instance never writes through its stale client. A
 successor re-arms both from apiserver state: ``rebuild_state`` idles the
 vGPUs nothing is attached to, and the eviction annotations re-open a
 drain. An instance started again (a paused replica resuming) re-arms
-each idle vGPU's TTL for the time it has left.
+each idle vGPU's TTL for the time it has left. A TTL due inside an
+apiserver outage waits, still armed, for the outage to end.
 """
+
+import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import HybridPolicy, KubeShare
+from repro.policy.layer import PolicyConfig
+from repro.policy.reaper import ReaperConfig
 from repro.policy.revocation import mark_eviction
 from repro.sim import Environment
 from repro.workloads import TrainingJob
 
 TTL = 10.0
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every process started from here on, as (owner, function, name,
+    process); the owner is the generator's ``self`` at spawn time."""
+    started = []
+    spawn = Environment.process
+
+    def process(self, gen, name=None):
+        proc = spawn(self, gen, name)
+        started.append((gen.gi_frame.f_locals.get("self"), gen.__qualname__, name, proc))
+        return proc
+
+    monkeypatch.setattr(Environment, "process", process)
+    return started
 
 
 def sharepod(ks, name, steps):
@@ -108,23 +129,15 @@ def test_a_deposed_leader_resumed_after_its_ttl_is_fenced_off(env):
     assert old.vgpus_released_total == 0
 
 
-def test_stop_leaves_no_devmgr_timer_process_or_watch(env, monkeypatch):
+def test_stop_leaves_no_devmgr_timer_process_or_watch(env, spawned):
     cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=2)).start()
     etcd = cluster.api.etcd
     prefixes = [f"/registry/{kind}/" for kind in ("SharePod", "Pod", "Node")]
     watchers = {prefix: etcd.watchers(prefix) for prefix in prefixes}
-    started = []
-    spawn = Environment.process
-
-    def process(self, gen, name=None):
-        proc = spawn(self, gen, name)
-        started.append((gen.gi_frame.f_locals.get("self"), gen.__qualname__, proc))
-        return proc
 
     def alive():
-        return sorted(what for owner, what, proc in started if owner is devmgr and proc.is_alive)
+        return sorted(what for owner, what, _, proc in spawned if owner is devmgr and proc.is_alive)
 
-    monkeypatch.setattr(Environment, "process", process)
     ks = KubeShare(cluster, policy=HybridPolicy(max_idle=2, idle_ttl=TTL)).start()
     devmgr = ks.devmgr
     ks.submit(sharepod(ks, "short", steps=20))
@@ -141,3 +154,91 @@ def test_stop_leaves_no_devmgr_timer_process_or_watch(env, monkeypatch):
     env.run(until=idle_at + 2 * TTL)
     assert cluster.api.get("Pod", holder) is not None
     assert devmgr.vgpus_released_total == 0
+
+
+def idle_then_outage(env):
+    """KubeShare on 1×1 with an idle vGPU whose TTL falls due inside a
+    2 s apiserver outage that begins 9.5 s after the vGPU went idle.
+    Returns (ks, placeholder pod name, outage end)."""
+    cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=1)).start()
+    ks = KubeShare(cluster, policy=HybridPolicy(max_idle=2, idle_ttl=TTL)).start()
+    ks.submit(sharepod(ks, "j", steps=20))
+    holder = run_until_idle(ks, "j")
+    env.run(until=env.now + TTL - 0.5)
+    cluster.api.set_outage(2.0)
+    return ks, holder, cluster.api.down_until
+
+
+def test_an_idle_ttl_due_inside_an_outage_releases_when_it_ends(env):
+    ks, holder, healed_at = idle_then_outage(env)
+    devmgr = ks.devmgr
+    # The TTL fell due 1.5 s before this: a release refused by the
+    # outage gate would stop the run there.
+    env.run(until=healed_at - 0.01)
+    assert devmgr.vgpus_released_total == 0
+    env.run(until=healed_at + 0.01)
+    assert ks.cluster.api.get("Pod", holder) is None
+    assert devmgr.vgpus_released_total == 1
+    env.run()
+
+
+def test_stop_inside_the_outage_wait_kills_the_ttl_timer(env, spawned):
+    ks, holder, healed_at = idle_then_outage(env)
+    devmgr = ks.devmgr
+
+    def ttl_timers():
+        return [
+            proc
+            for owner, what, _, proc in spawned
+            if owner is devmgr and what == "KubeShareDevMgr._ttl_watch" and proc.is_alive
+        ]
+
+    env.run(until=healed_at - 1.0)  # the TTL fell due 0.5 s ago
+    assert len(ttl_timers()) == 1
+    ks.stop()
+    assert ttl_timers() == []
+    env.run(until=healed_at + TTL)
+    assert ks.cluster.api.get("Pod", holder) is not None
+    assert devmgr.vgpus_released_total == 0
+
+
+@pytest.mark.parametrize("reaper", [False, True], ids=["no-policy", "reaper"])
+@pytest.mark.parametrize("replicas", [None, 2], ids=["unelected", "replicas2"])
+def test_kubeshare_stop_leaves_no_subscriber_or_process(env, spawned, replicas, reaper):
+    cluster = Cluster(env, ClusterConfig(nodes=1, gpus_per_node=2)).start()
+    etcd = cluster.api.etcd
+    kinds = ("SharePod", "Pod", "Node", "Lease", "Namespace", "PriorityClass")
+    prefixes = [f"/registry/{kind}/" for kind in kinds]
+    watchers = {prefix: etcd.watchers(prefix) for prefix in prefixes}
+    cluster_procs = len(spawned)
+    contention = PolicyConfig(reaper=ReaperConfig()) if reaper else None
+    ks = KubeShare(
+        cluster,
+        policy=HybridPolicy(max_idle=2, idle_ttl=TTL),
+        contention=contention,
+        replicas=replicas,
+    ).start()
+    ks.submit(sharepod(ks, "j", steps=20))
+    run_until_idle(ks, "j")
+    env.run(until=env.now + 1.0)
+
+    def alive():
+        # A pod's process (``workload:<pod>``) is its kubelet's.
+        return sorted(
+            name
+            for _, _, name, proc in spawned[cluster_procs:]
+            if proc.is_alive and not (name or "").startswith("workload:")
+        )
+
+    groups = ["kubeshare-sched", "kubeshare-devmgr"]
+    expected = {f"{group}:worker0" for group in groups} | {"devmgr:node-watch"}
+    if reaper:
+        groups += ["quota-controller", "reaper"]
+        expected |= {"quota-controller:worker0", "reaper:sweep"}
+    if replicas:
+        expected |= {f"elector:{group}-{i}" for group in groups for i in range(replicas)}
+    assert expected <= set(alive())
+
+    ks.stop()
+    assert alive() == []
+    assert {prefix: etcd.watchers(prefix) for prefix in prefixes} == watchers

@@ -62,65 +62,3 @@ class TestCloning:
         assert sp.spec.gpu_request == 0.3
         assert dup.spec.pod_spec.workload is wl
         assert sp.spec.pod_spec.workload is wl
-
-
-class TestFromDict:
-    def test_minimal_manifest(self):
-        sp = SharePod.from_dict(
-            {
-                "metadata": {"name": "pod1"},
-                "spec": {"gpu_request": 0.4, "gpu_limit": 0.6, "gpu_mem": 0.25},
-            }
-        )
-        assert sp.name == "pod1"
-        assert sp.spec.gpu_request == 0.4
-
-    def test_full_manifest(self):
-        def wl(ctx):
-            yield None
-
-        sp = SharePod.from_dict(
-            {
-                "metadata": {
-                    "name": "pod1",
-                    "namespace": "team",
-                    "labels": {"app": "train"},
-                },
-                "spec": {
-                    "gpu_request": 0.4,
-                    "gpu_limit": 0.6,
-                    "gpu_mem": 0.25,
-                    "gpu_id": "vgpu-abc",
-                    "sched_affinity": "grp",
-                    "sched_anti_affinity": "solo",
-                    "sched_exclusion": "tenant1",
-                    "workload": wl,
-                },
-            }
-        )
-        assert sp.metadata.namespace == "team"
-        assert sp.spec.gpu_id == "vgpu-abc"
-        assert sp.spec.sched_affinity == "grp"
-        assert sp.spec.pod_spec.workload is wl
-
-    def test_missing_name_rejected(self):
-        with pytest.raises(SpecError, match="name"):
-            SharePod.from_dict({"spec": {"gpu_mem": 0.5}})
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(SpecError, match="unknown"):
-            SharePod.from_dict(
-                {
-                    "metadata": {"name": "p"},
-                    "spec": {"gpu_mem": 0.5, "gpu_fraction": 0.5},
-                }
-            )
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(SpecError):
-            SharePod.from_dict(
-                {
-                    "metadata": {"name": "p"},
-                    "spec": {"gpu_request": 0.9, "gpu_limit": 0.5, "gpu_mem": 0.5},
-                }
-            )

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.metrics.analysis import (
-    completion_series,
-    makespan,
-    mean_job_duration,
-    slowdown,
-    throughput_jobs_per_minute,
-)
+from repro.metrics.analysis import makespan, throughput_jobs_per_minute
 from repro.metrics.collector import MetricsRegistry, TimeSeries
 from repro.metrics.reporting import ascii_table, banner, format_percent, format_series
 from repro.workloads.jobs import JobStats
@@ -141,19 +135,6 @@ class TestAnalysis:
 
     def test_throughput_empty(self):
         assert throughput_jobs_per_minute([]) == 0.0
-
-    def test_completion_series(self):
-        stats = [job(0, 0, 10), job(0, 0, 20), job(0, 0, 70)]
-        series = completion_series(stats, step=60.0)
-        assert series.values == [2.0, 1.0]
-
-    def test_mean_duration(self):
-        stats = [job(0, 0, 10), job(0, 10, 30)]
-        assert mean_job_duration(stats) == pytest.approx(15.0)
-
-    def test_slowdown(self):
-        assert slowdown(job(0, 0, 15), 10.0) == pytest.approx(1.5)
-        assert slowdown(JobStats("x"), 10.0) is None
 
 
 class TestReporting:

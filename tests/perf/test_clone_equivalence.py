@@ -13,7 +13,6 @@ import copy
 
 import pytest
 
-from repro.cluster.controllers.deployment import Deployment
 from repro.cluster.controllers.replicaset import ReplicaSet
 from repro.cluster.leaderelection import Lease, LeaseSpec
 from repro.cluster.objects import (
@@ -141,17 +140,6 @@ def make_replicaset():
     )
 
 
-def make_deployment():
-    return Deployment(
-        metadata=ObjectMeta(name="web", annotations={"rollout": "2"}),
-        replicas=2,
-        selector=LabelSelector({"app": "web"}),
-        template=_template(),
-        template_labels={"app": "web"},
-        revision=2,
-    )
-
-
 def make_namespace():
     return Namespace(
         metadata=ObjectMeta(name="team-a", labels={"tenant": "a"}),
@@ -188,7 +176,6 @@ FACTORIES = [
     make_sharepod,
     make_lease,
     make_replicaset,
-    make_deployment,
     make_namespace,
     make_priorityclass,
     make_kubeevent,
@@ -240,11 +227,10 @@ def test_fast_clone_is_deeply_independent(make):
 def test_workload_factory_is_shared_by_reference_in_both_modes():
     """Clone and oracle both keep the factory, and the original keeps it."""
     pod, sp = make_pod(), make_sharepod()
-    rs, dep = make_replicaset(), make_deployment()
+    rs = make_replicaset()
     for clone in (lambda o: o.clone(), oracle_clone):
         assert clone(pod).spec.workload is _workload
         assert clone(sp).spec.pod_spec.workload is _workload
         assert clone(rs).template.workload is _workload
-        assert clone(dep).template.workload is _workload
     assert pod.spec.workload is _workload
     assert sp.spec.pod_spec.workload is _workload

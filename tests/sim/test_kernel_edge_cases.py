@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    ConditionValue,
     Environment,
     Interrupt,
 )
@@ -39,17 +38,6 @@ class TestConditionEdgeCases:
         p = env.process(proc(env))
         env.run(until=5)
         assert p.value == 1.0
-
-    def test_condition_value_equality(self, env):
-        ev = env.event()
-        ev.succeed(1)
-        env.run()
-        cv = ConditionValue()
-        cv.events.append(ev)
-        assert cv == {ev: 1}
-        assert cv == cv
-        with pytest.raises(KeyError):
-            _ = cv[env.event()]
 
 
 class TestEventOrdering:

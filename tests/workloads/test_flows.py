@@ -15,7 +15,6 @@ from repro.sim import Environment
 from repro.workloads.flows import (
     FlowScheduler,
     diurnal_times,
-    mmpp_times,
     poisson_times,
 )
 
@@ -52,23 +51,6 @@ class TestPoissonTimes:
             poisson_times(1.0, rng)
         with pytest.raises(ValueError):
             poisson_times(1.0, rng, n=10, horizon=10.0)
-
-
-class TestMmppTimes:
-    def test_bounded_and_sorted(self):
-        times = mmpp_times(
-            [10.0, 0.5], [5.0, 5.0], horizon=200.0, rng=np.random.default_rng(5)
-        )
-        assert (np.diff(times) >= 0).all()
-        assert (times < 200.0).all()
-
-    def test_burstier_than_poisson(self):
-        # Same mean rate, but the two-state modulation inflates the
-        # variance of per-window counts well past Poisson's var == mean.
-        rng = np.random.default_rng(6)
-        times = mmpp_times([20.0, 0.2], [3.0, 3.0], horizon=3000.0, rng=rng)
-        counts = np.histogram(times, bins=np.arange(0.0, 3000.0, 10.0))[0]
-        assert counts.var() > 2.0 * counts.mean()
 
 
 class TestDiurnalTimes:
